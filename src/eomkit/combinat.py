@@ -36,23 +36,41 @@ def composition_count(n: int, r: int) -> int:
     return math.comb(n + r - 1, n - 1)
 
 
-def _compositions(n: int, r: int):
-    if n == 1:
-        yield (r,)
-        return
-    for first in range(r + 1):
-        for rest in _compositions(n - 1, r - first):
-            yield (first,) + rest
-
-
-def enumerate_compositions(n: int, r: int) -> list[Composition]:
-    """All length-``n`` compositions of ``r`` in lexicographic order."""
+def check_composition_budget(n: int, r: int) -> None:
+    """Raise BudgetExceededError when the length-``n`` composition space of
+    ``r`` is larger than ENUMERATION_BUDGET."""
     total = composition_count(n, r)
     if total > ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"composition space for n={n}, r={r} has {total} elements "
             f"(budget {ENUMERATION_BUDGET})"
         )
+
+
+def _compositions(n: int, r: int):
+    # Lexicographic successor: move one particle from the last occupied
+    # cell ``j`` into cell ``j - 1`` and put the rest of cell ``j`` into the
+    # last cell.  ``j`` is tracked instead of searched for, so each step is
+    # O(1) apart from copying the tuple, and no recursion bounds ``n``.
+    x = [0] * n
+    x[-1] = r
+    j = n - 1 if r else 0
+    yield tuple(x)
+    while j > 0:
+        rest = x[j] - 1
+        x[j] = 0
+        x[j - 1] += 1
+        if rest:
+            x[-1] = rest
+            j = n - 1
+        else:
+            j -= 1
+        yield tuple(x)
+
+
+def enumerate_compositions(n: int, r: int) -> list[Composition]:
+    """All length-``n`` compositions of ``r`` in lexicographic order."""
+    check_composition_budget(n, r)
     return list(_compositions(n, r))
 
 

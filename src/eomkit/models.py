@@ -8,7 +8,7 @@ exact by storing probabilities as ``fractions.Fraction``.
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import combinat
@@ -25,10 +25,17 @@ class WeightFunction:
 
     Two tables that differ by a rescaling a(x) -> c * t**x * a(x) induce the
     same occupancy model for every (n, r).
+
+    ``_power_rows`` memoizes the coefficient rows of A(z)**n for
+    ``normalization_constant``; it lives as long as the weight object and
+    takes no part in equality, hashing or repr.
     """
 
     values: tuple[Fraction, ...]
     kind: str | None = None
+    _power_rows: list = field(
+        default_factory=list, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         vals = tuple(Fraction(v) for v in self.values)
@@ -200,28 +207,37 @@ class MixingSpec:
         return sum((w * rho**z for rho, w in self.atoms), start=ZERO)
 
 
-def _truncated_power_coeffs(base: tuple[Fraction, ...], n: int, rmax: int):
-    """Coefficients 0..rmax of (sum_x base[x] z^x)**n."""
-    out = [ONE] + [ZERO] * rmax
-    for _ in range(n):
-        nxt = [ZERO] * (rmax + 1)
-        for i, c in enumerate(out):
+def _power_row(a: WeightFunction, n: int) -> list[Fraction]:
+    """Coefficients 0..x_max of A(z)**n, with A(z) = sum_x a(x) z^x.
+
+    Rows are memoized on ``a``.  A missing row is extended from the highest
+    cached one by truncated convolution with A, so rows 0..N cost
+    O(N * x_max**2) in total whatever order they are asked for in.
+    """
+    rows = a._power_rows
+    if not rows:
+        rows.append([ONE] + [ZERO] * a.x_max)
+    base = a.values
+    top = a.x_max
+    while len(rows) <= n:
+        prev = rows[-1]
+        nxt = [ZERO] * (top + 1)
+        for i, c in enumerate(prev):
             if not c:
                 continue
-            for j, b in enumerate(base):
-                if i + j > rmax:
-                    break
-                if b:
-                    nxt[i + j] += c * b
-        out = nxt
-    return out
+            for j in range(top - i + 1):
+                if base[j]:
+                    nxt[i + j] += c * base[j]
+        rows.append(nxt)
+    return rows[n]
 
 
 def normalization_constant(a: WeightFunction, n: int, r: int) -> Fraction:
     """Sum of prod_j a(x_j) over all length-``n`` compositions of ``r``.
 
-    Computed as the degree-``r`` coefficient of (sum_x a(x) z^x)**n by
-    truncated convolution; identical to the literal sum over the space.
+    Read as the degree-``r`` coefficient of (sum_x a(x) z^x)**n from the row
+    memo on ``a`` (see ``_power_row``), so each row is computed once per
+    weight object; identical to the literal sum over the space.
     """
     if n < 1:
         raise ValueError(f"cell count must be >= 1, got {n}")
@@ -231,11 +247,12 @@ def normalization_constant(a: WeightFunction, n: int, r: int) -> Fraction:
         raise ValueError(
             f"weight table covers 0..{a.x_max} but occupancies up to {r} are possible"
         )
-    return _truncated_power_coeffs(a.values[: r + 1], n, r)[r]
+    return _power_row(a, n)[r]
 
 
 def weight_model(a: WeightFunction, n: int, r: int) -> OccupancyDistribution:
     """Product-form occupancy model P(x) = prod_j a(x_j) / normalizer."""
+    combinat.check_composition_budget(n, r)
     c = normalization_constant(a, n, r)
     if c == 0:
         raise EmptySupportError(
@@ -361,6 +378,7 @@ def conditional_from_iid(
     sufficient for the mixing rate; the factor is a constant on the
     conditioning event and cancels in the normalization.
     """
+    combinat.check_composition_budget(n, r)
     weights = tuple(Fraction(v) for v in q)
     if len(weights) - 1 < r:
         raise ValueError(

@@ -36,13 +36,21 @@ class FiniteProcess:
 
     ``joint`` maps length-(M+1) jump paths to exact probabilities; only
     positive entries are stored.  The weight table must cover occupancies up
-    to the largest total any path reaches.
+    to the largest total any path reaches, which is kept as ``count_cap``.
+
+    The laws derived from the joint are computed once and cached on the
+    process for its lifetime: prefix marginals per t (``marginal``), count
+    laws per t (``count_distribution``) and structure values per (t, k)
+    (``structure_function``).  The caches take no part in equality.
     """
 
     weight: WeightFunction
     horizon: int
     joint: dict[JumpPath, Fraction]
     _marginals: dict = field(default_factory=dict, repr=False, compare=False)
+    _count_laws: dict = field(default_factory=dict, repr=False, compare=False)
+    _structure: dict = field(default_factory=dict, repr=False, compare=False)
+    count_cap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon < 0:
@@ -68,10 +76,7 @@ class FiniteProcess:
                 f"weight table covers 0..{self.weight.x_max} but paths reach total {cap}"
             )
         object.__setattr__(self, "joint", clean)
-
-    @property
-    def count_cap(self) -> int:
-        return max((sum(path) for path in self.joint), default=0)
+        object.__setattr__(self, "count_cap", cap)
 
     def marginal(self, t: int) -> dict[JumpPath, Fraction]:
         """Exact law of the jump prefix (J_0, ..., J_t)."""
@@ -139,12 +144,20 @@ def joint_jump_density(p: FiniteProcess, t: int, jumps) -> Fraction:
 
 
 def count_distribution(p: FiniteProcess, t: int) -> dict[int, Fraction]:
-    """Exact law of the count N_t, tabulated for every total 0..cap."""
-    acc: dict[int, Fraction] = {}
-    for prefix, pr in p.marginal(t).items():
-        k = sum(prefix)
-        acc[k] = acc.get(k, ZERO) + pr
-    return {k: acc.get(k, ZERO) for k in range(p.count_cap + 1)}
+    """Exact law of the count N_t, tabulated for every total 0..cap.
+
+    Computed once per t and cached on ``p``; each call returns a fresh dict,
+    so a caller that mutates it leaves the cache intact.
+    """
+    law = p._count_laws.get(t)
+    if law is None:
+        acc: dict[int, Fraction] = {}
+        for prefix, pr in p.marginal(t).items():
+            k = sum(prefix)
+            acc[k] = acc.get(k, ZERO) + pr
+        law = {k: acc.get(k, ZERO) for k in range(p.count_cap + 1)}
+        p._count_laws[t] = law
+    return dict(law)
 
 
 def terminal_law(p: FiniteProcess) -> dict[int, Fraction]:
@@ -156,16 +169,21 @@ def structure_function(p: FiniteProcess, t: int, k: int) -> Fraction:
     """P{N_t = k} divided by the normalization constant over t+1 cells.
 
     Undefined (raises) when the normalization constant vanishes, i.e. when no
-    positive-weight prefix reaches total ``k``.
+    positive-weight prefix reaches total ``k``.  Defined values are cached on
+    ``p`` per (t, k) for the lifetime of the process.
     """
     if k < 0:
         raise ValueError(f"count must be >= 0, got {k}")
-    c = normalization_constant(p.weight, t + 1, k)
-    if c == 0:
-        raise EmptySupportError(
-            f"structure function undefined at t={t}, k={k}: no positive-weight path"
-        )
-    return count_distribution(p, t).get(k, ZERO) / c
+    value = p._structure.get((t, k))
+    if value is None:
+        c = normalization_constant(p.weight, t + 1, k)
+        if c == 0:
+            raise EmptySupportError(
+                f"structure function undefined at t={t}, k={k}: no positive-weight path"
+            )
+        value = count_distribution(p, t).get(k, ZERO) / c
+        p._structure[(t, k)] = value
+    return value
 
 
 def conditional_jumps_given_count(
@@ -275,6 +293,13 @@ def arrival_event_probability(p: FiniteProcess, arrival_times) -> Fraction:
     return joint_jump_density(p, len(profile) - 1, profile)
 
 
+def _gap_tuples(k: int, horizon: int):
+    """All k-tuples of nonnegative gaps summing to at most ``horizon``, in
+    lexicographic order: compositions of ``horizon`` into k+1 parts with the
+    last part, the slack, dropped."""
+    return (x[:-1] for x in combinat.enumerate_compositions(k + 1, horizon))
+
+
 def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
     """Cross-verify the four equivalent descriptions of the jump law.
 
@@ -308,9 +333,7 @@ def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
 
     witness = None
     for k in range(1, p.count_cap + 1):
-        for gaps in itertools.product(range(p.horizon + 1), repeat=k):
-            if sum(gaps) > p.horizon:
-                continue
+        for gaps in _gap_tuples(k, p.horizon):
             profile = _arrival_profile(itertools.accumulate(gaps), p.horizon)
             if interarrival_event_probability(p, gaps) != factored(profile, k):
                 witness = f"gaps {gaps}"

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 CMD = [sys.executable, "-m", "eomkit"]
 
@@ -33,6 +34,22 @@ def test_enumerate_budget_exit_code():
     proc = run_cli("enumerate", "--n", "30", "--r", "30")
     assert proc.returncode == 2
     assert "budget" in proc.stderr
+
+
+def test_enumerate_many_cells_single_row():
+    proc = run_cli("enumerate", "--n", "1200", "--r", "0", "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == [",".join(["0"] * 1200)]
+
+
+def test_model_budget_charged_before_normalizer():
+    start = time.perf_counter()
+    proc = run_cli("model", "--weight", "be", "--n", "30000000", "--r", "2")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "budget" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert elapsed < 2, f"budget error took {elapsed:.2f} s"
 
 
 def test_model_occupancy():

@@ -1,7 +1,7 @@
 """Enumeration, bijections, and counting identities of the state spaces."""
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -34,6 +34,15 @@ def test_enumeration_matches_count_and_is_sorted():
             assert space == sorted(space)
             assert len(set(space)) == len(space)
             assert all(len(x) == n and sum(x) == r and min(x) >= 0 for x in space)
+            assert space == [x for x in product(range(r + 1), repeat=n) if sum(x) == r]
+
+
+def test_many_cells_need_no_recursion():
+    assert combinat.enumerate_compositions(1200, 0) == [(0,) * 1200]
+    space = combinat.enumerate_compositions(1500, 1)
+    assert len(space) == 1500
+    assert space[0] == (0,) * 1499 + (1,)
+    assert space[-1] == (1,) + (0,) * 1499
 
 
 def test_zero_particles():

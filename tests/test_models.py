@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eomkit import combinat
-from eomkit.errors import EmptySupportError, NonExchangeableError
+from eomkit.errors import BudgetExceededError, EmptySupportError, NonExchangeableError
 from eomkit.models import (
     LabelDistribution,
     MixingSpec,
@@ -66,6 +68,14 @@ def test_normalization_constant_values():
     assert normalization_constant(builtin_weight("fd", 2), 3, 2) == 3
 
 
+def brute_normalizer(a, n, r):
+    return sum(
+        (math.prod((a(v) for v in x), start=F(1))
+         for x in combinat.enumerate_compositions(n, r)),
+        start=F(0),
+    )
+
+
 def test_normalization_constant_matches_brute_force():
     rng = random.Random(5)
     for _ in range(10):
@@ -75,11 +85,42 @@ def test_normalization_constant_matches_brute_force():
         )
         if all(v == 0 for v in a.values):
             continue
-        brute = sum(
-            math.prod((a(v) for v in x), start=F(1))
-            for x in combinat.enumerate_compositions(n, r)
-        )
-        assert normalization_constant(a, n, r) == brute
+        assert normalization_constant(a, n, r) == brute_normalizer(a, n, r)
+
+
+weight_tables = st.lists(
+    st.builds(F, st.integers(0, 6), st.integers(1, 5)), min_size=1, max_size=6
+).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_tables, st.randoms(use_true_random=False))
+def test_memoized_normalizer_matches_literal_sum_in_any_order(values, rnd):
+    a = WeightFunction(tuple(values))
+    queries = [(n, r) for n in range(1, 6) for r in range(a.x_max + 1)]
+    rnd.shuffle(queries)
+    for n, r in queries:
+        assert normalization_constant(a, n, r) == brute_normalizer(a, n, r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(weight_tables, st.integers(1, 6))
+def test_warm_and_fresh_weights_compare_and_hash_equal(values, n):
+    warm = WeightFunction(tuple(values), kind="t")
+    normalization_constant(warm, n, warm.x_max)
+    fresh = WeightFunction(tuple(values), kind="t")
+    assert warm == fresh
+    assert hash(warm) == hash(fresh)
+    assert repr(warm) == repr(fresh)
+
+
+def test_budget_charged_before_normalizer():
+    for build in (
+        lambda: weight_model(builtin_weight("be", 2), 30_000_000, 2),
+        lambda: conditional_from_iid([F(1)] * 3, 30_000_000, 2),
+    ):
+        with pytest.raises(BudgetExceededError, match="budget"):
+            build()
 
 
 def test_weight_model_tables():

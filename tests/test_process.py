@@ -1,15 +1,24 @@
 """Finite-horizon processes: construction, laws, and the characterization checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eomkit import combinat
 from eomkit.errors import ConditioningError, EmptySupportError
-from eomkit.models import builtin_weight, weight_model
+from eomkit.models import (
+    WeightFunction,
+    builtin_weight,
+    normalization_constant,
+    weight_model,
+)
 from eomkit.process import (
     FiniteProcess,
+    _gap_tuples,
     arrival_event_probability,
     build_process,
     check_characterizations,
@@ -26,7 +35,7 @@ from eomkit.process import (
     terminal_law,
     transition_probability,
 )
-from eomkit.verify import perturbed_process
+from eomkit.verify import _suite_processes, perturbed_process
 
 F = Fraction
 
@@ -268,3 +277,123 @@ def test_sample_path_determinism(flat_process):
     second = [sample_path(flat_process, rng_b) for _ in range(40)]
     assert first == second
     assert set(first) <= set(flat_process.joint)
+
+
+@st.composite
+def arbitrary_processes(draw):
+    """A weight table with zeros and any joint on paths of total at most its
+    x_max; the joint need not factorize."""
+    horizon = draw(st.integers(0, 3))
+    cap = draw(st.integers(0, 4))
+    values = draw(
+        st.lists(st.integers(0, 4), min_size=cap + 1, max_size=cap + 1).filter(any)
+    )
+    paths = [
+        path
+        for k in range(cap + 1)
+        for path in combinat.enumerate_compositions(horizon + 1, k)
+    ]
+    chosen = draw(st.lists(st.sampled_from(paths), min_size=1, max_size=12, unique=True))
+    masses = draw(st.lists(st.integers(1, 9), min_size=len(chosen), max_size=len(chosen)))
+    total = sum(masses)
+    joint = {path: F(m, total) for path, m in zip(chosen, masses)}
+    return FiniteProcess(WeightFunction(tuple(F(v) for v in values)), horizon, joint)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_processes())
+def test_cached_laws_match_sums_over_joint(p):
+    cap = max(sum(path) for path in p.joint)
+    assert p.count_cap == cap
+    for _ in range(2):  # the second round is served from the caches
+        for t in range(p.horizon + 1):
+            direct = {k: F(0) for k in range(cap + 1)}
+            for path, pr in p.joint.items():
+                direct[sum(path[: t + 1])] += pr
+            assert count_distribution(p, t) == direct
+            for k in range(cap + 1):
+                c = normalization_constant(p.weight, t + 1, k)
+                if c == 0:
+                    with pytest.raises(EmptySupportError):
+                        structure_function(p, t, k)
+                else:
+                    assert structure_function(p, t, k) == direct[k] / c
+    assert p == FiniteProcess(p.weight, p.horizon, dict(p.joint))
+
+
+@settings(max_examples=30, deadline=None)
+@given(arbitrary_processes())
+def test_mutating_a_count_law_leaves_the_cache_intact(p):
+    first = count_distribution(p, p.horizon)
+    expected = dict(first)
+    first[0] += 1
+    first[p.count_cap + 1] = F(1)
+    assert count_distribution(p, p.horizon) == expected
+    assert terminal_law(p) == expected
+
+
+def test_gap_tuples_match_filtered_product():
+    for k in range(1, 7):
+        for horizon in range(7):
+            oracle = [
+                gaps
+                for gaps in itertools.product(range(horizon + 1), repeat=k)
+                if sum(gaps) <= horizon
+            ]
+            assert list(_gap_tuples(k, horizon)) == oracle
+
+
+#: check_characterizations outcomes on perturbed suite processes and on
+#: hand-made joints, recorded before the count laws were cached and the gap
+#: tuples enumerated directly
+PINNED_OUTCOMES = {
+    "seed 0: mb/M=2/uniform": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
+    "seed 0: be/M=2/geometric": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
+    "seed 0: fd/M=2/random": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
+    "seed 0: random-0/M=2/geometric": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
+    "seed 0: random-3/M=2/geometric": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
+    "seed 0: random-4/M=2/random": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
+    "seed 3: mb/M=3/uniform": ("(t,k)=(2, 1)", "prefix (2, (0, 1, 0))"),
+    "seed 3: fd/M=2/geometric": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
+    "fd-double": ("(t,k)=(1, 2)", "prefix (1, (0, 2))"),
+    "be-late": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
+    "mb-skew": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
+}
+
+
+def pinned_joints():
+    suite = {
+        f"seed {seed}: {label}": p
+        for seed, max_horizon in ((0, 2), (3, 3))
+        for label, p in _suite_processes(seed, max_horizon)
+    }
+    for name in PINNED_OUTCOMES:
+        if name.startswith("seed"):
+            yield name, perturbed_process(suite[name])
+    yield "fd-double", FiniteProcess(
+        builtin_weight("fd", 2), 1, {(0, 0): F(1, 2), (0, 2): F(1, 4), (1, 1): F(1, 4)}
+    )
+    yield "be-late", FiniteProcess(
+        builtin_weight("be", 3),
+        2,
+        {(0, 0, 0): F(1, 2), (0, 1, 2): F(1, 4), (1, 1, 1): F(1, 8), (3, 0, 0): F(1, 8)},
+    )
+    yield "mb-skew", FiniteProcess(
+        builtin_weight("mb", 2),
+        2,
+        {(0, 0, 1): F(1, 3), (0, 1, 0): F(1, 3), (0, 0, 0): F(1, 3)},
+    )
+
+
+def test_pinned_characterization_witnesses():
+    seen = {}
+    for label, p in pinned_joints():
+        outcomes = check_characterizations(p)
+        seen[label] = [(c.name, c.passed, c.witness) for c in outcomes]
+    assert seen == {
+        label: [
+            ("jump-conditionals-product-form", False, cond),
+            ("joint-factorization", False, form),
+        ]
+        for label, (cond, form) in PINNED_OUTCOMES.items()
+    }
