@@ -20,10 +20,9 @@ from .models import (
     label_distribution,
     label_marginal,
     order_statistics_distribution,
-    sample,
+    sample_exact,
     weight_model,
 )
-from .process import sample_path
 from .transforms import condition_on_partial_sum, drop_particle, erase_cell
 from .verify import run_suite
 
@@ -100,12 +99,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.paths < 0:
+        raise ValueError("--paths must be >= 0")
     with open(args.spec, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("sample spec must be a JSON object")
     rng = random.Random(args.seed)
     if "horizon" in doc:
         p = serialize.process_from_doc(doc)
-        rows = [sample_path(p, rng) for _ in range(args.paths)]
+        rows = sample_exact(p.joint, rng, args.paths)
         sys.stdout.write(serialize.paths_to_csv(rows, p.horizon))
     else:
         try:
@@ -116,7 +119,7 @@ def _cmd_sample(args) -> int:
                 "sample spec needs either horizon/terminal_law/weight or n/r/weight"
             ) from None
         d = weight_model(serialize.weight_from_spec(weight_spec, r), n, r)
-        rows = [sample(d, rng) for _ in range(args.paths)]
+        rows = sample_exact(d.table, rng, args.paths)
         sys.stdout.write(serialize.compositions_to_csv(rows, n))
     return 0
 
@@ -172,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sm = sub.add_parser("sample", help="draw seeded samples as CSV")
     p_sm.add_argument("--spec", required=True, help="JSON model or process spec file")
-    p_sm.add_argument("--paths", type=int, default=1, help="number of draws")
+    p_sm.add_argument("--paths", type=int, default=1, help="number of draws (>= 0)")
     p_sm.add_argument("--seed", type=int, default=0)
     p_sm.set_defaults(func=_cmd_sample)
 

@@ -161,9 +161,23 @@ def distinct_permutation_count(seq) -> int:
 
 
 def distinct_permutations(seq) -> list[tuple]:
-    """All distinct reorderings of a short sequence, sorted.
+    """All distinct reorderings of a finite sequence, in sorted order.
 
-    Materializes a set of permutations; intended for the small tuples
-    handled by the model layer, not for bulk enumeration.
+    Lexicographic next-permutation steps from the sorted sequence (Knuth's
+    Algorithm L), so the work is proportional to the number of distinct
+    reorderings, not to ``len(seq)!``.
     """
-    return sorted(set(itertools.permutations(seq)))
+    a = sorted(seq)
+    out = [tuple(a)]
+    while True:
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return out
+        k = len(a) - 1
+        while a[j] >= a[k]:
+            k -= 1
+        a[j], a[k] = a[k], a[j]
+        a[j + 1 :] = a[:j:-1]
+        out.append(tuple(a))

@@ -6,6 +6,8 @@ exchangeable laws of ``r`` cell-valued label variables; both views are kept
 exact by storing probabilities as ``fractions.Fraction``.
 """
 
+import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -400,23 +402,28 @@ def conditional_from_iid(
     return OccupancyDistribution(n, r, {x: w / total for x, w in table.items()})
 
 
-def sample_exact(table: dict, rng: random.Random):
-    """Draw one key from an exact probability table.
+def sample_exact(table: dict, rng: random.Random, count: int) -> list:
+    """Draw ``count`` keys independently from an exact probability table.
 
-    Inversion over the keys in sorted order using an integer uniform draw on
-    the common denominator, so the draw is exact and reproducible by seed.
+    Inversion over the keys in sorted order: each draw is one integer
+    uniform ``rng.randrange(denom)``, ``denom`` being the lcm of the
+    denominators, so the draws are exact and reproducible by seed.  The
+    sorted keys, the lcm and the cumulative integer masses are built once per
+    call, and each draw is a bisection into the cumulative masses.  A table
+    that does not sum to 1 is rejected before any draw.
     """
     keys = sorted(table)
     denom = math.lcm(*(table[k].denominator for k in keys))
-    u = rng.randrange(denom)
-    acc = 0
-    for k in keys:
-        acc += int(table[k] * denom)
-        if u < acc:
-            return k
-    raise AssertionError("probability table does not sum to 1")
+    cum = list(
+        itertools.accumulate(
+            table[k].numerator * (denom // table[k].denominator) for k in keys
+        )
+    )
+    if not cum or cum[-1] != denom:
+        raise AssertionError("probability table does not sum to 1")
+    return [keys[bisect.bisect_right(cum, rng.randrange(denom))] for _ in range(count)]
 
 
 def sample(d: OccupancyDistribution, rng: random.Random) -> Composition:
     """Draw one composition exactly from the model."""
-    return sample_exact(d.table, rng)
+    return sample_exact(d.table, rng, 1)[0]

@@ -206,13 +206,17 @@ def conditional_jumps_given_count(
 def check_weight_model_conditionals(p: FiniteProcess):
     """Verify that every reachable count conditional is the product-form model.
 
-    Returns (True, None) or (False, (t, k)) at the first failing pair.
+    Returns (True, None) or (False, (t, k)) at the first failing pair.  A
+    count with mass that no positive-weight prefix reaches has no
+    product-form model, so it fails.
     """
     for t in range(p.horizon + 1):
         counts = count_distribution(p, t)
         for k, mass in counts.items():
             if not mass:
                 continue
+            if normalization_constant(p.weight, t + 1, k) == 0:
+                return False, (t, k)
             if conditional_jumps_given_count(p, t, k) != weight_model(
                 p.weight, t + 1, k
             ):
@@ -441,4 +445,4 @@ def classic_uosp_value(kind: str, t: int, k: int, times) -> Fraction:
 
 def sample_path(p: FiniteProcess, rng: random.Random) -> JumpPath:
     """Draw one jump path exactly from the stored joint law."""
-    return sample_exact(p.joint, rng)
+    return sample_exact(p.joint, rng, 1)[0]

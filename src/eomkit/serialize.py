@@ -24,7 +24,10 @@ def fraction_to_str(q) -> str:
 
 
 def fraction_from_str(s) -> Fraction:
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def table_doc(n: int, r: int, table: dict) -> dict:
@@ -48,11 +51,22 @@ def occupancy_from_doc(doc: dict) -> OccupancyDistribution:
         n, r, entries = doc["n"], doc["r"], doc["entries"]
     except (KeyError, TypeError):
         raise ValueError("distribution document needs fields n, r, entries") from None
-    table = {}
-    for entry in entries:
-        key = tuple(int(v) for v in entry[:-1])
-        table[key] = fraction_from_str(entry[-1])
+    if not (isinstance(n, int) and isinstance(r, int) and isinstance(entries, list)):
+        raise ValueError("distribution document needs integers n, r and a list of entries")
+    table = {_entry_key(entry): fraction_from_str(entry[-1]) for entry in entries}
     return OccupancyDistribution(n, r, table)
+
+
+def _entry_key(entry) -> tuple[int, ...]:
+    if isinstance(entry, list) and entry:
+        try:
+            return tuple(int(v) for v in entry[:-1])
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(
+        f"distribution entry {entry!r} is not a list [x_1, ..., x_n, p] "
+        "of integer counts and a probability"
+    )
 
 
 def weight_to_doc(a: WeightFunction) -> dict:
@@ -62,11 +76,18 @@ def weight_to_doc(a: WeightFunction) -> dict:
     return doc
 
 
+def _values(values, what: str) -> tuple[Fraction, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {values!r}")
+    return tuple(fraction_from_str(v) for v in values)
+
+
 def weight_from_spec(spec, x_max: int) -> WeightFunction:
     """Build a weight table from a builtin name, a value list, or a document.
 
     Builtin names are padded out to ``x_max``; explicit value lists are taken
     as given (and must already reach any occupancy the caller will query).
+    Any other spec is a ValueError.
     """
     if isinstance(spec, str):
         return builtin_weight(spec, x_max)
@@ -75,10 +96,12 @@ def weight_from_spec(spec, x_max: int) -> WeightFunction:
             values = spec["values"]
         except KeyError:
             raise ValueError("weight document needs a values field") from None
-        return WeightFunction(
-            tuple(fraction_from_str(v) for v in values), kind=spec.get("kind")
-        )
-    return WeightFunction(tuple(fraction_from_str(v) for v in spec))
+        return WeightFunction(_values(values, "weight values"), kind=spec.get("kind"))
+    if isinstance(spec, (list, tuple)):
+        return WeightFunction(_values(spec, "weight values"))
+    raise ValueError(
+        f"weight spec must be a builtin name, a value list or a document, got {spec!r}"
+    )
 
 
 def process_from_doc(doc: dict) -> FiniteProcess:
@@ -91,7 +114,7 @@ def process_from_doc(doc: dict) -> FiniteProcess:
         raise ValueError(
             "process document needs fields weight, horizon, terminal_law"
         ) from None
-    pi = [fraction_from_str(v) for v in terminal]
+    pi = _values(terminal, "terminal_law")
     cap = len(pi) - 1
     a = weight_from_spec(weight_spec, max(cap, 0))
     return build_process(a, horizon, pi)

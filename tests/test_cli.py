@@ -182,3 +182,87 @@ def test_model_output_byte_identical():
     a = run_cli("model", "--weight", "pc:3", "--n", "3", "--r", "3", check=True)
     b = run_cli("model", "--weight", "pc:3", "--n", "3", "--r", "3", check=True)
     assert a.stdout == b.stdout
+
+
+def assert_one_line_error(proc, text=None):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    if text is not None:
+        assert proc.stderr == f"error: {text}\n"
+
+
+def test_transform_malformed_entry_exits_2(tmp_path):
+    doc = tmp_path / "d.json"
+    doc.write_text(json.dumps({"n": 2, "r": 1, "entries": [5]}))
+    assert_one_line_error(run_cli("transform", "--op", "k1", "--input", str(doc)))
+
+
+def test_sample_malformed_weight_spec_exits_2(tmp_path):
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"n": 2, "r": 1, "weight": 5}))
+    assert_one_line_error(run_cli("sample", "--spec", str(spec)))
+
+
+def test_sample_negative_paths_exits_2(tmp_path):
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"weight": "be", "n": 2, "r": 1}))
+    proc = run_cli("sample", "--spec", str(spec), "--paths", "-3")
+    assert_one_line_error(proc, "--paths must be >= 0")
+    assert proc.stdout == ""
+
+
+def test_sample_zero_paths_prints_header_only(tmp_path):
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"weight": "be", "n": 2, "r": 1}))
+    proc = run_cli("sample", "--spec", str(spec), "--paths", "0", check=True)
+    assert proc.stdout == "x1,x2\n"
+
+
+def test_model_labels_many_particles_completes():
+    # 2**11 label vectors; the multiset permutations must not cost 11!
+    proc = run_cli(
+        "model", "--weight", "be", "--n", "2", "--r", "11", "--labels", check=True
+    )
+    doc = json.loads(proc.stdout)
+    assert len(doc["entries"]) == 2048
+
+
+#: ``sample --paths 50 --seed 3`` output recorded before draws were batched
+#: into one cumulative table per request
+MODEL_CSV = (
+    "x1,x2,x3\n"
+    "1,1,2\n3,0,1\n2,2,0\n1,0,3\n1,3,0\n3,1,0\n2,1,1\n4,0,0\n3,0,1\n0,2,2\n"
+    "3,1,0\n0,1,3\n2,1,1\n1,2,1\n2,2,0\n1,1,2\n1,1,2\n2,1,1\n2,2,0\n2,2,0\n"
+    "2,1,1\n2,0,2\n1,0,3\n1,1,2\n1,0,3\n2,2,0\n2,0,2\n0,1,3\n0,2,2\n1,1,2\n"
+    "3,0,1\n0,2,2\n1,2,1\n0,1,3\n1,2,1\n2,1,1\n3,1,0\n2,0,2\n2,1,1\n2,0,2\n"
+    "3,0,1\n2,1,1\n1,0,3\n1,3,0\n0,3,1\n0,1,3\n1,0,3\n2,1,1\n1,1,2\n1,2,1\n"
+)
+PROCESS_CSV = (
+    "j0,j1,j2,j3\n"
+    "0,1,0,1\n2,0,0,1\n0,0,1,0\n1,0,0,0\n1,1,0,0\n3,0,0,0\n0,0,0,1\n0,0,0,0\n"
+    "1,1,0,0\n0,1,0,2\n2,0,0,1\n0,1,0,0\n0,0,2,1\n1,1,0,0\n2,0,0,0\n2,0,0,1\n"
+    "1,1,0,0\n1,0,0,1\n0,0,1,1\n0,1,0,0\n0,0,1,1\n1,2,0,0\n1,0,0,1\n0,0,0,0\n"
+    "0,0,0,1\n0,0,1,2\n0,0,0,0\n0,1,2,0\n0,0,0,0\n0,1,1,0\n1,1,0,0\n1,0,0,0\n"
+    "1,0,1,0\n1,0,0,1\n2,1,0,0\n1,0,1,1\n0,0,1,0\n1,0,0,0\n0,0,0,2\n0,0,0,0\n"
+    "0,0,1,0\n1,1,0,1\n0,1,0,0\n0,1,0,2\n1,0,1,0\n0,1,2,0\n1,0,1,0\n1,1,1,0\n"
+    "1,0,0,0\n2,1,0,0\n"
+)
+
+
+def test_sample_csv_bytes_are_pinned(tmp_path):
+    specs = {
+        "model.json": ({"weight": "mb", "n": 3, "r": 4}, MODEL_CSV),
+        "proc.json": (
+            {"weight": "pc:2", "horizon": 3,
+             "terminal_law": ["1/10", "1/5", "3/10", "2/5"]},
+            PROCESS_CSV,
+        ),
+    }
+    for name, (spec, expected) in specs.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(spec))
+        proc = run_cli("sample", "--spec", str(path), "--paths", "50", "--seed", "3",
+                       check=True)
+        assert proc.stdout == expected, name

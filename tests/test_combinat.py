@@ -4,6 +4,8 @@ import math
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from eomkit import combinat
 from eomkit.errors import BudgetExceededError, EmptySupportError
@@ -160,3 +162,10 @@ def test_argument_validation():
         combinat.composition_count(2, -1)
     with pytest.raises(ValueError):
         combinat.enumerate_labels(2, 0)
+
+
+@given(st.lists(st.integers(0, 3), max_size=7))
+def test_distinct_permutations_match_sorted_set(seq):
+    expected = sorted(set(permutations(seq)))
+    assert combinat.distinct_permutations(seq) == expected
+    assert combinat.distinct_permutations(tuple(reversed(seq))) == expected

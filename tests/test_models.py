@@ -24,6 +24,7 @@ from eomkit.models import (
     occupancy_from_labels,
     order_statistics_distribution,
     sample,
+    sample_exact,
     weight_model,
     weight_model_label_density,
 )
@@ -326,3 +327,75 @@ def test_sample_point_mass_and_determinism():
     second = [sample(be, rng_b) for _ in range(50)]
     assert first == second
     assert set(first) == set(be.table)
+
+
+def linear_scan_sample(table, rng):
+    """One draw by inversion with a fresh scan over the sorted keys: the
+    oracle for the cumulative table that ``sample_exact`` builds once."""
+    keys = sorted(table)
+    denom = math.lcm(*(table[k].denominator for k in keys))
+    u = rng.randrange(denom)
+    acc = 0
+    for k in keys:
+        acc += int(table[k] * denom)
+        if u < acc:
+            return k
+    raise AssertionError("probability table does not sum to 1")
+
+
+@st.composite
+def exact_tables(draw):
+    """Product-form models with n, r <= 4 and random rational weights, or
+    arbitrary joints with zero entries over short integer keys."""
+    if draw(st.booleans()):
+        n, r = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+        values = draw(
+            st.lists(st.integers(0, 6), min_size=r + 1, max_size=r + 1).filter(
+                lambda v: v[0] or v[-1]
+            )
+        )
+        dens = draw(st.lists(st.integers(1, 5), min_size=r + 1, max_size=r + 1))
+        a = WeightFunction(tuple(F(v, q) for v, q in zip(values, dens)))
+        try:
+            return weight_model(a, n, r).table
+        except EmptySupportError:
+            return {(r,) * n: F(1)}
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    masses = draw(st.lists(st.integers(0, 9), min_size=len(keys), max_size=len(keys)))
+    if not any(masses):
+        masses[0] = 1
+    dens = draw(st.lists(st.integers(1, 7), min_size=len(keys), max_size=len(keys)))
+    weights = [F(m, q) for m, q in zip(masses, dens)]
+    total = sum(weights)
+    return {k: w / total for k, w in zip(keys, weights)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_tables(), st.integers(0, 2**32), st.integers(0, 40))
+def test_sample_exact_matches_linear_scan(table, seed, count):
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    drawn = sample_exact(table, rng, count)
+    assert drawn == [linear_scan_sample(table, oracle_rng) for _ in range(count)]
+    # the generators end in the same state, so callers that keep drawing
+    # stay in step with the one-draw-at-a-time stream
+    assert rng.getstate() == oracle_rng.getstate()
+    assert rng.random() == oracle_rng.random()
+
+
+def test_sample_exact_rejects_bad_tables_before_drawing():
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(AssertionError, match="does not sum to 1"):
+        sample_exact({(0, 1): F(1, 2), (1, 0): F(1, 4)}, rng, 10)
+    with pytest.raises(AssertionError, match="does not sum to 1"):
+        sample_exact({}, rng, 1)
+    assert rng.getstate() == state
+    assert sample_exact({(0,): F(1)}, rng, 0) == []
+    assert rng.getstate() == state

@@ -345,7 +345,8 @@ def test_gap_tuples_match_filtered_product():
 
 #: check_characterizations outcomes on perturbed suite processes and on
 #: hand-made joints, recorded before the count laws were cached and the gap
-#: tuples enumerated directly
+#: tuples enumerated directly.  "fd-unreachable" puts mass on count 2 at
+#: t=0, which one fd cell cannot hold, so its normalizer is zero
 PINNED_OUTCOMES = {
     "seed 0: mb/M=2/uniform": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
     "seed 0: be/M=2/geometric": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
@@ -358,6 +359,7 @@ PINNED_OUTCOMES = {
     "fd-double": ("(t,k)=(1, 2)", "prefix (1, (0, 2))"),
     "be-late": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
     "mb-skew": ("(t,k)=(1, 1)", "prefix (1, (1, 0))"),
+    "fd-unreachable": ("(t,k)=(0, 2)", "prefix (0, (2,))"),
 }
 
 
@@ -383,6 +385,9 @@ def pinned_joints():
         2,
         {(0, 0, 1): F(1, 3), (0, 1, 0): F(1, 3), (0, 0, 0): F(1, 3)},
     )
+    yield "fd-unreachable", FiniteProcess(
+        builtin_weight("fd", 2), 1, {(0, 0): F(1, 2), (2, 0): F(1, 4), (1, 1): F(1, 4)}
+    )
 
 
 def test_pinned_characterization_witnesses():
@@ -397,3 +402,21 @@ def test_pinned_characterization_witnesses():
         ]
         for label, (cond, form) in PINNED_OUTCOMES.items()
     }
+
+
+@settings(max_examples=60, deadline=None)
+@given(arbitrary_processes())
+def test_conditionals_check_never_raises(p):
+    unreachable = [
+        (t, k)
+        for t in range(p.horizon + 1)
+        for k, mass in count_distribution(p, t).items()
+        if mass and normalization_constant(p.weight, t + 1, k) == 0
+    ]
+    ok, pair = check_weight_model_conditionals(p)
+    if unreachable:
+        assert not ok
+        assert pair <= unreachable[0]
+    outcomes = check_characterizations(p)
+    assert outcomes[0].name == "jump-conditionals-product-form"
+    assert outcomes[0].passed == ok

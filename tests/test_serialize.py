@@ -50,6 +50,17 @@ def test_label_doc():
 def test_occupancy_doc_requires_fields():
     with pytest.raises(ValueError):
         serialize.occupancy_from_doc({"n": 2})
+    for doc in (
+        {"n": 2, "r": 1, "entries": [5]},
+        {"n": 2, "r": 1, "entries": [[]]},
+        {"n": 2, "r": 1, "entries": [[None, 1, "1"]]},
+        {"n": 2, "r": 1, "entries": [[1, 0, "1/0"]]},
+        {"n": 2, "r": 1, "entries": 5},
+        {"n": 2.5, "r": 1, "entries": [[1, 0, "1"]]},
+        {"n": "2", "r": 1, "entries": [[1, 0, "1"]]},
+    ):
+        with pytest.raises(ValueError):
+            serialize.occupancy_from_doc(doc)
 
 
 def test_weight_doc_and_spec():
@@ -64,6 +75,9 @@ def test_weight_doc_and_spec():
     assert bare.values == (F(1), F(1), F(5))
     with pytest.raises(ValueError):
         serialize.weight_from_spec({"kind": "mb"}, 2)
+    for spec in (5, None, {"values": 3}, ["1", "1/0"]):
+        with pytest.raises(ValueError):
+            serialize.weight_from_spec(spec, 2)
 
 
 def test_process_doc():
@@ -80,6 +94,8 @@ def test_process_doc():
     assert q.joint == {(0,): F(1, 2), (1,): F(1, 4), (2,): F(1, 4)}
     with pytest.raises(ValueError):
         serialize.process_from_doc({"weight": "be"})
+    with pytest.raises(ValueError):
+        serialize.process_from_doc({"weight": "be", "horizon": 1, "terminal_law": 5})
 
 
 def test_csv_formats():
