@@ -112,7 +112,7 @@ def _cmd_sample(args) -> int:
         sys.stdout.write(serialize.paths_to_csv(rows, p.horizon))
     else:
         try:
-            n, r = int(doc["n"]), int(doc["r"])
+            n, r = serialize.int_field(doc, "n"), serialize.int_field(doc, "r")
             weight_spec = doc["weight"]
         except (KeyError, TypeError):
             raise ValueError(

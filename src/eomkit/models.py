@@ -94,91 +94,87 @@ def builtin_weight(kind: str, x_max: int) -> WeightFunction:
     return WeightFunction(tuple(vals), kind=key)
 
 
-def _check_entry(key, p, length, label):
-    if len(key) != length:
-        raise ValueError(f"{label} {key} has length {len(key)}, expected {length}")
-    if p < 0:
-        raise ValueError(f"negative probability {p} at {key}")
-
-
 @dataclass(frozen=True)
-class OccupancyDistribution:
-    """Exact probability table over the length-``n`` compositions of ``r``.
+class ExactTable:
+    """Exact probability table of a model with ``n`` cells and ``r`` particles.
 
-    Only strictly positive entries are stored; looking up a valid composition
-    outside the table yields probability zero.
+    Only strictly positive entries are stored, and they must sum to 1;
+    looking up a valid key outside the table yields probability zero.  A
+    subclass says which keys are valid: ``_key_length()`` and
+    ``_key_error(key)`` (why a key of that length is not valid, or None),
+    with ``key_name`` and ``key_description`` for the error messages.
     """
 
     n: int
     r: int
-    table: dict[Composition, Fraction]
+    table: dict
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"cell count must be >= 1, got {self.n}")
         if self.r < 0:
             raise ValueError(f"particle count must be >= 0, got {self.r}")
+        length = self._key_length()
         clean = {}
         total = ZERO
-        for x, p in self.table.items():
-            x = tuple(x)
+        for key, p in self.table.items():
+            key = tuple(key)
             p = Fraction(p)
-            _check_entry(x, p, self.n, "composition")
-            if sum(x) != self.r or any(c < 0 for c in x):
-                raise ValueError(f"{x} is not a composition of {self.r}")
+            if len(key) != length:
+                raise ValueError(
+                    f"{self.key_name} {key} has length {len(key)}, expected {length}"
+                )
+            if p < 0:
+                raise ValueError(f"negative probability {p} at {key}")
+            error = self._key_error(key)
+            if error:
+                raise ValueError(error)
             if p:
-                clean[x] = p
+                clean[key] = p
                 total += p
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "table", clean)
 
-    def probability(self, x: Composition) -> Fraction:
-        x = tuple(x)
-        if len(x) != self.n or sum(x) != self.r or any(c < 0 for c in x):
-            raise ValueError(f"{x} is not a length-{self.n} composition of {self.r}")
-        return self.table.get(x, ZERO)
+    def probability(self, key) -> Fraction:
+        key = tuple(key)
+        if len(key) != self._key_length() or self._key_error(key):
+            described = self.key_description.format(n=self.n, r=self.r)
+            raise ValueError(f"{key} is not {described}")
+        return self.table.get(key, ZERO)
 
-    def support(self) -> list[Composition]:
+    def support(self) -> list[tuple]:
         return sorted(self.table)
 
 
-@dataclass(frozen=True)
-class LabelDistribution:
+class OccupancyDistribution(ExactTable):
+    """Exact probability table over the length-``n`` compositions of ``r``."""
+
+    key_name = "composition"
+    key_description = "a length-{n} composition of {r}"
+
+    def _key_length(self) -> int:
+        return self.n
+
+    def _key_error(self, x: Composition) -> str | None:
+        if sum(x) != self.r or any(c < 0 for c in x):
+            return f"{x} is not a composition of {self.r}"
+        return None
+
+
+class LabelDistribution(ExactTable):
     """Exact probability table over the label vectors in {1..n}**r."""
 
-    n: int
-    r: int
-    table: dict[LabelVector, Fraction]
+    key_name = "label vector"
+    key_description = "a label vector for n={n}, r={r}"
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"cell count must be >= 1, got {self.n}")
-        if self.r < 0:
-            raise ValueError(f"particle count must be >= 0, got {self.r}")
-        clean = {}
-        total = ZERO
-        for y, p in self.table.items():
-            y = tuple(y)
-            p = Fraction(p)
-            _check_entry(y, p, self.r, "label vector")
-            if any(not 1 <= v <= self.n for v in y):
-                raise ValueError(f"label vector {y} has labels outside 1..{self.n}")
-            if p:
-                clean[y] = p
-                total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "table", clean)
+    def _key_length(self) -> int:
+        return self.r
 
-    def probability(self, y: LabelVector) -> Fraction:
-        y = tuple(y)
-        if len(y) != self.r or any(not 1 <= v <= self.n for v in y):
-            raise ValueError(f"{y} is not a label vector for n={self.n}, r={self.r}")
-        return self.table.get(y, ZERO)
-
-    def support(self) -> list[LabelVector]:
-        return sorted(self.table)
+    def _key_error(self, y: LabelVector) -> str | None:
+        if any(not 1 <= v <= self.n for v in y):
+            return f"label vector {y} has labels outside 1..{self.n}"
+        return None
 
 
 @dataclass(frozen=True)

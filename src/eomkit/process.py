@@ -203,53 +203,50 @@ def conditional_jumps_given_count(
     )
 
 
-def check_weight_model_conditionals(p: FiniteProcess):
+def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
     """Verify that every reachable count conditional is the product-form model.
 
-    Returns (True, None) or (False, (t, k)) at the first failing pair.  A
-    count with mass that no positive-weight prefix reaches has no
-    product-form model, so it fails.
+    The witness is the first failing (t, k).  A count with mass that no
+    positive-weight prefix reaches has no product-form model, so it fails.
     """
+    name = "jump-conditionals-product-form"
     for t in range(p.horizon + 1):
         counts = count_distribution(p, t)
         for k, mass in counts.items():
             if not mass:
                 continue
-            if normalization_constant(p.weight, t + 1, k) == 0:
-                return False, (t, k)
-            if conditional_jumps_given_count(p, t, k) != weight_model(
-                p.weight, t + 1, k
+            if normalization_constant(p.weight, t + 1, k) == 0 or (
+                conditional_jumps_given_count(p, t, k) != weight_model(p.weight, t + 1, k)
             ):
-                return False, (t, k)
-    return True, None
+                return CheckOutcome(name, False, f"(t,k)={(t, k)}")
+    return CheckOutcome(name, True)
 
 
-def check_mixed_geometric_form(p: FiniteProcess):
+def check_mixed_geometric_form(p: FiniteProcess) -> CheckOutcome:
     """Verify the factorization density(prefix) = R(total) * prod a(jump).
 
-    Recovers the R table from the prefix densities and checks it is
-    consistent across every prefix, including zero-weight prefixes (which
-    must carry zero probability).  Returns (ok, r_table, witness) where
-    r_table maps (t, k) to the recovered value and witness names the first
-    failing prefix.
+    Every positive-weight prefix of the same length and total must have the
+    same ratio of density to weight, and every zero-weight prefix must carry
+    zero probability.  The witness is the first failing (t, prefix).
     """
-    r_table: dict[tuple[int, int], Fraction] = {}
+    name = "joint-factorization"
     for t in range(p.horizon + 1):
         marg = p.marginal(t)
         for k in range(p.count_cap + 1):
+            common = None
             for prefix in combinat.enumerate_compositions(t + 1, k):
                 prob = marg.get(prefix, ZERO)
                 w = math.prod((p.weight(j) for j in prefix), start=ONE)
                 if w == 0:
-                    if prob != 0:
-                        return False, r_table, (t, prefix)
-                    continue
-                value = prob / w
-                if (t, k) not in r_table:
-                    r_table[(t, k)] = value
-                elif r_table[(t, k)] != value:
-                    return False, r_table, (t, prefix)
-    return True, r_table, None
+                    ok = prob == 0
+                else:
+                    value = prob / w
+                    if common is None:
+                        common = value
+                    ok = value == common
+                if not ok:
+                    return CheckOutcome(name, False, f"prefix {(t, prefix)}")
+    return CheckOutcome(name, True)
 
 
 def _arrival_profile(arrival_times, horizon: int) -> JumpPath:
@@ -313,27 +310,17 @@ def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
     arrival route also agreeing with the gap route event by event).  One
     outcome per description, carrying the first discrepancy found.
     """
-    out = []
-    ok, pair = check_weight_model_conditionals(p)
-    out.append(
-        CheckOutcome(
-            "jump-conditionals-product-form", ok, None if ok else f"(t,k)={pair}"
-        )
-    )
-    ok_form, r_table, bad_prefix = check_mixed_geometric_form(p)
-    out.append(
-        CheckOutcome(
-            "joint-factorization", ok_form, None if ok_form else f"prefix {bad_prefix}"
-        )
-    )
-    if not ok_form:
+    out = [check_weight_model_conditionals(p), check_mixed_geometric_form(p)]
+    if not out[1].passed:
         return out
 
     def factored(profile: JumpPath, k: int) -> Fraction:
+        # R is the structure function once the joint factorizes; a positive
+        # weight means a positive normalizer, so the lookup never raises
         w = math.prod((p.weight(j) for j in profile), start=ONE)
         if w == 0:
             return ZERO
-        return r_table[(len(profile) - 1, k)] * w
+        return structure_function(p, len(profile) - 1, k) * w
 
     witness = None
     for k in range(1, p.count_cap + 1):

@@ -26,9 +26,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, witness: str | None = None) -> None:
-        self.checks.append(CheckOutcome(name, passed, witness))
-
     def to_doc(self) -> dict:
         return {
             "suite": self.suite,

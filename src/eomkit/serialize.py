@@ -46,13 +46,22 @@ def labels_to_doc(ld: LabelDistribution) -> dict:
     return table_doc(ld.n, ld.r, ld.table)
 
 
+def int_field(doc: dict, name: str) -> int:
+    """``doc[name]``, which must be an int: floats, booleans and numeric
+    strings are rejected, not truncated or converted."""
+    value = doc[name]
+    if type(value) is not int:
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def occupancy_from_doc(doc: dict) -> OccupancyDistribution:
     try:
-        n, r, entries = doc["n"], doc["r"], doc["entries"]
+        n, r, entries = int_field(doc, "n"), int_field(doc, "r"), doc["entries"]
     except (KeyError, TypeError):
         raise ValueError("distribution document needs fields n, r, entries") from None
-    if not (isinstance(n, int) and isinstance(r, int) and isinstance(entries, list)):
-        raise ValueError("distribution document needs integers n, r and a list of entries")
+    if not isinstance(entries, list):
+        raise ValueError("distribution document needs a list of entries")
     table = {_entry_key(entry): fraction_from_str(entry[-1]) for entry in entries}
     return OccupancyDistribution(n, r, table)
 
@@ -108,7 +117,7 @@ def process_from_doc(doc: dict) -> FiniteProcess:
     """Build a process from {"weight": ..., "horizon": M, "terminal_law": [...]}."""
     try:
         weight_spec = doc["weight"]
-        horizon = int(doc["horizon"])
+        horizon = int_field(doc, "horizon")
         terminal = doc["terminal_law"]
     except (KeyError, TypeError):
         raise ValueError(

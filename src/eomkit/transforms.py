@@ -7,7 +7,6 @@ under particle drop exactly when the weight table passes
 """
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import combinat
 from .combinat import Composition
@@ -21,6 +20,7 @@ from .models import (
     normalization_constant,
     weight_model,
 )
+from .report import CheckOutcome
 
 
 def drop_particle(d: OccupancyDistribution) -> OccupancyDistribution:
@@ -83,12 +83,7 @@ def condition_on_partial_sum(
     return OccupancyDistribution(n, s, {x: p / total for x, p in acc.items()})
 
 
-class DropClosureResult(NamedTuple):
-    holds: bool
-    witness: Composition | None
-
-
-def check_drop_closure(a: WeightFunction, n: int, r: int) -> DropClosureResult:
+def check_drop_closure(a: WeightFunction, n: int, r: int) -> CheckOutcome:
     """Exact test that dropping a particle preserves the product form.
 
     For every composition x' of r-1 in the support of the smaller model the
@@ -96,8 +91,8 @@ def check_drop_closure(a: WeightFunction, n: int, r: int) -> DropClosureResult:
 
         (C(n, r-1) / C(n, r)) * sum_h ((x'_h + 1) / r) * a(x'_h + 1) / a(x'_h) == 1
 
-    with C the normalization constants.  On failure the first violating x'
-    is returned as witness.  Compositions outside the support are skipped:
+    with C the normalization constants.  On failure the witness is the first
+    violating x'.  Compositions outside the support are skipped:
     they carry no mass in either model.
     """
     if r < 1:
@@ -116,8 +111,8 @@ def check_drop_closure(a: WeightFunction, n: int, r: int) -> DropClosureResult:
         for v in xp:
             total += Fraction(v + 1, r) * (a(v + 1) / a(v))
         if ratio * total != 1:
-            return DropClosureResult(False, xp)
-    return DropClosureResult(True, None)
+            return CheckOutcome("drop-closure", False, str(xp))
+    return CheckOutcome("drop-closure", True)
 
 
 def _integer_root(m: int, k: int) -> int | None:

@@ -6,6 +6,7 @@ they are reused verbatim by the command-line ``verify`` command and the
 acceptance tests.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -42,7 +43,7 @@ from .process import (
     structure_function,
     transition_probability,
 )
-from .report import SuiteReport
+from .report import CheckOutcome, SuiteReport
 from .transforms import (
     check_drop_closure,
     condition_on_partial_sum,
@@ -75,83 +76,60 @@ def random_eom(rng: random.Random, n: int, r: int) -> OccupancyDistribution:
     return OccupancyDistribution(n, r, table)
 
 
-def builtin_models(n: int, r: int) -> list[tuple[str, OccupancyDistribution]]:
-    """The built-in models that have support at (n, r)."""
-    out = []
-    for kind in BUILTIN_KINDS:
-        a = builtin_weight(kind, r)
-        try:
-            out.append((kind, weight_model(a, n, r)))
-        except EmptySupportError:
-            continue
-    return out
-
-
 def _grid(max_n: int, max_r: int, min_n: int = 1, min_r: int = 0):
     return [
         (n, r) for n in range(min_n, max_n + 1) for r in range(min_r, max_r + 1)
     ]
 
 
-def _seeded_random_eoms(seed: int, count: int, max_n: int, max_r: int):
-    """Deterministic batch of random exchangeable models within the bounds."""
-    rng = random.Random(seed)
+def _builtins(pairs):
+    """(kind, n, r, a, model) for each built-in weight with support at each (n, r)."""
+    for n, r in pairs:
+        for kind in BUILTIN_KINDS:
+            a = builtin_weight(kind, r)
+            try:
+                d = weight_model(a, n, r)
+            except EmptySupportError:
+                continue
+            yield kind, n, r, a, d
+
+
+def _all_models(seed: int, max_n: int, max_r: int):
+    """Named built-in models on the grid, then 20 seeded random exchangeable
+    models cycling through the same grid."""
     pairs = _grid(max_n, max_r, min_n=2, min_r=1)
-    out = []
-    for i in range(count):
+    out = [(f"{kind}({n},{r})", d) for kind, n, r, _, d in _builtins(pairs)]
+    rng = random.Random(seed)
+    for i in range(20):
         n, r = pairs[i % len(pairs)]
-        out.append(random_eom(rng, n, r))
+        out.append((f"random-eom-{i}({n},{r})", random_eom(rng, n, r)))
     return out
 
 
-def _check(report: SuiteReport, name: str, fn) -> None:
-    witness = fn()
-    report.add(name, witness is None, witness)
-
-
-def _ascending_factorial(n: int, r: int) -> int:
-    out = 1
-    for i in range(r):
-        out *= n + i
-    return out
-
-
-def _falling_factorial(n: int, r: int) -> int:
-    out = 1
-    for i in range(r):
-        out *= n - i
-    return out
+def _run(report: SuiteReport, checks) -> SuiteReport:
+    """Run each (name, fn) in order; fn returns a failure witness or None."""
+    for name, fn in checks:
+        witness = fn()
+        report.checks.append(CheckOutcome(name, witness is None, witness))
+    return report
 
 
 def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
     """Model-layer checks: marginals, label laws, order statistics, sufficiency."""
-    report = SuiteReport("eom")
-    random_eoms = _seeded_random_eoms(seed, 20, max_n, max_r)
+    models = _all_models(seed, max_n, max_r)
+    pairs = _grid(max_n, max_r, min_n=2, min_r=1)
     rng = random.Random(seed + 1)
     random_weights = [random_weight_function(rng, max_r) for _ in range(20)]
 
-    def all_models():
-        for n, r in _grid(max_n, max_r, min_n=2, min_r=1):
-            for kind, d in builtin_models(n, r):
-                yield f"{kind}({n},{r})", d
-        for i, d in enumerate(random_eoms):
-            yield f"random-eom-{i}({d.n},{d.r})", d
-
     def model_normalization():
-        for name, d in all_models():
+        for name, d in models:
             if sum(d.table.values()) != 1:
                 return name
         return None
 
-    _check(report, "model-normalization", model_normalization)
-
     def weight_model_exchangeable():
-        for n, r in _grid(max_n, max_r, min_n=2, min_r=1):
-            for kind in BUILTIN_KINDS:
-                try:
-                    d = weight_model(builtin_weight(kind, r), n, r)
-                except EmptySupportError:
-                    continue
+        for n, r in pairs:
+            for kind, _, _, _, d in _builtins([(n, r)]):
                 if not is_exchangeable(d):
                     return f"{kind}({n},{r})"
             for i, a in enumerate(random_weights):
@@ -159,10 +137,8 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                     return f"random-weight-{i}({n},{r})"
         return None
 
-    _check(report, "weight-model-exchangeable", weight_model_exchangeable)
-
     def uniform_single_marginals():
-        for name, d in all_models():
+        for name, d in models:
             ld = label_distribution(d)
             for i in range(1, d.r + 1):
                 marg = label_marginal(ld, {i})
@@ -171,10 +147,8 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                         return f"{name} coordinate {i} label {label}"
         return None
 
-    _check(report, "uniform-single-marginals", uniform_single_marginals)
-
     def label_law_closed_forms():
-        for n, r in _grid(max_n, max_r, min_n=2, min_r=1):
+        for n, r in pairs:
             mb = label_distribution(weight_model(builtin_weight("mb", r), n, r))
             be = label_distribution(weight_model(builtin_weight("be", r), n, r))
             fd = None
@@ -185,22 +159,19 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                 tie_prod = math.prod(math.factorial(c) for c in counts)
                 if mb.probability(y) != Fraction(1, n**r):
                     return f"mb({n},{r}) at {y}"
-                if be.probability(y) != Fraction(tie_prod, _ascending_factorial(n, r)):
+                # ascending factorial n (n+1) ... (n+r-1)
+                if be.probability(y) != Fraction(tie_prod, math.perm(n + r - 1, r)):
                     return f"be({n},{r}) at {y}"
                 if fd is not None:
                     expect = (
-                        Fraction(tie_prod, _falling_factorial(n, r))
-                        if len(set(y)) == r
-                        else ZERO
+                        Fraction(tie_prod, math.perm(n, r)) if len(set(y)) == r else ZERO
                     )
                     if fd.probability(y) != expect:
                         return f"fd({n},{r}) at {y}"
         return None
 
-    _check(report, "label-law-closed-forms", label_law_closed_forms)
-
     def order_statistics_match():
-        for name, d in all_models():
+        for name, d in models:
             direct = order_statistics_distribution(d)
             brute: dict[tuple, Fraction] = {}
             for y, p in label_distribution(d).table.items():
@@ -210,15 +181,11 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                 return name
         return None
 
-    _check(report, "order-statistics-match", order_statistics_match)
-
     def uniform_transfer():
-        for n, r in _grid(max_n, max_r, min_n=2, min_r=1):
+        for n, r in pairs:
             space = combinat.enumerate_compositions(n, r)
             flat = Fraction(1, len(space))
-            candidates = [
-                d for name, d in all_models() if (d.n, d.r) == (n, r)
-            ]
+            candidates = [d for _, d in models if (d.n, d.r) == (n, r)]
             for d in candidates:
                 uniform_a = all(d.probability(x) == flat for x in space)
                 order = order_statistics_distribution(d)
@@ -231,10 +198,8 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                 return f"no uniform instance at ({n},{r})"
         return None
 
-    _check(report, "uniform-transfer", uniform_transfer)
-
     def label_occupancy_roundtrip():
-        for name, d in all_models():
+        for name, d in models:
             ld = label_distribution(d)
             if occupancy_from_labels(ld) != d:
                 return name
@@ -242,22 +207,13 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                 return name
         return None
 
-    _check(report, "label-occupancy-roundtrip", label_occupancy_roundtrip)
-
     def weight_label_density():
-        for n, r in _grid(min(max_n, 3), max_r, min_n=2, min_r=1):
-            for kind in BUILTIN_KINDS:
-                a = builtin_weight(kind, r)
-                try:
-                    ld = label_distribution(weight_model(a, n, r))
-                except EmptySupportError:
-                    continue
-                for y in combinat.enumerate_labels(r, n):
-                    if weight_model_label_density(a, n, r, y) != ld.probability(y):
-                        return f"{kind}({n},{r}) at {y}"
+        for kind, n, r, a, d in _builtins(_grid(min(max_n, 3), max_r, min_n=2, min_r=1)):
+            ld = label_distribution(d)
+            for y in combinat.enumerate_labels(r, n):
+                if weight_model_label_density(a, n, r, y) != ld.probability(y):
+                    return f"{kind}({n},{r}) at {y}"
         return None
-
-    _check(report, "weight-label-density", weight_label_density)
 
     def iid_conditional_sufficiency():
         mixes = [
@@ -300,8 +256,20 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                     return f"{kind}({n},{r})"
         return None
 
-    _check(report, "iid-conditional-sufficiency", iid_conditional_sufficiency)
-    return report
+    return _run(
+        SuiteReport("eom"),
+        [
+            ("model-normalization", model_normalization),
+            ("weight-model-exchangeable", weight_model_exchangeable),
+            ("uniform-single-marginals", uniform_single_marginals),
+            ("label-law-closed-forms", label_law_closed_forms),
+            ("order-statistics-match", order_statistics_match),
+            ("uniform-transfer", uniform_transfer),
+            ("label-occupancy-roundtrip", label_occupancy_roundtrip),
+            ("weight-label-density", weight_label_density),
+            ("iid-conditional-sufficiency", iid_conditional_sufficiency),
+        ],
+    )
 
 
 ADHOC_WEIGHT = WeightFunction((1, 1, 5, 1), kind="adhoc")
@@ -309,34 +277,23 @@ ADHOC_WEIGHT = WeightFunction((1, 1, 5, 1), kind="adhoc")
 
 def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
     """Transform-layer checks: closure properties and the product-form boundary."""
-    report = SuiteReport("transforms")
-    random_eoms = _seeded_random_eoms(seed, 20, max_n, max_r)
-
-    def all_models():
-        for n, r in _grid(max_n, max_r, min_n=2, min_r=1):
-            for kind, d in builtin_models(n, r):
-                yield f"{kind}({n},{r})", d
-        for i, d in enumerate(random_eoms):
-            yield f"random-eom-{i}({d.n},{d.r})", d
+    models = _all_models(seed, max_n, max_r)
+    pairs = _grid(max_n, max_r, min_n=2, min_r=1)
 
     def drop_keeps_exchangeable():
-        for name, d in all_models():
+        for name, d in models:
             if d.r >= 1 and not is_exchangeable(drop_particle(d)):
                 return name
         return None
 
-    _check(report, "drop-keeps-exchangeable", drop_keeps_exchangeable)
-
     def erase_keeps_exchangeable():
-        for name, d in all_models():
+        for name, d in models:
             if d.n >= 2 and not is_exchangeable(erase_cell(d)):
                 return name
         return None
 
-    _check(report, "erase-keeps-exchangeable", erase_keeps_exchangeable)
-
     def conditioning_keeps_exchangeable():
-        for name, d in all_models():
+        for name, d in models:
             for sub_n in range(1, d.n):
                 for s in range(d.r + 1):
                     try:
@@ -347,71 +304,44 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
                         return f"{name} cond({sub_n},{s})"
         return None
 
-    _check(report, "conditioning-keeps-exchangeable", conditioning_keeps_exchangeable)
-
     def conditioning_preserves_weight_model():
-        for big_n, r in _grid(max_n, max_r, min_n=2, min_r=1):
-            for kind in BUILTIN_KINDS:
-                a = builtin_weight(kind, r)
-                try:
-                    d = weight_model(a, big_n, r)
-                except EmptySupportError:
-                    continue
-                for sub_n in range(1, big_n):
-                    for s in range(r + 1):
-                        try:
-                            cond = condition_on_partial_sum(d, sub_n, s)
-                        except ConditioningError:
-                            if normalization_constant(a, sub_n, s) != 0 and (
-                                normalization_constant(a, big_n - sub_n, r - s) != 0
-                            ):
-                                return f"{kind}({big_n},{r}) cond({sub_n},{s}) empty"
-                            continue
-                        if cond != weight_model(a, sub_n, s):
-                            return f"{kind}({big_n},{r}) cond({sub_n},{s})"
+        for kind, big_n, r, a, d in _builtins(pairs):
+            for sub_n in range(1, big_n):
+                for s in range(r + 1):
+                    try:
+                        cond = condition_on_partial_sum(d, sub_n, s)
+                    except ConditioningError:
+                        if normalization_constant(a, sub_n, s) != 0 and (
+                            normalization_constant(a, big_n - sub_n, r - s) != 0
+                        ):
+                            return f"{kind}({big_n},{r}) cond({sub_n},{s}) empty"
+                        continue
+                    if cond != weight_model(a, sub_n, s):
+                        return f"{kind}({big_n},{r}) cond({sub_n},{s})"
         return None
 
-    _check(
-        report, "conditioning-preserves-weight-model", conditioning_preserves_weight_model
-    )
-
+    # a built-in weight with support at (n, r) has support at (n, r - 1)
+    # too, so check_drop_closure raises on none of these
     def drop_closure_builtins():
-        for n, r in _grid(max_n, max_r, min_n=2, min_r=1):
-            for kind in BUILTIN_KINDS:
-                a = builtin_weight(kind, r)
-                try:
-                    result = check_drop_closure(a, n, r)
-                except EmptySupportError:
-                    continue
-                if not result.holds:
-                    return f"{kind}({n},{r}) witness {result.witness}"
+        for kind, n, r, a, _ in _builtins(pairs):
+            result = check_drop_closure(a, n, r)
+            if not result.passed:
+                return f"{kind}({n},{r}) witness {result.witness}"
         return None
-
-    _check(report, "drop-closure-builtins", drop_closure_builtins)
 
     def drop_closure_counterexample():
         result = check_drop_closure(ADHOC_WEIGHT, 2, 3)
-        if result.holds or result.witness is None:
+        if result.passed or result.witness is None:
             return "ad-hoc weight (1,1,5,1) unexpectedly passes at n=2, r=3"
         return None
 
-    _check(report, "drop-closure-counterexample", drop_closure_counterexample)
-
     def drop_matches_weight_model():
-        for n, r in _grid(max_n, max_r, min_n=2, min_r=1):
-            for kind in BUILTIN_KINDS:
-                a = builtin_weight(kind, r)
-                try:
-                    if not check_drop_closure(a, n, r).holds:
-                        continue
-                    d = weight_model(a, n, r)
-                except EmptySupportError:
-                    continue
-                if drop_particle(d) != weight_model(a, n, r - 1):
-                    return f"{kind}({n},{r})"
+        for kind, n, r, a, d in _builtins(pairs):
+            if not check_drop_closure(a, n, r).passed:
+                continue
+            if drop_particle(d) != weight_model(a, n, r - 1):
+                return f"{kind}({n},{r})"
         return None
-
-    _check(report, "drop-matches-weight-model", drop_matches_weight_model)
 
     def drop_breaks_weight_model():
         # the ad-hoc failure of the closure condition must show up in the model
@@ -420,10 +350,8 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
             return "ad-hoc weight (1,1,5,1) preserved by drop at n=2, r=3"
         return None
 
-    _check(report, "drop-breaks-weight-model", drop_breaks_weight_model)
-
     def dropped_label_marginal():
-        for name, d in all_models():
+        for name, d in models:
             if d.n > 3 or d.r < 2 or d.r > 4:
                 continue
             left = label_distribution(drop_particle(d))
@@ -432,10 +360,8 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
                 return name
         return None
 
-    _check(report, "dropped-label-marginal", dropped_label_marginal)
-
     def mass_conservation():
-        for name, d in all_models():
+        for name, d in models:
             outputs = []
             if d.r >= 1:
                 outputs.append(drop_particle(d))
@@ -446,8 +372,6 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
                     return name
         return None
 
-    _check(report, "mass-conservation", mass_conservation)
-
     def product_form_detector_positive():
         recovered = product_form_weights(weight_model(builtin_weight("be", 2), 3, 2))
         if recovered is None:
@@ -455,8 +379,6 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         if weight_model(recovered, 3, 2) != weight_model(builtin_weight("be", 2), 3, 2):
             return "detector returned an inconsistent weight table"
         return None
-
-    _check(report, "product-form-detector-positive", product_form_detector_positive)
 
     def strict_containment():
         found = []
@@ -481,8 +403,23 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
             return "every searched transform image stayed product-form"
         return None
 
-    _check(report, "strict-containment", strict_containment)
-    return report
+    return _run(
+        SuiteReport("transforms"),
+        [
+            ("drop-keeps-exchangeable", drop_keeps_exchangeable),
+            ("erase-keeps-exchangeable", erase_keeps_exchangeable),
+            ("conditioning-keeps-exchangeable", conditioning_keeps_exchangeable),
+            ("conditioning-preserves-weight-model", conditioning_preserves_weight_model),
+            ("drop-closure-builtins", drop_closure_builtins),
+            ("drop-closure-counterexample", drop_closure_counterexample),
+            ("drop-matches-weight-model", drop_matches_weight_model),
+            ("drop-breaks-weight-model", drop_breaks_weight_model),
+            ("dropped-label-marginal", dropped_label_marginal),
+            ("mass-conservation", mass_conservation),
+            ("product-form-detector-positive", product_form_detector_positive),
+            ("strict-containment", strict_containment),
+        ],
+    )
 
 
 def _terminal_laws(rng: random.Random, cap: int):
@@ -558,19 +495,18 @@ CHARACTERIZATION_NAMES = (
 def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
     """Process-layer checks: the four equivalent characterizations and the
     supporting structure-function identities, plus a verifier sanity test."""
-    report = SuiteReport("theorem")
     processes = _suite_processes(seed, max_horizon)
     per_process = [(label, check_characterizations(p)) for label, p in processes]
-    for name in CHARACTERIZATION_NAMES:
-        witness = None
-        for label, checks in per_process:
-            for c in checks:
-                if c.name == name and not c.passed:
-                    witness = f"{label}: {c.witness}"
-                    break
-            if witness:
-                break
-        report.add(name, witness is None, witness)
+
+    def characterization(name):
+        def first_failure():
+            for label, checks in per_process:
+                for c in checks:
+                    if c.name == name and not c.passed:
+                        return f"{label}: {c.witness}"
+            return None
+
+        return first_failure
 
     def markov_transitions():
         for label, p in processes:
@@ -595,15 +531,11 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
                         return f"{label} row (t,k)=({t},{k}) sums to {row}"
         return None
 
-    _check(report, "markov-transitions", markov_transitions)
-
     def structure_recursion():
         for label, p in processes:
             if not check_structure_recursion(p):
                 return label
         return None
-
-    _check(report, "structure-recursion", structure_recursion)
 
     def zero_count_identity():
         for label, p in processes:
@@ -613,8 +545,6 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
                 if count_distribution(p, t).get(0, ZERO) != structure_function(p, t, 0):
                     return f"{label} t={t}"
         return None
-
-    _check(report, "zero-count-identity", zero_count_identity)
 
     def marginal_consistency():
         for label, p in processes:
@@ -629,8 +559,6 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
                     return f"{label} t={t}"
         return None
 
-    _check(report, "marginal-consistency", marginal_consistency)
-
     def mutation_detected():
         mutated = 0
         for label, p in processes:
@@ -638,88 +566,75 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
             if bad is None:
                 continue
             mutated += 1
-            ok_cond, _ = check_weight_model_conditionals(bad)
-            ok_form, _, _ = check_mixed_geometric_form(bad)
+            ok_cond = check_weight_model_conditionals(bad).passed
+            ok_form = check_mixed_geometric_form(bad).passed
             if ok_cond and ok_form:
                 return f"{label} perturbation went undetected"
         if mutated == 0:
             return "no process admitted a perturbation"
         return None
 
-    _check(report, "mutation-detected", mutation_detected)
-    return report
+    return _run(
+        SuiteReport("theorem"),
+        [(name, characterization(name)) for name in CHARACTERIZATION_NAMES]
+        + [
+            ("markov-transitions", markov_transitions),
+            ("structure-recursion", structure_recursion),
+            ("zero-count-identity", zero_count_identity),
+            ("marginal-consistency", marginal_consistency),
+            ("mutation-detected", mutation_detected),
+        ],
+    )
+
+
+#: (check name, weight kind, classical property) of the recovery checks.
+#: Unit jumps come from the capacity-one weight: over t+1 cells the
+#: conditional is uniform over the binom(t+1, k) strictly increasing time
+#: sets.  The two multiple-jump variants come from the factorial-decay and
+#: constant weights.
+CLASSIC_RECOVERIES = (
+    ("strict-unit-jump-recovery", "fd", "strict"),
+    ("multinomial-recovery", "mb", "leq1"),
+    ("flat-count-recovery", "be", "leq2"),
+)
+
+
+def _classic_recovery(weight_kind: str, uosp_kind: str, max_horizon: int) -> str | None:
+    """First jump prefix whose conditional probability misses the closed form."""
+    for horizon in range(1, max_horizon + 1):
+        cap = horizon + 1 if weight_kind == "fd" else 4
+        pi = [Fraction(1, cap + 1)] * (cap + 1)
+        p = build_process(builtin_weight(weight_kind, cap), horizon, pi)
+        for t in range(horizon + 1):
+            for k, mass in count_distribution(p, t).items():
+                if not mass:
+                    continue
+                cond = conditional_jumps_given_count(p, t, k)
+                if uosp_kind == "strict":
+                    # unit jumps: one arrival time in 1..t+1 per occupied cell
+                    cases, shift, last = cond.table.items(), 1, t + 1
+                else:
+                    cases = (
+                        (x, cond.probability(x))
+                        for x in combinat.enumerate_compositions(t + 1, k)
+                    )
+                    shift, last = 0, t
+                for prefix, pr in cases:
+                    times = [h + shift for h, j in enumerate(prefix) for _ in range(j)]
+                    if pr != classic_uosp_value(uosp_kind, last, k, times):
+                        return f"M={horizon} (t,k)=({t},{k}) at {prefix}"
+    return None
 
 
 def classic_suite(max_horizon: int = 4) -> SuiteReport:
-    """Recovery of the classical uniform order statistics properties.
-
-    Unit-jump models come from the capacity-one weight (over t+1 cells, the
-    conditional is uniform over binom(t+1, k) strictly increasing time sets);
-    the two multiple-jump variants come from the factorial-decay and constant
-    weights.
-    """
-    report = SuiteReport("classic")
-
-    def _processes(kind):
-        out = []
-        for horizon in range(1, max_horizon + 1):
-            cap = horizon + 1 if kind == "fd" else 4
-            pi = [Fraction(1, cap + 1)] * (cap + 1)
-            out.append(build_process(builtin_weight(kind, cap), horizon, pi))
-        return out
-
-    def strict_recovery():
-        for p in _processes("fd"):
-            for t in range(p.horizon + 1):
-                counts = count_distribution(p, t)
-                for k, mass in counts.items():
-                    if not mass:
-                        continue
-                    cond = conditional_jumps_given_count(p, t, k)
-                    for prefix, pr in cond.table.items():
-                        times = [h + 1 for h, j in enumerate(prefix) for _ in range(j)]
-                        if pr != classic_uosp_value("strict", t + 1, k, times):
-                            return f"M={p.horizon} (t,k)=({t},{k}) at {prefix}"
-        return None
-
-    _check(report, "strict-unit-jump-recovery", strict_recovery)
-
-    def multinomial_recovery():
-        for p in _processes("mb"):
-            for t in range(p.horizon + 1):
-                counts = count_distribution(p, t)
-                for k, mass in counts.items():
-                    if not mass:
-                        continue
-                    cond = conditional_jumps_given_count(p, t, k)
-                    for prefix in combinat.enumerate_compositions(t + 1, k):
-                        times = [h for h, j in enumerate(prefix) for _ in range(j)]
-                        if cond.probability(prefix) != classic_uosp_value(
-                            "leq1", t, k, times
-                        ):
-                            return f"M={p.horizon} (t,k)=({t},{k}) at {prefix}"
-        return None
-
-    _check(report, "multinomial-recovery", multinomial_recovery)
-
-    def flat_count_recovery():
-        for p in _processes("be"):
-            for t in range(p.horizon + 1):
-                counts = count_distribution(p, t)
-                for k, mass in counts.items():
-                    if not mass:
-                        continue
-                    cond = conditional_jumps_given_count(p, t, k)
-                    for prefix in combinat.enumerate_compositions(t + 1, k):
-                        times = [h for h, j in enumerate(prefix) for _ in range(j)]
-                        if cond.probability(prefix) != classic_uosp_value(
-                            "leq2", t, k, times
-                        ):
-                            return f"M={p.horizon} (t,k)=({t},{k}) at {prefix}"
-        return None
-
-    _check(report, "flat-count-recovery", flat_count_recovery)
-    return report
+    """Recovery of the classical uniform order statistics properties."""
+    return _run(
+        SuiteReport("classic"),
+        [
+            (name, functools.partial(_classic_recovery, weight, uosp, max_horizon))
+            for name, weight, uosp in CLASSIC_RECOVERIES
+        ],
+    )
 
 
 def run_suite(

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 CMD = [sys.executable, "-m", "eomkit"]
 
 
@@ -203,6 +205,26 @@ def test_sample_malformed_weight_spec_exits_2(tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps({"n": 2, "r": 1, "weight": 5}))
     assert_one_line_error(run_cli("sample", "--spec", str(spec)))
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        ({"n": 2.9, "r": 1, "weight": "be"}, "field 'n' must be an integer, got 2.9"),
+        ({"n": True, "r": 1, "weight": "be"}, "field 'n' must be an integer, got True"),
+        ({"n": "3", "r": 1, "weight": "be"}, "field 'n' must be an integer, got '3'"),
+        (
+            {"weight": "be", "horizon": 1.7, "terminal_law": ["1/2", "1/2"]},
+            "field 'horizon' must be an integer, got 1.7",
+        ),
+    ],
+)
+def test_sample_non_integer_field_exits_2(tmp_path, spec, text):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    proc = run_cli("sample", "--spec", str(path), "--paths", "2")
+    assert_one_line_error(proc, text)
+    assert proc.stdout == ""
 
 
 def test_sample_negative_paths_exits_2(tmp_path):

@@ -148,6 +148,55 @@ def test_distribution_validation():
         d.probability((1, 1))
 
 
+#: the message for each malformed table, recorded before the two table
+#: classes shared one validation loop; where an entry has two defects, the
+#: length is reported before the sign and the sign before the key's content
+TABLE_ERRORS = [
+    (OccupancyDistribution, 0, 1, {}, "cell count must be >= 1, got 0"),
+    (OccupancyDistribution, 2, -1, {}, "particle count must be >= 0, got -1"),
+    (OccupancyDistribution, 2, 2, {(1, 1, 0): F(1)}, "composition (1, 1, 0) has length 3, expected 2"),
+    (OccupancyDistribution, 2, 2, {(1, 1, 0): F(-1)}, "composition (1, 1, 0) has length 3, expected 2"),
+    (OccupancyDistribution, 2, 2, {(2, 1): F(-1, 2)}, "negative probability -1/2 at (2, 1)"),
+    (OccupancyDistribution, 2, 2, {(2, 1): F(1)}, "(2, 1) is not a composition of 2"),
+    (OccupancyDistribution, 2, 2, {(3, -1): F(1)}, "(3, -1) is not a composition of 2"),
+    (OccupancyDistribution, 2, 2, {(2, 0): F(1, 2)}, "probabilities sum to 1/2, not 1"),
+    (LabelDistribution, 0, 1, {}, "cell count must be >= 1, got 0"),
+    (LabelDistribution, 2, -1, {}, "particle count must be >= 0, got -1"),
+    (LabelDistribution, 2, 2, {(1,): F(1)}, "label vector (1,) has length 1, expected 2"),
+    (LabelDistribution, 2, 2, {(1,): F(-1)}, "label vector (1,) has length 1, expected 2"),
+    (LabelDistribution, 2, 2, {(1, 3): F(-1, 2)}, "negative probability -1/2 at (1, 3)"),
+    (LabelDistribution, 2, 2, {(1, 3): F(1)}, "label vector (1, 3) has labels outside 1..2"),
+    (LabelDistribution, 2, 2, {(0, 1): F(1)}, "label vector (0, 1) has labels outside 1..2"),
+    (LabelDistribution, 2, 2, {(1, 2): F(1, 3)}, "probabilities sum to 1/3, not 1"),
+]
+LOOKUP_ERRORS = [
+    ((1, 1, 0), "(1, 1, 0) is not a length-2 composition of 2"),
+    ((2, 1), "(2, 1) is not a length-2 composition of 2"),
+    ((3, -1), "(3, -1) is not a length-2 composition of 2"),
+    ((1,), "(1,) is not a label vector for n=2, r=2"),
+    ((1, 3), "(1, 3) is not a label vector for n=2, r=2"),
+    ((0, 2), "(0, 2) is not a label vector for n=2, r=2"),
+]
+
+
+def test_table_error_messages_are_pinned():
+    for cls, n, r, table, text in TABLE_ERRORS:
+        with pytest.raises(ValueError) as info:
+            cls(n, r, table)
+        assert str(info.value) == text
+    occupancy = OccupancyDistribution(2, 2, {(1, 1): 1})
+    labels = LabelDistribution(2, 2, {(1, 2): 1})
+    for key, text in LOOKUP_ERRORS:
+        d = occupancy if "composition" in text else labels
+        with pytest.raises(ValueError) as info:
+            d.probability(key)
+        assert str(info.value) == text
+    assert repr(occupancy) == "OccupancyDistribution(n=2, r=2, table={(1, 1): Fraction(1, 1)})"
+    assert repr(labels) == "LabelDistribution(n=2, r=2, table={(1, 2): Fraction(1, 1)})"
+    assert occupancy != LabelDistribution(2, 2, {(1, 1): 1})
+    assert labels.support() == [(1, 2)]
+
+
 def test_is_exchangeable():
     for kind in ("mb", "be", "fd", "pc:2"):
         assert is_exchangeable(weight_model(builtin_weight(kind, 2), 3, 2))

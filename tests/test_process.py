@@ -1,6 +1,8 @@
 """Finite-horizon processes: construction, laws, and the characterization checks."""
 
+import ast
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ from eomkit.process import (
     terminal_law,
     transition_probability,
 )
+from eomkit.report import CheckOutcome
 from eomkit.verify import _suite_processes, perturbed_process
 
 F = Fraction
@@ -117,8 +120,8 @@ def test_conditionals_match_weight_models():
     for kind in ("mb", "be", "fd", "pc:2"):
         cap = 3
         p = build_process(builtin_weight(kind, cap), 2, [F(1, 4)] * 4)
-        ok, witness = check_weight_model_conditionals(p)
-        assert ok, witness
+        outcome = check_weight_model_conditionals(p)
+        assert outcome.passed, outcome.witness
         for t in range(p.horizon + 1):
             for k, mass in count_distribution(p, t).items():
                 if mass:
@@ -128,15 +131,17 @@ def test_conditionals_match_weight_models():
 
 
 def test_mixed_geometric_form_and_recovered_table(flat_process):
-    ok, r_table, witness = check_mixed_geometric_form(flat_process)
-    assert ok and witness is None
-    assert r_table[(0, 0)] == F(11, 18)
-    assert r_table[(1, 2)] == F(1, 9)
-    # factorization reproduces every prefix density
+    outcome = check_mixed_geometric_form(flat_process)
+    assert outcome == CheckOutcome("joint-factorization", True, None)
+    assert structure_function(flat_process, 0, 0) == F(11, 18)
+    assert structure_function(flat_process, 1, 2) == F(1, 9)
+    # constant weights: the factorization puts R(t, k) on every prefix
     for t in (0, 1):
         for k in range(3):
             for prefix in combinat.enumerate_compositions(t + 1, k):
-                assert joint_jump_density(flat_process, t, prefix) == r_table[(t, k)]
+                assert joint_jump_density(flat_process, t, prefix) == structure_function(
+                    flat_process, t, k
+                )
 
 
 def test_interarrival_probabilities(flat_process):
@@ -240,9 +245,10 @@ def test_perturbed_joint_fails_checks(flat_process):
     bad = perturbed_process(flat_process)
     assert bad is not None
     assert sum(bad.joint.values()) == 1
-    ok_cond, _ = check_weight_model_conditionals(bad)
-    ok_form, _, _ = check_mixed_geometric_form(bad)
-    assert not (ok_cond and ok_form)
+    assert not (
+        check_weight_model_conditionals(bad).passed
+        and check_mixed_geometric_form(bad).passed
+    )
     failed = [c for c in check_characterizations(bad) if not c.passed]
     assert failed and failed[0].witness is not None
 
@@ -413,10 +419,44 @@ def test_conditionals_check_never_raises(p):
         for k, mass in count_distribution(p, t).items()
         if mass and normalization_constant(p.weight, t + 1, k) == 0
     ]
-    ok, pair = check_weight_model_conditionals(p)
+    outcome = check_weight_model_conditionals(p)
     if unreachable:
-        assert not ok
-        assert pair <= unreachable[0]
-    outcomes = check_characterizations(p)
-    assert outcomes[0].name == "jump-conditionals-product-form"
-    assert outcomes[0].passed == ok
+        assert not outcome.passed
+        assert ast.literal_eval(outcome.witness.removeprefix("(t,k)=")) <= unreachable[0]
+    assert check_characterizations(p)[0] == outcome
+
+
+@settings(max_examples=80, deadline=None)
+@given(arbitrary_processes())
+def test_mixed_geometric_form_matches_structure_function(p):
+    outcome = check_mixed_geometric_form(p)
+    assert outcome.name == "joint-factorization"
+
+    def weight(prefix):
+        return math.prod((p.weight(j) for j in prefix), start=F(1))
+
+    if outcome.passed:
+        assert outcome.witness is None
+        for t in range(p.horizon + 1):
+            for k in range(p.count_cap + 1):
+                for prefix in combinat.enumerate_compositions(t + 1, k):
+                    w = weight(prefix)
+                    density = joint_jump_density(p, t, prefix)
+                    if w:
+                        assert density == structure_function(p, t, k) * w
+                    else:
+                        assert density == 0
+        return
+    t, bad = ast.literal_eval(outcome.witness.removeprefix("prefix "))
+    density = joint_jump_density(p, t, bad)
+    if weight(bad) == 0:
+        assert density > 0
+        return
+    # the first positive-weight prefix of the same total sets the ratio
+    first = next(
+        x
+        for x in combinat.enumerate_compositions(t + 1, sum(bad))
+        if weight(x)
+    )
+    assert first < bad
+    assert density / weight(bad) != joint_jump_density(p, t, first) / weight(first)

@@ -58,6 +58,8 @@ def test_occupancy_doc_requires_fields():
         {"n": 2, "r": 1, "entries": 5},
         {"n": 2.5, "r": 1, "entries": [[1, 0, "1"]]},
         {"n": "2", "r": 1, "entries": [[1, 0, "1"]]},
+        {"n": True, "r": 1, "entries": [[1, "1"]]},
+        {"n": 2, "r": 1.0, "entries": [[1, 0, "1"]]},
     ):
         with pytest.raises(ValueError):
             serialize.occupancy_from_doc(doc)
@@ -96,6 +98,9 @@ def test_process_doc():
         serialize.process_from_doc({"weight": "be"})
     with pytest.raises(ValueError):
         serialize.process_from_doc({"weight": "be", "horizon": 1, "terminal_law": 5})
+    for horizon in (1.7, True, "1"):
+        with pytest.raises(ValueError, match="field 'horizon' must be an integer"):
+            serialize.process_from_doc(dict(doc, horizon=horizon))
 
 
 def test_csv_formats():

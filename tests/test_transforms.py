@@ -1,5 +1,6 @@
 """Particle drop, cell erasure, conditioning, and the product-form boundary."""
 
+import ast
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from eomkit.models import (
     occupancy_from_labels,
     weight_model,
 )
+from eomkit.report import CheckOutcome
 from eomkit.transforms import (
     check_drop_closure,
     condition_on_partial_sum,
@@ -143,7 +145,9 @@ def test_conditioning_preserves_weight_models():
 
 
 def test_drop_closure_identity_be():
-    assert check_drop_closure(builtin_weight("be", 2), 3, 2).holds
+    assert check_drop_closure(builtin_weight("be", 2), 3, 2) == CheckOutcome(
+        "drop-closure", True, None
+    )
 
 
 def test_drop_closure_builtins_grid():
@@ -154,15 +158,15 @@ def test_drop_closure_builtins_grid():
                 if kind == "fd" and r > n:
                     continue
                 result = check_drop_closure(a, n, r)
-                assert result.holds, (kind, n, r, result.witness)
+                assert result.passed, (kind, n, r, result.witness)
 
 
 def test_drop_closure_counterexample_with_witness():
     a = WeightFunction((1, 1, 5, 1))
     result = check_drop_closure(a, 2, 3)
-    assert not result.holds
-    xp = result.witness
-    assert xp is not None and len(xp) == 2 and sum(xp) == 2
+    assert result.name == "drop-closure" and not result.passed
+    xp = ast.literal_eval(result.witness)
+    assert isinstance(xp, tuple) and len(xp) == 2 and sum(xp) == 2
     # re-evaluate the defining identity at the witness by hand
     c_lo = sum(
         a(v0) * a(v1) for v0, v1 in combinat.enumerate_compositions(2, 2)
@@ -186,7 +190,7 @@ def test_drop_closure_implies_model_identity():
                 if kind == "fd" and r > n:
                     continue
                 a = builtin_weight(kind, r)
-                assert check_drop_closure(a, n, r).holds
+                assert check_drop_closure(a, n, r).passed
                 assert drop_particle(weight_model(a, n, r)) == weight_model(a, n, r - 1)
 
 
