@@ -60,6 +60,10 @@ class WeightFunction:
             )
         return self.values[x]
 
+    def product(self, x) -> Fraction:
+        """prod_j a(x_j): the weight of an occupancy vector or jump path."""
+        return math.prod((self(v) for v in x), start=ONE)
+
     def support(self) -> list[int]:
         return [x for x, v in enumerate(self.values) if v > 0]
 
@@ -258,7 +262,7 @@ def weight_model(a: WeightFunction, n: int, r: int) -> OccupancyDistribution:
         )
     table = {}
     for x in combinat.enumerate_compositions(n, r):
-        w = math.prod((a(v) for v in x), start=ONE)
+        w = a.product(x)
         if w:
             table[x] = w / c
     return OccupancyDistribution(n, r, table)
@@ -360,8 +364,7 @@ def weight_model_label_density(
             f"weight table has zero total mass over {n} cells and {r} particles"
         )
     x = combinat.tilde_phi(y, n)
-    num = math.prod((a(v) * math.factorial(v) for v in x), start=ONE)
-    return num / (math.factorial(r) * c)
+    return a.product(x) / (combinat.multinomial(r, x) * c)
 
 
 def conditional_from_iid(
@@ -371,10 +374,10 @@ def conditional_from_iid(
 
     ``q`` is an unnormalized weight table on {0..x_max} with x_max >= r.  A
     mixing spec makes the counts conditionally i.i.d.: the joint mass of a
-    vector picks up the mixture's decay factor at the vector total.  The
-    conditional law never depends on the mixture, because the total is
-    sufficient for the mixing rate; the factor is a constant on the
-    conditioning event and cancels in the normalization.
+    vector is the mixture sum_m weight_m * prod_j q(x_j) * rate_m**x_j of
+    rate-tilted i.i.d. laws, computed cell by cell.  The conditional law
+    never depends on the mixture, because the total is sufficient for the
+    mixing rate; that cancellation is left to the normalization.
     """
     combinat.check_composition_budget(n, r)
     weights = tuple(Fraction(v) for v in q)
@@ -382,12 +385,12 @@ def conditional_from_iid(
         raise ValueError(
             f"weight table covers 0..{len(weights) - 1} but must reach {r}"
         )
+    atoms = ((ONE, ONE),) if mix is None else mix.atoms  # unmixed: one atom at rate 1
+    tilted = [(m, [v * rho**z for z, v in enumerate(weights)]) for rho, m in atoms]
     table: dict[Composition, Fraction] = {}
     total = ZERO
     for x in combinat.enumerate_compositions(n, r):
-        w = math.prod((weights[v] for v in x), start=ONE)
-        if mix is not None:
-            w *= mix.factor(r)
+        w = sum(m * math.prod(law[v] for v in x) for m, law in tilted)
         if w:
             table[x] = w
             total += w

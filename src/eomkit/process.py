@@ -17,13 +17,11 @@ from fractions import Fraction
 from . import combinat
 from .errors import BudgetExceededError, ConditioningError, EmptySupportError
 from .models import (
-    ONE,
     ZERO,
     OccupancyDistribution,
     WeightFunction,
     normalization_constant,
     sample_exact,
-    weight_model,
 )
 from .report import CheckOutcome
 
@@ -127,7 +125,7 @@ def build_process(
             )
         scale = pk / c
         for path in combinat.enumerate_compositions(cells, k):
-            w = math.prod((a(j) for j in path), start=ONE)
+            w = a.product(path)
             if w:
                 joint[path] = scale * w
     return FiniteProcess(a, horizon, joint)
@@ -206,17 +204,22 @@ def conditional_jumps_given_count(
 def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
     """Verify that every reachable count conditional is the product-form model.
 
-    The witness is the first failing (t, k).  A count with mass that no
-    positive-weight prefix reaches has no product-form model, so it fails.
+    The law of the prefix given N_t = k is the model for (t+1, k) exactly
+    when density(x) * normalizer = P{N_t = k} * prod a(x_j) for every
+    composition x of k, which is compared in place.  The witness is the first
+    failing (t, k).  A count with mass that no positive-weight prefix reaches
+    has no product-form model, so it fails.
     """
     name = "jump-conditionals-product-form"
     for t in range(p.horizon + 1):
-        counts = count_distribution(p, t)
-        for k, mass in counts.items():
+        marg = p.marginal(t)
+        for k, mass in count_distribution(p, t).items():
             if not mass:
                 continue
-            if normalization_constant(p.weight, t + 1, k) == 0 or (
-                conditional_jumps_given_count(p, t, k) != weight_model(p.weight, t + 1, k)
+            c = normalization_constant(p.weight, t + 1, k)
+            if c == 0 or any(
+                marg.get(x, ZERO) * c != mass * p.weight.product(x)
+                for x in combinat.enumerate_compositions(t + 1, k)
             ):
                 return CheckOutcome(name, False, f"(t,k)={(t, k)}")
     return CheckOutcome(name, True)
@@ -236,7 +239,7 @@ def check_mixed_geometric_form(p: FiniteProcess) -> CheckOutcome:
             common = None
             for prefix in combinat.enumerate_compositions(t + 1, k):
                 prob = marg.get(prefix, ZERO)
-                w = math.prod((p.weight(j) for j in prefix), start=ONE)
+                w = p.weight.product(prefix)
                 if w == 0:
                     ok = prob == 0
                 else:
@@ -294,13 +297,6 @@ def arrival_event_probability(p: FiniteProcess, arrival_times) -> Fraction:
     return joint_jump_density(p, len(profile) - 1, profile)
 
 
-def _gap_tuples(k: int, horizon: int):
-    """All k-tuples of nonnegative gaps summing to at most ``horizon``, in
-    lexicographic order: compositions of ``horizon`` into k+1 parts with the
-    last part, the slack, dropped."""
-    return (x[:-1] for x in combinat.enumerate_compositions(k + 1, horizon))
-
-
 def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
     """Cross-verify the four equivalent descriptions of the jump law.
 
@@ -309,47 +305,44 @@ def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
     arrival-time probabilities must reproduce that factorization (with the
     arrival route also agreeing with the gap route event by event).  One
     outcome per description, carrying the first discrepancy found.
+
+    Both arrival descriptions share one walk over the events: prefix sums
+    map the k-tuples of gaps summing to at most M one-to-one onto the
+    nondecreasing k-tuples of times in 0..M, keeping lexicographic order, so
+    each event is evaluated once for both formulas.
     """
     out = [check_weight_model_conditionals(p), check_mixed_geometric_form(p)]
     if not out[1].passed:
         return out
 
-    def factored(profile: JumpPath, k: int) -> Fraction:
+    def factored(profile: JumpPath) -> Fraction:
         # R is the structure function once the joint factorizes; a positive
         # weight means a positive normalizer, so the lookup never raises
-        w = math.prod((p.weight(j) for j in profile), start=ONE)
+        w = p.weight.product(profile)
         if w == 0:
             return ZERO
-        return structure_function(p, len(profile) - 1, k) * w
+        return structure_function(p, len(profile) - 1, sum(profile)) * w
 
-    witness = None
-    for k in range(1, p.count_cap + 1):
-        for gaps in _gap_tuples(k, p.horizon):
-            profile = _arrival_profile(itertools.accumulate(gaps), p.horizon)
-            if interarrival_event_probability(p, gaps) != factored(profile, k):
-                witness = f"gaps {gaps}"
-                break
-        if witness:
+    events = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(p.horizon + 1), k)
+        for k in range(1, p.count_cap + 1)
+    )
+    by_gaps = by_times = None
+    for times in events:
+        gaps = (times[0],) + tuple(b - a for a, b in zip(times, times[1:]))
+        expected = factored(_arrival_profile(times, p.horizon))
+        gap_law = interarrival_event_probability(p, gaps)
+        time_law = arrival_event_probability(p, times)
+        if by_gaps is None and gap_law != expected:
+            by_gaps = f"gaps {gaps}"
+        if by_times is None and time_law != expected:
+            by_times = f"times {times}"
+        elif by_times is None and gap_law != time_law:
+            by_times = f"times {times} vs gaps {list(gaps)}"
+        if by_gaps and by_times:
             break
-    out.append(CheckOutcome("interarrival-product-formula", witness is None, witness))
-
-    witness = None
-    for chi in range(1, p.count_cap + 1):
-        for times in itertools.combinations_with_replacement(
-            range(p.horizon + 1), chi
-        ):
-            profile = _arrival_profile(times, p.horizon)
-            left = arrival_event_probability(p, times)
-            if left != factored(profile, chi):
-                witness = f"times {times}"
-                break
-            gaps = [times[0]] + [b - a for a, b in zip(times, times[1:])]
-            if interarrival_event_probability(p, gaps) != left:
-                witness = f"times {times} vs gaps {gaps}"
-                break
-        if witness:
-            break
-    out.append(CheckOutcome("arrival-product-formula", witness is None, witness))
+    out.append(CheckOutcome("interarrival-product-formula", by_gaps is None, by_gaps))
+    out.append(CheckOutcome("arrival-product-formula", by_times is None, by_times))
     return out
 
 

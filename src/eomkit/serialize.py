@@ -67,11 +67,9 @@ def occupancy_from_doc(doc: dict) -> OccupancyDistribution:
 
 
 def _entry_key(entry) -> tuple[int, ...]:
-    if isinstance(entry, list) and entry:
-        try:
-            return tuple(int(v) for v in entry[:-1])
-        except (TypeError, ValueError):
-            pass
+    """The counts of a table entry, which must be ints (see ``int_field``)."""
+    if isinstance(entry, list) and entry and all(type(v) is int for v in entry[:-1]):
+        return tuple(entry[:-1])
     raise ValueError(
         f"distribution entry {entry!r} is not a list [x_1, ..., x_n, p] "
         "of integer counts and a probability"

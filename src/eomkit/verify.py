@@ -98,6 +98,10 @@ def _all_models(seed: int, max_n: int, max_r: int):
     """Named built-in models on the grid, then 20 seeded random exchangeable
     models cycling through the same grid."""
     pairs = _grid(max_n, max_r, min_n=2, min_r=1)
+    if not pairs:
+        raise ValueError(
+            f"model grid needs max_n >= 2 and max_r >= 1, got {max_n}, {max_r}"
+        )
     out = [(f"{kind}({n},{r})", d) for kind, n, r, _, d in _builtins(pairs)]
     rng = random.Random(seed)
     for i in range(20):
@@ -511,16 +515,16 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
     def markov_transitions():
         for label, p in processes:
             for t in range(p.horizon):
-                here = count_distribution(p, t)
-                for k, mass in here.items():
+                # P{N_t = k, J_{t+1} = i} for every cell, in one pass
+                cells: dict[tuple[int, int], Fraction] = {}
+                for prefix, pr in p.marginal(t + 1).items():
+                    key = (sum(prefix[:-1]), prefix[-1])
+                    cells[key] = cells.get(key, ZERO) + pr
+                for k, mass in count_distribution(p, t).items():
                     if not mass:
                         continue
                     for i in range(p.count_cap - k + 1):
-                        direct = ZERO
-                        for prefix, pr in p.marginal(t + 1).items():
-                            if sum(prefix[: t + 1]) == k and prefix[t + 1] == i:
-                                direct += pr
-                        direct /= mass
+                        direct = cells.get((k, i), ZERO) / mass
                         if transition_probability(p, t, k, i) != direct:
                             return f"{label} (t,k,i)=({t},{k},{i})"
                     row = sum(

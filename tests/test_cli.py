@@ -201,6 +201,28 @@ def test_transform_malformed_entry_exits_2(tmp_path):
     assert_one_line_error(run_cli("transform", "--op", "k1", "--input", str(doc)))
 
 
+@pytest.mark.parametrize(
+    "count, shown", [(1.7, "1.7"), (True, "True"), ("1", "'1'")]
+)
+def test_transform_non_integer_entry_count_exits_2(tmp_path, count, shown):
+    doc = tmp_path / "d.json"
+    doc.write_text(json.dumps({"n": 2, "r": 1, "entries": [[count, 0, "1"]]}))
+    proc = run_cli("transform", "--op", "k1", "--input", str(doc))
+    assert_one_line_error(
+        proc,
+        f"distribution entry [{shown}, 0, '1'] is not a list [x_1, ..., x_n, p] "
+        "of integer counts and a probability",
+    )
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("suite", ["eom", "transforms"])
+def test_verify_empty_model_grid_exits_2(suite):
+    proc = run_cli("verify", "--suite", suite, "--max-n", "1")
+    assert_one_line_error(proc, "model grid needs max_n >= 2 and max_r >= 1, got 1, 4")
+    assert proc.stdout == ""
+
+
 def test_sample_malformed_weight_spec_exits_2(tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps({"n": 2, "r": 1, "weight": 5}))

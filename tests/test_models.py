@@ -1,11 +1,12 @@
 """Occupancy models, label laws, order statistics, sufficiency, sampling."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eomkit import combinat
@@ -60,6 +61,15 @@ def test_weight_function_validation():
     with pytest.raises(ValueError):
         a(3)
     assert builtin_weight("fd", 3).support() == [0, 1]
+
+
+def test_weight_product():
+    a = WeightFunction((1, 2, 5))
+    assert a.product((2, 0, 1, 2)) == 50
+    assert a.product(()) == 1 and isinstance(a.product(()), Fraction)
+    assert builtin_weight("fd", 2).product((1, 2)) == 0
+    with pytest.raises(ValueError, match="weight undefined at occupancy 3"):
+        a.product((0, 3))
 
 
 def test_normalization_constant_values():
@@ -345,6 +355,35 @@ def test_conditional_from_iid_mixture_invariance():
     plain = conditional_from_iid(q, 2, 3)
     for mix in MIXES:
         assert conditional_from_iid(q, 2, 3, mix) == plain
+
+
+def brute_mixed_conditional(q, n, r, mix):
+    """Condition the mixture of i.i.d. laws over all of {0..x_max}**n on
+    total ``r``.  Each atom's law is normalized, so the mixture is a law."""
+    atoms = ((F(1), F(1)),) if mix is None else mix.atoms
+    joint = {}
+    for rho, share in atoms:
+        tilted = [F(v) * rho**z for z, v in enumerate(q)]
+        z_norm = sum(tilted)
+        for x in itertools.product(range(len(q)), repeat=n):
+            mass = share * math.prod(tilted[v] / z_norm for v in x)
+            joint[x] = joint.get(x, F(0)) + mass
+    event = {x: m for x, m in joint.items() if sum(x) == r and m}
+    total = sum(event.values())
+    return {x: m / total for x, m in event.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.sampled_from([None, *MIXES]), st.data())
+def test_conditional_from_iid_matches_conditioned_mixture(n, r, mix, data):
+    q = data.draw(st.lists(st.integers(0, 5), min_size=r + 1, max_size=r + 3))
+    assume(any(q))
+    expected = brute_mixed_conditional(q, n, r, mix)
+    if not expected:
+        with pytest.raises(EmptySupportError):
+            conditional_from_iid(q, n, r, mix)
+        return
+    assert conditional_from_iid(q, n, r, mix).table == expected
 
 
 def test_conditional_from_iid_errors():

@@ -1,7 +1,6 @@
 """Finite-horizon processes: construction, laws, and the characterization checks."""
 
 import ast
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eomkit import combinat
+from eomkit import combinat, process
 from eomkit.errors import ConditioningError, EmptySupportError
 from eomkit.models import (
     WeightFunction,
@@ -20,7 +19,6 @@ from eomkit.models import (
 )
 from eomkit.process import (
     FiniteProcess,
-    _gap_tuples,
     arrival_event_probability,
     build_process,
     check_characterizations,
@@ -338,17 +336,6 @@ def test_mutating_a_count_law_leaves_the_cache_intact(p):
     assert terminal_law(p) == expected
 
 
-def test_gap_tuples_match_filtered_product():
-    for k in range(1, 7):
-        for horizon in range(7):
-            oracle = [
-                gaps
-                for gaps in itertools.product(range(horizon + 1), repeat=k)
-                if sum(gaps) <= horizon
-            ]
-            assert list(_gap_tuples(k, horizon)) == oracle
-
-
 #: check_characterizations outcomes on perturbed suite processes and on
 #: hand-made joints, recorded before the count laws were cached and the gap
 #: tuples enumerated directly.  "fd-unreachable" puts mass on count 2 at
@@ -460,3 +447,77 @@ def test_mixed_geometric_form_matches_structure_function(p):
     )
     assert first < bad
     assert density / weight(bad) != joint_jump_density(p, t, first) / weight(first)
+
+
+def two_table_conditionals(p):
+    """The conditional check as it was first written: build the conditional
+    law and the product-form model for each (t, k) with mass and compare."""
+    name = "jump-conditionals-product-form"
+    for t in range(p.horizon + 1):
+        for k, mass in count_distribution(p, t).items():
+            if not mass:
+                continue
+            if normalization_constant(p.weight, t + 1, k) == 0 or (
+                conditional_jumps_given_count(p, t, k) != weight_model(p.weight, t + 1, k)
+            ):
+                return CheckOutcome(name, False, f"(t,k)={(t, k)}")
+    return CheckOutcome(name, True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arbitrary_processes())
+def test_conditionals_compared_in_place_match_two_tables(p):
+    assert check_weight_model_conditionals(p) == two_table_conditionals(p)
+
+
+def wrong_at(real, hit):
+    """``real``, off by 1/7 wherever ``hit(arguments after the process)``."""
+
+    def fake(p, *args):
+        value = real(p, *args)
+        return value + F(1, 7) if hit(*args) else value
+
+    return fake
+
+
+#: check_characterizations outcomes under faults injected into the names it
+#: calls, on pc:2 with M=3 and a uniform terminal law on 0..4; recorded
+#: while the gap and arrival formulas still walked their events separately
+INJECTED_OUTCOMES = [
+    (
+        {"structure_function": lambda t, k: (t, k) == (2, 4)},
+        "gaps (0, 0, 0, 2)",
+        "times (0, 0, 0, 2)",
+    ),
+    (
+        {"interarrival_event_probability": lambda gaps: tuple(gaps) == (1, 1, 0)},
+        "gaps (1, 1, 0)",
+        "times (1, 2, 2) vs gaps [1, 1, 0]",
+    ),
+    (
+        {"arrival_event_probability": lambda times: tuple(times) == (0, 2, 3)},
+        None,
+        "times (0, 2, 3)",
+    ),
+    (
+        {
+            "interarrival_event_probability": lambda gaps: tuple(gaps) == (0, 3),
+            "arrival_event_probability": lambda times: tuple(times) == (1,),
+        },
+        "gaps (0, 3)",
+        "times (1,)",
+    ),
+]
+
+
+@pytest.mark.parametrize("faults, by_gaps, by_times", INJECTED_OUTCOMES)
+def test_injected_fault_in_arrival_walk(faults, by_gaps, by_times, monkeypatch):
+    p = build_process(builtin_weight("pc:2", 4), 3, [F(1, 5)] * 5)
+    for name, hit in faults.items():
+        monkeypatch.setattr(process, name, wrong_at(getattr(process, name), hit))
+    assert [(c.name, c.passed, c.witness) for c in check_characterizations(p)] == [
+        ("jump-conditionals-product-form", True, None),
+        ("joint-factorization", True, None),
+        ("interarrival-product-formula", by_gaps is None, by_gaps),
+        ("arrival-product-formula", by_times is None, by_times),
+    ]
