@@ -1,9 +1,10 @@
 """Exact exchangeable occupancy models and product-form counting processes.
 
-The package keeps every probability as an exact rational: models are tables
-of ``fractions.Fraction`` over small combinatorial spaces, transformations
-and process laws are computed by exact summation, and the verification
-suites compare tables with zero tolerance.
+The package keeps every probability as an exact rational: models and
+process laws are tables of integer masses over one denominator, read as
+``fractions.Fraction`` values, over small combinatorial spaces;
+transformations are computed by exact integer summation, and the
+verification suites compare tables with zero tolerance.
 """
 
 from .combinat import (
@@ -24,6 +25,7 @@ from .errors import (
     NonExchangeableError,
 )
 from .models import (
+    FractionTable,
     LabelDistribution,
     MixingSpec,
     OccupancyDistribution,

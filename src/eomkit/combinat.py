@@ -23,7 +23,8 @@ Composition = tuple[int, ...]
 OrderedLabels = tuple[int, ...]
 LabelVector = tuple[int, ...]
 
-#: largest space the enumerators agree to materialize
+#: largest space the enumerators agree to materialize, in cells (entries)
+#: for compositions and in elements for label vectors
 ENUMERATION_BUDGET = 10**7
 
 
@@ -36,15 +37,26 @@ def composition_count(n: int, r: int) -> int:
     return math.comb(n + r - 1, n - 1)
 
 
+def check_budget(space: str, count: int, cells: int) -> None:
+    """Raise BudgetExceededError when ``count`` elements of ``cells`` cells
+    each hold more than ENUMERATION_BUDGET cells in all.
+
+    The budget counts cells, the work of listing the elements, so a single
+    element with a huge number of cells is refused too.
+    """
+    if count * cells <= ENUMERATION_BUDGET:
+        return
+    if count > ENUMERATION_BUDGET:  # past the budget on the element count alone
+        size = f"{count} elements"
+    else:
+        size = f"{count} elements of {cells} cells each"
+    raise BudgetExceededError(f"{space} has {size} (budget {ENUMERATION_BUDGET})")
+
+
 def check_composition_budget(n: int, r: int) -> None:
-    """Raise BudgetExceededError when the length-``n`` composition space of
-    ``r`` is larger than ENUMERATION_BUDGET."""
-    total = composition_count(n, r)
-    if total > ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"composition space for n={n}, r={r} has {total} elements "
-            f"(budget {ENUMERATION_BUDGET})"
-        )
+    """Raise BudgetExceededError when the length-``n`` compositions of ``r``
+    hold more than ENUMERATION_BUDGET cells in all (see ``check_budget``)."""
+    check_budget(f"composition space for n={n}, r={r}", composition_count(n, r), n)
 
 
 def _compositions(n: int, r: int):

@@ -2,14 +2,16 @@
 
 An occupancy model is a probability table over the compositions of ``r``
 particles into ``n`` cells.  Exchangeable models correspond one-to-one to
-exchangeable laws of ``r`` cell-valued label variables; both views are kept
-exact by storing probabilities as ``fractions.Fraction``.
+exchangeable laws of ``r`` cell-valued label variables.  Every table is
+stored exactly, as integer masses over one integer denominator
+(``FractionTable``), and read as ``fractions.Fraction`` values.
 """
 
 import bisect
 import itertools
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,13 +30,18 @@ class WeightFunction:
     Two tables that differ by a rescaling a(x) -> c * t**x * a(x) induce the
     same occupancy model for every (n, r).
 
-    ``_power_rows`` memoizes the coefficient rows of A(z)**n for
-    ``normalization_constant``; it lives as long as the weight object and
-    takes no part in equality, hashing or repr.
+    ``scale`` is L, the lcm of the values' denominators, and ``scaled`` holds
+    the integers L * a(x): every model and process table is built from these,
+    with the normalizers of the scaled weight as denominators.
+    ``_power_rows`` memoizes the integer coefficient rows of A'(z)**n, where
+    A'(z) = sum_x L * a(x) z^x (see ``_power_row``).  The three live as long
+    as the weight object and take no part in equality, hashing or repr.
     """
 
     values: tuple[Fraction, ...]
     kind: str | None = None
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _power_rows: list = field(
         default_factory=list, init=False, repr=False, compare=False, hash=False
     )
@@ -47,7 +54,12 @@ class WeightFunction:
             raise ValueError("weights must be nonnegative")
         if all(v == 0 for v in vals):
             raise ValueError("weight function must be positive somewhere")
+        scale = math.lcm(*(v.denominator for v in vals))
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(
+            self, "scaled", tuple(v.numerator * (scale // v.denominator) for v in vals)
+        )
 
     @property
     def x_max(self) -> int:
@@ -63,6 +75,21 @@ class WeightFunction:
     def product(self, x) -> Fraction:
         """prod_j a(x_j): the weight of an occupancy vector or jump path."""
         return math.prod((self(v) for v in x), start=ONE)
+
+    def scaled_products(self, keys) -> dict:
+        """{x: prod_j L * a(x_j)} over the keys with a positive product.
+
+        The keys must be occupancy vectors or jump paths whose entries lie in
+        0..x_max; this is the integer form of ``product`` that the table
+        builders use.
+        """
+        get = self.scaled.__getitem__
+        out = {}
+        for x in keys:
+            w = math.prod(map(get, x))
+            if w:
+                out[x] = w
+        return out
 
     def support(self) -> list[int]:
         return [x for x, v in enumerate(self.values) if v > 0]
@@ -98,10 +125,124 @@ def builtin_weight(kind: str, x_max: int) -> WeightFunction:
     return WeightFunction(tuple(vals), kind=key)
 
 
+class FractionTable(Mapping):
+    """Exact probabilities stored as integer masses over one denominator.
+
+    ``masses`` maps each key to an int and ``denominator`` is a positive
+    int; the probability of a key is ``masses[key] / denominator``.  Tables
+    made by ``lowest`` (every table a model or process stores) keep only
+    positive masses, in lowest terms: the gcd of the denominator and the
+    masses is 1.  Equal tables then have equal storage, and the denominator
+    is the lcm of the entries' reduced denominators.
+
+    As a mapping the table is a read-only view key -> Fraction.  Keys,
+    ``len`` and membership read the masses; the first value read builds the
+    Fraction of every entry, once.
+    """
+
+    __slots__ = ("denominator", "masses", "_fractions")
+
+    def __init__(self, denominator: int, masses: dict):
+        self.denominator = denominator
+        self.masses = masses
+        self._fractions = None
+
+    @classmethod
+    def lowest(cls, denominator: int, masses: dict) -> "FractionTable":
+        """The table of masses / denominator in lowest terms; the masses
+        must be positive."""
+        g = math.gcd(denominator, *masses.values())
+        if g > 1:
+            denominator //= g
+            masses = {key: m // g for key, m in masses.items()}
+        return cls(denominator, masses)
+
+    def fractions(self) -> dict:
+        if self._fractions is None:
+            den = self.denominator
+            self._fractions = {key: Fraction(m, den) for key, m in self.masses.items()}
+        return self._fractions
+
+    def __getitem__(self, key) -> Fraction:
+        return self.fractions()[key]
+
+    def __iter__(self):
+        return iter(self.masses)
+
+    def __len__(self) -> int:
+        return len(self.masses)
+
+    def __contains__(self, key) -> bool:
+        return key in self.masses
+
+    def items(self):
+        return self.fractions().items()
+
+    def values(self):
+        return self.fractions().values()
+
+    def __eq__(self, other):
+        if isinstance(other, FractionTable):
+            return self.denominator == other.denominator and self.masses == other.masses
+        if isinstance(other, Mapping):
+            return self.fractions() == dict(other.items())
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self.fractions())
+
+
+def masses_of(table) -> tuple[int, dict]:
+    """(denominator, masses) of a table of probabilities.
+
+    A ``FractionTable`` gives its own; any other mapping of values that
+    ``Fraction`` accepts is put over the lcm of their denominators.
+    """
+    if isinstance(table, FractionTable):
+        return table.denominator, table.masses
+    probs = {key: Fraction(p) for key, p in table.items()}
+    den = math.lcm(*(p.denominator for p in probs.values()))
+    return den, {key: p.numerator * (den // p.denominator) for key, p in probs.items()}
+
+
+def checked_masses(table, shape_error, what: str, key_error=None) -> FractionTable:
+    """The validated table of ``table`` (see ``masses_of``), in lowest terms.
+
+    Entry by entry, ``shape_error(key)`` is reported first, then a negative
+    probability, then ``key_error(key)`` if given; each check returns a
+    message or None.  Zero entries are dropped, and the masses must sum to
+    the denominator, i.e. the ``what`` must sum to 1.
+    """
+    den, masses = masses_of(table)
+    if type(den) is not int or den < 1:
+        raise ValueError(f"denominator must be a positive integer, got {den!r}")
+    positive = {}
+    for key, m in masses.items():
+        key = tuple(key)
+        error = shape_error(key)
+        if error:
+            raise ValueError(error)
+        if m < 0:
+            raise ValueError(f"negative probability {Fraction(m, den)} at {key}")
+        error = key_error and key_error(key)
+        if error:
+            raise ValueError(error)
+        if m:
+            positive[key] = m
+    total = sum(positive.values())
+    if total != den:
+        raise ValueError(f"{what} sum to {Fraction(total, den)}, not 1")
+    return FractionTable.lowest(den, positive)
+
+
 @dataclass(frozen=True)
 class ExactTable:
     """Exact probability table of a model with ``n`` cells and ``r`` particles.
 
+    ``table`` may be given as any mapping of probabilities; it is stored as a
+    validated ``FractionTable`` (see ``from_masses`` for integer input).
     Only strictly positive entries are stored, and they must sum to 1;
     looking up a valid key outside the table yields probability zero.  A
     subclass says which keys are valid: ``_key_length()`` and
@@ -111,7 +252,7 @@ class ExactTable:
 
     n: int
     r: int
-    table: dict
+    table: FractionTable
 
     def __post_init__(self):
         if self.n < 1:
@@ -119,26 +260,19 @@ class ExactTable:
         if self.r < 0:
             raise ValueError(f"particle count must be >= 0, got {self.r}")
         length = self._key_length()
-        clean = {}
-        total = ZERO
-        for key, p in self.table.items():
-            key = tuple(key)
-            p = Fraction(p)
+
+        def shape_error(key):
             if len(key) != length:
-                raise ValueError(
-                    f"{self.key_name} {key} has length {len(key)}, expected {length}"
-                )
-            if p < 0:
-                raise ValueError(f"negative probability {p} at {key}")
-            error = self._key_error(key)
-            if error:
-                raise ValueError(error)
-            if p:
-                clean[key] = p
-                total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "table", clean)
+                return f"{self.key_name} {key} has length {len(key)}, expected {length}"
+            return None
+
+        table = checked_masses(self.table, shape_error, "probabilities", self._key_error)
+        object.__setattr__(self, "table", table)
+
+    @classmethod
+    def from_masses(cls, n: int, r: int, denominator: int, masses: dict):
+        """The table of ``masses[key] / denominator``, from integer masses."""
+        return cls(n, r, FractionTable(denominator, masses))
 
     def probability(self, key) -> Fraction:
         key = tuple(key)
@@ -161,7 +295,7 @@ class OccupancyDistribution(ExactTable):
         return self.n
 
     def _key_error(self, x: Composition) -> str | None:
-        if sum(x) != self.r or any(c < 0 for c in x):
+        if sum(x) != self.r or min(x) < 0:  # keys of length n >= 1
             return f"{x} is not a composition of {self.r}"
         return None
 
@@ -176,7 +310,7 @@ class LabelDistribution(ExactTable):
         return self.r
 
     def _key_error(self, y: LabelVector) -> str | None:
-        if any(not 1 <= v <= self.n for v in y):
+        if y and (min(y) < 1 or max(y) > self.n):
             return f"label vector {y} has labels outside 1..{self.n}"
         return None
 
@@ -205,25 +339,23 @@ class MixingSpec:
             raise ValueError("mixing weights must sum to 1")
         object.__setattr__(self, "atoms", atoms)
 
-    def factor(self, z: int) -> Fraction:
-        return sum((w * rho**z for rho, w in self.atoms), start=ZERO)
 
+def _power_row(a: WeightFunction, n: int) -> list[int]:
+    """Coefficients 0..x_max of A'(z)**n, with A'(z) = sum_x L * a(x) z^x.
 
-def _power_row(a: WeightFunction, n: int) -> list[Fraction]:
-    """Coefficients 0..x_max of A(z)**n, with A(z) = sum_x a(x) z^x.
-
-    Rows are memoized on ``a``.  A missing row is extended from the highest
-    cached one by truncated convolution with A, so rows 0..N cost
+    The entries are integers: L**n times the coefficients of A(z)**n.  Rows
+    are memoized on ``a``.  A missing row is extended from the highest
+    cached one by truncated convolution with A', so rows 0..N cost
     O(N * x_max**2) in total whatever order they are asked for in.
     """
     rows = a._power_rows
     if not rows:
-        rows.append([ONE] + [ZERO] * a.x_max)
-    base = a.values
+        rows.append([1] + [0] * a.x_max)
+    base = a.scaled
     top = a.x_max
     while len(rows) <= n:
         prev = rows[-1]
-        nxt = [ZERO] * (top + 1)
+        nxt = [0] * (top + 1)
         for i, c in enumerate(prev):
             if not c:
                 continue
@@ -234,12 +366,11 @@ def _power_row(a: WeightFunction, n: int) -> list[Fraction]:
     return rows[n]
 
 
-def normalization_constant(a: WeightFunction, n: int, r: int) -> Fraction:
-    """Sum of prod_j a(x_j) over all length-``n`` compositions of ``r``.
+def scaled_normalizer(a: WeightFunction, n: int, r: int) -> int:
+    """Sum of prod_j L * a(x_j) over all length-``n`` compositions of ``r``.
 
-    Read as the degree-``r`` coefficient of (sum_x a(x) z^x)**n from the row
-    memo on ``a`` (see ``_power_row``), so each row is computed once per
-    weight object; identical to the literal sum over the space.
+    The integer L**n * C_n(r), read from the row memo on ``a`` (see
+    ``_power_row``), so each row is computed once per weight object.
     """
     if n < 1:
         raise ValueError(f"cell count must be >= 1, got {n}")
@@ -252,35 +383,45 @@ def normalization_constant(a: WeightFunction, n: int, r: int) -> Fraction:
     return _power_row(a, n)[r]
 
 
+def normalization_constant(a: WeightFunction, n: int, r: int) -> Fraction:
+    """Sum of prod_j a(x_j) over all length-``n`` compositions of ``r``.
+
+    The degree-``r`` coefficient of (sum_x a(x) z^x)**n: the scaled
+    normalizer over L**n; identical to the literal sum over the space.
+    """
+    return Fraction(scaled_normalizer(a, n, r), a.scale**n)
+
+
 def weight_model(a: WeightFunction, n: int, r: int) -> OccupancyDistribution:
-    """Product-form occupancy model P(x) = prod_j a(x_j) / normalizer."""
+    """Product-form occupancy model P(x) = prod_j a(x_j) / normalizer.
+
+    Built as the integer masses prod_j L * a(x_j) over the scaled
+    normalizer, which is the same table.
+    """
     combinat.check_composition_budget(n, r)
-    c = normalization_constant(a, n, r)
+    c = scaled_normalizer(a, n, r)
     if c == 0:
         raise EmptySupportError(
             f"weight table has zero total mass over {n} cells and {r} particles"
         )
-    table = {}
-    for x in combinat.enumerate_compositions(n, r):
-        w = a.product(x)
-        if w:
-            table[x] = w / c
-    return OccupancyDistribution(n, r, table)
+    masses = a.scaled_products(combinat.enumerate_compositions(n, r))
+    return OccupancyDistribution.from_masses(n, r, c, masses)
 
 
-def _orbits_constant(table: dict) -> bool:
+def _orbits_constant(table: FractionTable) -> bool:
     """True iff the table is invariant under permuting tuple coordinates.
 
     Positive entries are grouped by their sorted key; each group must carry a
-    single probability value and cover its whole permutation orbit.
+    single mass (all masses share one denominator) and cover its whole
+    permutation orbit.
     """
-    orbits: dict[tuple, list[Fraction]] = {}
-    for key, p in table.items():
-        orbits.setdefault(tuple(sorted(key)), []).append(p)
-    for rep, probs in orbits.items():
-        if len(set(probs)) != 1:
+    orbits: dict[tuple, list[int]] = {}
+    for key, m in table.masses.items():
+        orbits.setdefault(tuple(sorted(key)), []).append(m)
+    for rep, masses in orbits.items():
+        if len(set(masses)) != 1:
             return False
-        if len(probs) != combinat.distinct_permutation_count(rep):
+        if len(masses) != combinat.distinct_permutation_count(rep):
             return False
     return True
 
@@ -304,12 +445,16 @@ def label_distribution(d: OccupancyDistribution) -> LabelDistribution:
         raise BudgetExceededError(
             f"label space has {d.n**d.r} elements (budget {combinat.ENUMERATION_BUDGET})"
         )
-    table: dict[LabelVector, Fraction] = {}
-    for x, p in d.table.items():
-        share = p / combinat.multinomial(d.r, x)
+    # p(x) / multinomial(r, x) = m(x) * prod_j x_j! / (denominator * r!)
+    factorials = [math.factorial(c) for c in range(d.r + 1)]
+    masses: dict[LabelVector, int] = {}
+    for x, m in d.table.masses.items():
+        share = m * math.prod(factorials[c] for c in x)
         for y in combinat.distinct_permutations(combinat.psi(x)):
-            table[y] = share
-    return LabelDistribution(d.n, d.r, table)
+            masses[y] = share
+    return LabelDistribution.from_masses(
+        d.n, d.r, d.table.denominator * factorials[d.r], masses
+    )
 
 
 def occupancy_from_labels(ld: LabelDistribution) -> OccupancyDistribution:
@@ -318,13 +463,13 @@ def occupancy_from_labels(ld: LabelDistribution) -> OccupancyDistribution:
         raise NonExchangeableError(
             "occupancy view is only defined for exchangeable label laws"
         )
-    table: dict[Composition, Fraction] = {}
-    for y, p in ld.table.items():
+    masses: dict[Composition, int] = {}
+    for y, m in ld.table.masses.items():
         if any(a > b for a, b in zip(y, y[1:])):
             continue  # one sorted representative per orbit
         x = combinat.phi(y, ld.n)
-        table[x] = p * combinat.multinomial(ld.r, x)
-    return OccupancyDistribution(ld.n, ld.r, table)
+        masses[x] = m * combinat.multinomial(ld.r, x)
+    return OccupancyDistribution.from_masses(ld.n, ld.r, ld.table.denominator, masses)
 
 
 def order_statistics_distribution(
@@ -341,11 +486,11 @@ def label_marginal(ld: LabelDistribution, index_set) -> LabelDistribution:
         raise ValueError("index set must be nonempty")
     if any(not 1 <= i <= ld.r for i in idx):
         raise ValueError(f"index set {idx} outside 1..{ld.r}")
-    out: dict[LabelVector, Fraction] = {}
-    for y, p in ld.table.items():
+    out: dict[LabelVector, int] = {}
+    for y, m in ld.table.masses.items():
         key = tuple(y[i - 1] for i in idx)
-        out[key] = out.get(key, ZERO) + p
-    return LabelDistribution(ld.n, len(idx), out)
+        out[key] = out.get(key, 0) + m
+    return LabelDistribution.from_masses(ld.n, len(idx), ld.table.denominator, out)
 
 
 def weight_model_label_density(
@@ -401,23 +546,21 @@ def conditional_from_iid(
     return OccupancyDistribution(n, r, {x: w / total for x, w in table.items()})
 
 
-def sample_exact(table: dict, rng: random.Random, count: int) -> list:
+def sample_exact(table, rng: random.Random, count: int) -> list:
     """Draw ``count`` keys independently from an exact probability table.
 
     Inversion over the keys in sorted order: each draw is one integer
     uniform ``rng.randrange(denom)``, ``denom`` being the lcm of the
-    denominators, so the draws are exact and reproducible by seed.  The
-    sorted keys, the lcm and the cumulative integer masses are built once per
-    call, and each draw is a bisection into the cumulative masses.  A table
-    that does not sum to 1 is rejected before any draw.
+    denominators, so the draws are exact and reproducible by seed.  A
+    stored ``FractionTable`` is in lowest terms, so its own denominator and
+    masses serve as they are; any other mapping is put over that lcm first
+    (see ``masses_of``).  The sorted keys and the cumulative masses are built
+    once per call, and each draw is a bisection into the cumulative masses.
+    A table that does not sum to 1 is rejected before any draw.
     """
-    keys = sorted(table)
-    denom = math.lcm(*(table[k].denominator for k in keys))
-    cum = list(
-        itertools.accumulate(
-            table[k].numerator * (denom // table[k].denominator) for k in keys
-        )
-    )
+    denom, masses = masses_of(table)
+    keys = sorted(masses)
+    cum = list(itertools.accumulate(masses[k] for k in keys))
     if not cum or cum[-1] != denom:
         raise AssertionError("probability table does not sum to 1")
     return [keys[bisect.bisect_right(cum, rng.randrange(denom))] for _ in range(count)]

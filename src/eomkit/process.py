@@ -1,10 +1,10 @@
 """Finite-horizon counting processes with product-form jump laws.
 
 A process is stored as the exact joint law of its jump amounts
-(J_0, ..., J_M).  Built from a weight table and a terminal count law, the
-joint factorizes as R_t(total) * prod_h a(j_h) at every time t, which makes
-the conditional law of the jumps given the count a product-form occupancy
-model; the checks in this module verify those characterizations and the
+(J_0, ..., J_M), as integer masses over one denominator.  Built from a weight
+table and a terminal count law, the joint factorizes as
+R_t(total) * prod_h a(j_h) at every time t, which makes the conditional law
+of the jumps given the count a product-form occupancy model; the checks in this module verify those characterizations and the
 equivalent arrival/inter-arrival formulas on arbitrary joints.
 """
 
@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import combinat
-from .errors import BudgetExceededError, ConditioningError, EmptySupportError
+from .errors import ConditioningError, EmptySupportError
 from .models import (
     ZERO,
+    FractionTable,
     OccupancyDistribution,
     WeightFunction,
+    checked_masses,
     normalization_constant,
     sample_exact,
 )
@@ -32,9 +34,11 @@ JumpPath = tuple[int, ...]
 class FiniteProcess:
     """Joint law of the jump amounts (J_0, ..., J_M) of a counting process.
 
-    ``joint`` maps length-(M+1) jump paths to exact probabilities; only
-    positive entries are stored.  The weight table must cover occupancies up
-    to the largest total any path reaches, which is kept as ``count_cap``.
+    ``joint`` maps length-(M+1) jump paths to exact probabilities; it may be
+    given as any mapping of probabilities and is stored as a validated
+    ``FractionTable`` (see ``from_masses`` for integer input).  Only positive
+    entries are stored.  The weight table must cover occupancies up to the
+    largest total any path reaches, which is kept as ``count_cap``.
 
     The laws derived from the joint are computed once and cached on the
     process for its lifetime: prefix marginals per t (``marginal``), count
@@ -44,7 +48,7 @@ class FiniteProcess:
 
     weight: WeightFunction
     horizon: int
-    joint: dict[JumpPath, Fraction]
+    joint: FractionTable
     _marginals: dict = field(default_factory=dict, repr=False, compare=False)
     _count_laws: dict = field(default_factory=dict, repr=False, compare=False)
     _structure: dict = field(default_factory=dict, repr=False, compare=False)
@@ -53,39 +57,36 @@ class FiniteProcess:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        clean = {}
-        total = ZERO
-        cap = 0
-        for path, p in self.joint.items():
-            path = tuple(path)
-            p = Fraction(p)
-            if len(path) != self.horizon + 1 or any(j < 0 for j in path):
-                raise ValueError(f"{path} is not a jump path for horizon {self.horizon}")
-            if p < 0:
-                raise ValueError(f"negative probability {p} at {path}")
-            if p:
-                clean[path] = p
-                total += p
-                cap = max(cap, sum(path))
-        if total != 1:
-            raise ValueError(f"path probabilities sum to {total}, not 1")
+
+        def path_error(path):
+            if len(path) != self.horizon + 1 or min(path) < 0:
+                return f"{path} is not a jump path for horizon {self.horizon}"
+            return None
+
+        joint = checked_masses(self.joint, path_error, "path probabilities")
+        cap = max(map(sum, joint), default=0)
         if self.weight.x_max < cap:
             raise ValueError(
                 f"weight table covers 0..{self.weight.x_max} but paths reach total {cap}"
             )
-        object.__setattr__(self, "joint", clean)
+        object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "count_cap", cap)
 
-    def marginal(self, t: int) -> dict[JumpPath, Fraction]:
+    @classmethod
+    def from_masses(cls, weight: WeightFunction, horizon: int, denominator: int, masses: dict):
+        """The process with joint ``masses[path] / denominator``, from integer masses."""
+        return cls(weight, horizon, FractionTable(denominator, masses))
+
+    def marginal(self, t: int) -> FractionTable:
         """Exact law of the jump prefix (J_0, ..., J_t)."""
         if not 0 <= t <= self.horizon:
             raise ValueError(f"time {t} outside 0..{self.horizon}")
         if t not in self._marginals:
-            acc: dict[JumpPath, Fraction] = {}
-            for path, p in self.joint.items():
+            acc: dict[JumpPath, int] = {}
+            for path, m in self.joint.masses.items():
                 key = path[: t + 1]
-                acc[key] = acc.get(key, ZERO) + p
-            self._marginals[t] = acc
+                acc[key] = acc.get(key, 0) + m
+            self._marginals[t] = FractionTable.lowest(self.joint.denominator, acc)
         return self._marginals[t]
 
 
@@ -98,6 +99,11 @@ def build_process(
     ``terminal_law`` is a probability table indexed by total count 0..K.
     Every total with positive probability must be reachable, i.e. have a
     positive-weight path.
+
+    A path of total k has probability pi_k * prod_h a(j_h) / C_{M+1}(k)
+    = s_k * prod_h L * a(j_h) with s_k = pi_k / (L**(M+1) * C_{M+1}(k)), so
+    the joint is integer masses over D, the lcm of the denominators of the
+    s_k: one Fraction per total, none per path.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -107,14 +113,9 @@ def build_process(
     if sum(pi) != 1:
         raise ValueError(f"terminal law sums to {sum(pi)}, not 1")
     cells = horizon + 1
-    budget = sum(
-        combinat.composition_count(cells, k) for k, p in enumerate(pi) if p
-    )
-    if budget > combinat.ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"jump path space has {budget} elements (budget {combinat.ENUMERATION_BUDGET})"
-        )
-    joint: dict[JumpPath, Fraction] = {}
+    paths = sum(combinat.composition_count(cells, k) for k, p in enumerate(pi) if p)
+    combinat.check_budget("jump path space", paths, cells)
+    scales = {}
     for k, pk in enumerate(pi):
         if not pk:
             continue
@@ -123,12 +124,14 @@ def build_process(
             raise EmptySupportError(
                 f"terminal count {k} has positive probability but no positive-weight path"
             )
-        scale = pk / c
-        for path in combinat.enumerate_compositions(cells, k):
-            w = a.product(path)
-            if w:
-                joint[path] = scale * w
-    return FiniteProcess(a, horizon, joint)
+        scales[k] = pk / (c * a.scale**cells)
+    den = math.lcm(*(s.denominator for s in scales.values()))
+    masses: dict[JumpPath, int] = {}
+    for k, s in scales.items():
+        factor = s.numerator * (den // s.denominator)
+        products = a.scaled_products(combinat.enumerate_compositions(cells, k))
+        masses.update((path, factor * w) for path, w in products.items())
+    return FiniteProcess.from_masses(a, horizon, den, masses)
 
 
 def joint_jump_density(p: FiniteProcess, t: int, jumps) -> Fraction:
@@ -149,11 +152,13 @@ def count_distribution(p: FiniteProcess, t: int) -> dict[int, Fraction]:
     """
     law = p._count_laws.get(t)
     if law is None:
-        acc: dict[int, Fraction] = {}
-        for prefix, pr in p.marginal(t).items():
+        marg = p.marginal(t)
+        acc: dict[int, int] = {}
+        for prefix, m in marg.masses.items():
             k = sum(prefix)
-            acc[k] = acc.get(k, ZERO) + pr
-        law = {k: acc.get(k, ZERO) for k in range(p.count_cap + 1)}
+            acc[k] = acc.get(k, 0) + m
+        den = marg.denominator
+        law = {k: Fraction(acc.get(k, 0), den) for k in range(p.count_cap + 1)}
         p._count_laws[t] = law
     return dict(law)
 
@@ -188,17 +193,13 @@ def conditional_jumps_given_count(
     p: FiniteProcess, t: int, k: int
 ) -> OccupancyDistribution:
     """Law of (J_0, ..., J_t) given N_t = k, as an occupancy model."""
-    total = ZERO
-    table: dict[JumpPath, Fraction] = {}
-    for prefix, pr in p.marginal(t).items():
-        if sum(prefix) == k:
-            table[prefix] = pr
-            total += pr
+    masses = {
+        prefix: m for prefix, m in p.marginal(t).masses.items() if sum(prefix) == k
+    }
+    total = sum(masses.values())
     if total == 0:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
-    return OccupancyDistribution(
-        t + 1, k, {prefix: pr / total for prefix, pr in table.items()}
-    )
+    return OccupancyDistribution.from_masses(t + 1, k, total, masses)
 
 
 def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:

@@ -27,38 +27,71 @@ def drop_particle(d: OccupancyDistribution) -> OccupancyDistribution:
     """Remove one particle uniformly at random; model on one particle fewer.
 
     A composition ``x`` sends mass p(x) * x_h / r to the composition with
-    cell ``h`` decremented, for every occupied cell ``h``.
+    cell ``h`` decremented, for every occupied cell ``h``: integer mass
+    m(x) * x_h over the denominator times r.
     """
     if d.r < 1:
         raise ValueError("no particle to drop from an empty model")
-    out: dict[Composition, Fraction] = {}
-    for x, p in d.table.items():
+    out: dict[Composition, int] = {}
+    for x, m in d.table.masses.items():
         for h, c in enumerate(x):
             if c:
                 key = x[:h] + (c - 1,) + x[h + 1 :]
-                out[key] = out.get(key, ZERO) + p * Fraction(c, d.r)
-    return OccupancyDistribution(d.n, d.r - 1, out)
+                out[key] = out.get(key, 0) + m * c
+    return OccupancyDistribution.from_masses(d.n, d.r - 1, d.table.denominator * d.r, out)
 
 
 def erase_cell(d: OccupancyDistribution) -> OccupancyDistribution:
     """Erase the last cell, replacing its particles uniformly and independently.
 
     Each particle from the erased cell lands in one of the remaining ``n-1``
-    cells with equal probability, independently of the others.
+    cells with equal probability, independently of the others: m moved
+    particles land as ``extra`` with probability multinomial(m, extra) /
+    (n-1)**m.  Over the common denominator (n-1)**r that is the integer
+    kernel weight multinomial(m, extra) * (n-1)**(r-m), built once per m.
     """
     if d.n < 2:
         raise ValueError("erasing the only cell would leave no cells")
     target_cells = d.n - 1
-    out: dict[Composition, Fraction] = {}
-    for x, p in d.table.items():
+    # a vector of counts <= r is coded by its digits in base r + 1: a base
+    # plus a kernel entry never exceeds r in any cell, so adding their codes
+    # adds the vectors, and the inner loop adds ints instead of tuples
+    radix = d.r + 1
+    kernels: dict[int, list] = {}
+    out: dict[int, int] = {}
+    for x, m in d.table.masses.items():
         moved = x[-1]
-        base = x[:-1]
-        denom = target_cells**moved
-        for extra in combinat.enumerate_compositions(target_cells, moved):
-            key = tuple(b + e for b, e in zip(base, extra))
-            share = Fraction(combinat.multinomial(moved, extra), denom)
-            out[key] = out.get(key, ZERO) + p * share
-    return OccupancyDistribution(target_cells, d.r, out)
+        kernel = kernels.get(moved)
+        if kernel is None:
+            spare = target_cells ** (d.r - moved)
+            kernel = kernels[moved] = [
+                (_code(extra, radix), combinat.multinomial(moved, extra) * spare)
+                for extra in combinat.enumerate_compositions(target_cells, moved)
+            ]
+        base = _code(x[:-1], radix)
+        for extra, w in kernel:
+            key = base + extra
+            out[key] = out.get(key, 0) + m * w
+    masses = {_decode(key, radix, target_cells): m for key, m in out.items()}
+    return OccupancyDistribution.from_masses(
+        target_cells, d.r, d.table.denominator * target_cells**d.r, masses
+    )
+
+
+def _code(x: Composition, radix: int) -> int:
+    """The vector ``x`` of counts below ``radix`` as one base-``radix`` number."""
+    code = 0
+    for v in x:
+        code = code * radix + v
+    return code
+
+
+def _decode(code: int, radix: int, length: int) -> Composition:
+    """Inverse of ``_code`` for vectors of the given length."""
+    digits = [0] * length
+    for i in range(length - 1, -1, -1):
+        code, digits[i] = divmod(code, radix)
+    return tuple(digits)
 
 
 def condition_on_partial_sum(
@@ -69,18 +102,17 @@ def condition_on_partial_sum(
         raise ValueError(f"partial cell count must be in 1..{d.n - 1}, got {n}")
     if not 0 <= s <= d.r:
         raise ValueError(f"partial particle count must be in 0..{d.r}, got {s}")
-    acc: dict[Composition, Fraction] = {}
-    total = ZERO
-    for x, p in d.table.items():
+    acc: dict[Composition, int] = {}
+    for x, m in d.table.masses.items():
         head = x[:n]
         if sum(head) == s:
-            acc[head] = acc.get(head, ZERO) + p
-            total += p
+            acc[head] = acc.get(head, 0) + m
+    total = sum(acc.values())
     if total == 0:
         raise ConditioningError(
             f"conditioning event (first {n} cells hold {s} particles) has probability zero"
         )
-    return OccupancyDistribution(n, s, {x: p / total for x, p in acc.items()})
+    return OccupancyDistribution.from_masses(n, s, total, acc)
 
 
 def check_drop_closure(a: WeightFunction, n: int, r: int) -> CheckOutcome:

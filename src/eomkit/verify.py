@@ -631,7 +631,13 @@ def _classic_recovery(weight_kind: str, uosp_kind: str, max_horizon: int) -> str
 
 
 def classic_suite(max_horizon: int = 4) -> SuiteReport:
-    """Recovery of the classical uniform order statistics properties."""
+    """Recovery of the classical uniform order statistics properties.
+
+    Each check walks the processes of horizon 1..``max_horizon``, so a
+    horizon below 1 would pass them without examining a case; it is refused.
+    """
+    if max_horizon < 1:
+        raise ValueError(f"classic suite needs a horizon >= 1, got {max_horizon}")
     return _run(
         SuiteReport("classic"),
         [

@@ -54,6 +54,27 @@ def test_model_budget_charged_before_normalizer():
     assert elapsed < 2, f"budget error took {elapsed:.2f} s"
 
 
+def test_model_budget_counts_cells_of_a_single_composition():
+    # one composition of 0 particles, but 30 million cells to write
+    start = time.perf_counter()
+    proc = run_cli("model", "--weight", "be", "--n", "30000000", "--r", "0")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "budget" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert elapsed < 2, f"budget error took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_verify_classic_without_a_horizon_exits_2(horizon):
+    # no process of horizon 1..h exists, so the checks would examine nothing
+    proc = run_cli("verify", "--suite", "classic", "--horizon", horizon)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "horizon" in proc.stderr
+
+
 def test_model_occupancy():
     proc = run_cli("model", "--weight", "be", "--n", "2", "--r", "2", check=True)
     doc = json.loads(proc.stdout)

@@ -23,11 +23,12 @@ small = st.integers(-2, 4)
 cells, particles = st.integers(1, 3), st.integers(0, 3)
 builtins = st.sampled_from(["be", "mb", "fd", "pc:2"])
 # (n, r): small ones, and composition spaces past the budget, which must be
-# refused before any work.  A huge n only comes with r >= 1, since the
-# budget counts compositions, not their n entries each
+# refused before any work.  The budget counts compositions times their n
+# cells, so a huge n is refused even with r = 0, where there is one
+# composition
 sizes = st.one_of(
     st.tuples(small, small),
-    st.sampled_from([(30, 30), (1200, 4), (30_000_000, 2)]),
+    st.sampled_from([(30, 30), (1200, 4), (30_000_000, 2), (30_000_000, 0)]),
 )
 json_scalars = st.one_of(
     st.integers(-2, 4),

@@ -149,6 +149,19 @@ def test_budget_guard_names_count():
         combinat.enumerate_labels(10, 10)
 
 
+def test_budget_counts_cells_not_compositions():
+    budget = combinat.ENUMERATION_BUDGET
+    # one composition, but more cells than the budget
+    with pytest.raises(BudgetExceededError, match="budget"):
+        combinat.check_composition_budget(budget + 1, 0)
+    combinat.check_composition_budget(budget, 0)
+    # r + 1 compositions of r into 2 cells, 2 * (r + 1) cells in all
+    with pytest.raises(BudgetExceededError):
+        combinat.check_composition_budget(2, budget // 2)
+    combinat.check_composition_budget(2, budget // 2 - 1)
+    assert combinat.enumerate_compositions(1200, 0) == [(0,) * 1200]
+
+
 def test_distinct_permutation_count():
     for seq in [(0, 0, 2), (1, 1, 1), (3, 1, 2, 1), ()]:
         assert combinat.distinct_permutation_count(seq) == len(set(permutations(seq)))

@@ -1,0 +1,141 @@
+"""Tables stored as integer masses over one denominator.
+
+The model, process and transform builders accumulate integer masses; each is
+pitted here against its per-entry ``Fraction`` construction
+(``fraction_oracles``) on random rational weights with zeros and gaps, and
+the stored form is checked to be in lowest terms.
+"""
+
+import math
+from fractions import Fraction
+
+import fraction_oracles as oracle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eomkit import (
+    ConditioningError,
+    EmptySupportError,
+    OccupancyDistribution,
+    WeightFunction,
+    build_process,
+    condition_on_partial_sum,
+    drop_particle,
+    erase_cell,
+    weight_model,
+)
+from eomkit.combinat import enumerate_compositions
+from eomkit.models import FractionTable
+
+F = Fraction
+
+
+def rationals(max_numerator=6):
+    """Small nonnegative rationals, zero about one time in four."""
+    return st.one_of(
+        st.just(F(0)),
+        st.builds(F, st.integers(1, max_numerator), st.integers(1, 5)),
+    )
+
+
+@st.composite
+def weights(draw, r):
+    """A weight table reaching at least ``r``, positive somewhere."""
+    values = draw(st.lists(rationals(), min_size=r + 1, max_size=r + 3).filter(any))
+    return WeightFunction(tuple(values))
+
+
+def assert_lowest_terms(table: FractionTable, expected: dict):
+    assert table == expected
+    assert all(m > 0 for m in table.masses.values())
+    assert math.gcd(table.denominator, *table.masses.values()) == 1
+    assert table.denominator == math.lcm(*(p.denominator for p in expected.values()))
+
+
+@st.composite
+def models(draw):
+    """(fast model, oracle table): a product-form model or an arbitrary table."""
+    n, r = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        a = draw(weights(r))
+        try:
+            expected = oracle.weight_model(a, n, r)
+        except EmptySupportError:
+            with pytest.raises(EmptySupportError):
+                weight_model(a, n, r)
+            expected = {(r,) + (0,) * (n - 1): F(1)}
+            return OccupancyDistribution(n, r, expected), expected
+        d = weight_model(a, n, r)
+        assert_lowest_terms(d.table, expected)
+        return d, expected
+    space = enumerate_compositions(n, r)
+    raw = draw(st.lists(rationals(9), min_size=len(space), max_size=len(space)).filter(any))
+    total = sum(raw)
+    expected = {x: p / total for x, p in zip(space, raw) if p}
+    return OccupancyDistribution(n, r, expected), expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), st.data())
+def test_fast_paths_match_fraction_oracles(model, data):
+    d, table = model
+    if d.r >= 1:
+        assert_lowest_terms(drop_particle(d).table, oracle.drop_particle(table, d.r))
+    if d.n >= 2:
+        assert_lowest_terms(erase_cell(d).table, oracle.erase_cell(table, d.n))
+        sub_n = data.draw(st.integers(1, d.n - 1))
+        s = data.draw(st.integers(0, d.r))
+        try:
+            expected = oracle.condition_on_partial_sum(table, sub_n, s)
+        except ConditioningError:
+            with pytest.raises(ConditioningError):
+                condition_on_partial_sum(d, sub_n, s)
+        else:
+            assert_lowest_terms(condition_on_partial_sum(d, sub_n, s).table, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 5), st.data())
+def test_build_process_matches_fraction_oracle(horizon, cap, data):
+    a = data.draw(weights(cap))
+    raw = data.draw(st.lists(rationals(9), min_size=cap + 1, max_size=cap + 1).filter(any))
+    pi = [p / sum(raw) for p in raw]
+    try:
+        expected = oracle.build_process(a, horizon, pi)
+    except EmptySupportError:
+        with pytest.raises(EmptySupportError):
+            build_process(a, horizon, pi)
+        return
+    assert_lowest_terms(build_process(a, horizon, pi).joint, expected)
+
+
+def test_equal_tables_have_equal_storage():
+    halves = OccupancyDistribution.from_masses(2, 1, 6, {(0, 1): 3, (1, 0): 3})
+    assert (halves.table.denominator, halves.table.masses) == (2, {(0, 1): 1, (1, 0): 1})
+    assert halves == OccupancyDistribution(2, 1, {(0, 1): F(1, 2), (1, 0): F(1, 2)})
+    assert halves.table == {(0, 1): F(1, 2), (1, 0): F(1, 2)}
+    # zero masses are dropped before the gcd is taken
+    assert OccupancyDistribution.from_masses(2, 1, 4, {(0, 1): 4, (1, 0): 0}).table.masses == {
+        (0, 1): 1
+    }
+
+
+def test_from_masses_validates_like_the_fraction_constructor():
+    with pytest.raises(ValueError, match="negative probability -1/2 at"):
+        OccupancyDistribution.from_masses(2, 2, 2, {(1, 1): 3, (2, 0): -1})
+    with pytest.raises(ValueError, match="probabilities sum to 2/3, not 1"):
+        OccupancyDistribution.from_masses(2, 2, 3, {(1, 1): 2})
+    with pytest.raises(ValueError, match="is not a composition of 2"):
+        OccupancyDistribution.from_masses(2, 2, 1, {(2, 1): 1})
+    with pytest.raises(ValueError, match="denominator must be a positive integer"):
+        OccupancyDistribution.from_masses(2, 2, 0, {})
+
+
+def test_length_and_keys_do_not_build_the_fraction_view():
+    d = weight_model(WeightFunction((F(1), F(1, 2), F(1, 6))), 3, 2)
+    assert len(d.table) == 6 and (0, 1, 1) in d.table
+    assert sorted(d.table) == enumerate_compositions(3, 2)
+    assert d.table._fractions is None
+    assert d.table[(0, 1, 1)] == F(1, 5)  # (1/4) / (3/6 + 3/4)
+    assert d.table._fractions is not None

@@ -400,9 +400,6 @@ def test_mixing_spec_validation():
         MixingSpec(((F(2), F(1)),))
     with pytest.raises(ValueError):
         MixingSpec(((F(1, 2), F(1, 2)),))
-    mix = MIXES[1]
-    assert mix.factor(0) == 1
-    assert mix.factor(1) == F(1, 2) * F(1, 3) + F(1, 2) * F(2, 3)
 
 
 def test_sample_point_mass_and_determinism():
@@ -475,6 +472,32 @@ def test_sample_exact_matches_linear_scan(table, seed, count):
     # stay in step with the one-draw-at-a-time stream
     assert rng.getstate() == oracle_rng.getstate()
     assert rng.random() == oracle_rng.random()
+
+
+@st.composite
+def shared_factor_masses(draw):
+    """(n, r, g, masses): integer masses over compositions, every one a
+    multiple of g > 1, so storing them divides by at least g.  The keys come
+    in a drawn order, so the sampler cannot lean on insertion order."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    space = draw(st.permutations(combinat.enumerate_compositions(n, r)))
+    g = draw(st.integers(2, 12))
+    masses = draw(st.lists(st.integers(0, 9), min_size=len(space), max_size=len(space)))
+    if not any(masses):
+        masses[0] = 1
+    return n, r, g, {x: g * m for x, m in zip(space, masses)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_factor_masses(), st.integers(0, 2**32), st.integers(0, 40))
+def test_sample_exact_on_stored_masses_matches_linear_scan(case, seed, count):
+    n, r, g, masses = case
+    d = OccupancyDistribution.from_masses(n, r, sum(masses.values()), masses)
+    assert d.table.denominator * g <= sum(masses.values())
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    drawn = sample_exact(d.table, rng, count)
+    assert drawn == [linear_scan_sample(d.table, oracle_rng) for _ in range(count)]
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_sample_exact_rejects_bad_tables_before_drawing():

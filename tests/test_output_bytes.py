@@ -1,0 +1,86 @@
+"""Byte identity of the command line's standard output.
+
+Each command below prints a table document, a CSV of seeded draws or a
+verification report.  The sha256 digests of those bytes are pinned, so any
+change to how tables are stored, transformed or sampled that alters a single
+output byte fails here.  A deliberate change of output must re-record them.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from eomkit.cli import main
+
+#: a rational weight table with a zero entry (a gap in its support)
+WEIGHT_FILE = {"values": ["3/7", "0", "5/2", "1/9", "2", "4/3"]}
+MODEL_SPEC = {"weight": "mb", "n": 4, "r": 5}
+PROCESS_SPEC = {"weight": "pc:2", "horizon": 3, "terminal_law": ["1/6", "1/3", "0", "1/2"]}
+
+DIGESTS = {
+    ("model", "--weight", "mb", "--n", "3", "--r", "4"):
+        "8e4a2f4bfba32ec751defe394c0b0c5b9f123e3e1a8096791a2d68d4dc9e7e07",
+    ("model", "--weight", "mb", "--n", "3", "--r", "4", "--labels"):
+        "46db48ff232e82192f0984b6ca689af871bc10cfbcb5233528db22afe43bccbf",
+    ("model", "--weight", "be", "--n", "4", "--r", "3"):
+        "20079f3908f25d06be03347cde8f4075fea29e56dda5eb7192cc639da7aa959c",
+    ("model", "--weight", "be", "--n", "3", "--r", "3", "--labels"):
+        "595d9173b6cc7a445bfd48abf3d42ce4a3fd638cedd2f218cd5b42ebe4c6fce9",
+    ("model", "--weight", "pc:2", "--n", "3", "--r", "5"):
+        "b4267590befd60980004467ecab5284defa384e41bcb7a3e0bd3c0db06d979c1",
+    ("model", "--weight", "pc:2", "--n", "3", "--r", "4", "--labels"):
+        "ab78a69f3bebd8a5e197a936a23646579df4083eecb05a3fb3cfddbf92520ff5",
+    ("model", "--weight", "@w.json", "--n", "3", "--r", "5"):
+        "570f84492a881383c2ba16274d6fcd441fc48f2ba3f1a8205522ecdd3847467f",
+    ("model", "--weight", "@w.json", "--n", "3", "--r", "4", "--labels"):
+        "a19f7412745b5461d48945f4aa3835ea62bb9b900c9c0299c7f2cab813e2f369",
+    ("transform", "--op", "k1", "--weight", "mb", "--n", "4", "--r", "4"):
+        "d731a9165ea719be698c82441357337c51ac2a37dafebff279d1a7fbed7058b1",
+    ("transform", "--op", "k2", "--weight", "@w.json", "--n", "3", "--r", "5"):
+        "8fe202d62e28c07b84f6e0ed28914cf936d356ace58860b7a64b71a3ea49bb06",
+    ("transform", "--op", "k2", "--weight", "pc:2", "--n", "4", "--r", "4"):
+        "0733ff2c66600a55086c13b5090aa4de9c326d776957d7f6a9de02309e62dcc8",
+    ("transform", "--op", "cond:2,3", "--weight", "@w.json", "--n", "4", "--r", "5"):
+        "32c7a3ee5bd825b8a7ab09efb0adac156c362b4dbb17822901de246945400847",
+    ("sample", "--spec", "model.json", "--paths", "300", "--seed", "3"):
+        "b550cb671aac482b17f73075e5ee11864d3080fb97f8fb219b25ae63354c8b84",
+    ("sample", "--spec", "process.json", "--paths", "300", "--seed", "5"):
+        "fd1eb8829966467a39633c56f1d2797397b48f5bbfbac2859a709919314301ea",
+    ("verify", "--suite", "classic", "--horizon", "2"):
+        "d8e35f7330fad5bf5f1a9593abbe1039ff161bbfa4f631bed1a3907ae86a8185",
+    ("verify", "--suite", "eom", "--max-n", "3", "--max-r", "3"):
+        "5d506c6c9995b56dcdeca6ed072437cf1589cf87235679dd35e52e43c6247def",
+    ("verify", "--suite", "transforms", "--max-n", "3", "--max-r", "3"):
+        "2d3565964ede9785d32544a6d57973db6ff648623a5a52589fcb0d774677e7b7",
+    ("verify", "--suite", "theorem", "--horizon", "2"):
+        "e9694e56ea1e55c6a2ebf592a281d24a899731eea3bd7184083af59e48e9dd91",
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bytes")
+    (path / "w.json").write_text(json.dumps(WEIGHT_FILE))
+    (path / "model.json").write_text(json.dumps(MODEL_SPEC))
+    (path / "process.json").write_text(json.dumps(PROCESS_SPEC))
+    return path
+
+
+def stdout_digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(DIGESTS), ids=" ".join)
+def test_stdout_bytes_are_pinned(workdir, command):
+    argv = [
+        f"@{workdir / a[1:]}" if a.startswith("@")
+        else str(workdir / a) if a.endswith(".json") else a
+        for a in command
+    ]
+    assert stdout_digest(argv) == DIGESTS[command]

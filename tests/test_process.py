@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eomkit import combinat, process
-from eomkit.errors import ConditioningError, EmptySupportError
+from eomkit.errors import BudgetExceededError, ConditioningError, EmptySupportError
 from eomkit.models import (
     WeightFunction,
     builtin_weight,
@@ -73,6 +73,13 @@ def test_build_rejects_unreachable_terminal_count():
         build_process(builtin_weight("fd", 3), 1, [F(0), F(0), F(0), F(1)])
     with pytest.raises(ValueError):
         build_process(builtin_weight("be", 2), 1, [F(1, 2), F(1, 4)])
+
+
+def test_build_budget_counts_jumps_of_each_path():
+    # a single path, but with more jumps than the budget allows
+    horizon = combinat.ENUMERATION_BUDGET
+    with pytest.raises(BudgetExceededError, match="budget"):
+        build_process(builtin_weight("be", 0), horizon, [F(1)])
 
 
 def test_joint_jump_density(flat_process):
