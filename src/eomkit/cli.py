@@ -182,8 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once per process: each parse makes a fresh namespace, so calls of
+#: ``main`` share no state through it
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (EomkitError, ValueError, OSError) as exc:

@@ -73,23 +73,29 @@ class WeightFunction:
         return self.values[x]
 
     def product(self, x) -> Fraction:
-        """prod_j a(x_j): the weight of an occupancy vector or jump path."""
-        return math.prod((self(v) for v in x), start=ONE)
+        """prod_j a(x_j): the weight of an occupancy vector or jump path.
+
+        Each x_j is bounds-checked as by ``a(x_j)``; the value is the
+        integer ``scaled_product(x)`` over L**len(x), one Fraction.
+        """
+        x = tuple(x)
+        if x and not (0 <= min(x) and max(x) <= self.x_max):
+            for v in x:
+                self(v)  # raises at the first occupancy outside the table
+        return Fraction(self.scaled_product(x), self.scale ** len(x))
+
+    def scaled_product(self, x) -> int:
+        """prod_j L * a(x_j), unchecked: the entries must lie in 0..x_max.
+
+        The integer form of ``product`` that the table builders and the
+        process checks use.
+        """
+        return math.prod(map(self.scaled.__getitem__, x))
 
     def scaled_products(self, keys) -> dict:
-        """{x: prod_j L * a(x_j)} over the keys with a positive product.
-
-        The keys must be occupancy vectors or jump paths whose entries lie in
-        0..x_max; this is the integer form of ``product`` that the table
-        builders use.
-        """
-        get = self.scaled.__getitem__
-        out = {}
-        for x in keys:
-            w = math.prod(map(get, x))
-            if w:
-                out[x] = w
-        return out
+        """{x: scaled_product(x)} over the keys with a positive product."""
+        weigh = self.scaled_product
+        return {x: w for x in keys if (w := weigh(x))}
 
     def support(self) -> list[int]:
         return [x for x, v in enumerate(self.values) if v > 0]

@@ -24,6 +24,7 @@ from .models import (
     checked_masses,
     normalization_constant,
     sample_exact,
+    scaled_normalizer,
 )
 from .report import CheckOutcome
 
@@ -42,14 +43,16 @@ class FiniteProcess:
 
     The laws derived from the joint are computed once and cached on the
     process for its lifetime: prefix marginals per t (``marginal``), count
-    laws per t (``count_distribution``) and structure values per (t, k)
-    (``structure_function``).  The caches take no part in equality.
+    masses and count laws per t (``count_distribution``) and structure
+    values per (t, k) (``structure_function``).  The caches take no part in
+    equality.
     """
 
     weight: WeightFunction
     horizon: int
     joint: FractionTable
     _marginals: dict = field(default_factory=dict, repr=False, compare=False)
+    _count_masses: dict = field(default_factory=dict, repr=False, compare=False)
     _count_laws: dict = field(default_factory=dict, repr=False, compare=False)
     _structure: dict = field(default_factory=dict, repr=False, compare=False)
     count_cap: int = field(init=False, repr=False, compare=False)
@@ -144,23 +147,38 @@ def joint_jump_density(p: FiniteProcess, t: int, jumps) -> Fraction:
     return p.marginal(t).get(jumps, ZERO)
 
 
+def _count_masses(p: FiniteProcess, t: int) -> list[int]:
+    """M_t(k) for k = 0..cap: P{N_t = k} times ``p.marginal(t).denominator``.
+
+    Cached on ``p`` per t.  The cached list is returned itself, so callers
+    must not mutate it.
+    """
+    masses = p._count_masses.get(t)
+    if masses is None:
+        masses = [0] * (p.count_cap + 1)
+        for prefix, m in p.marginal(t).masses.items():
+            masses[sum(prefix)] += m
+        p._count_masses[t] = masses
+    return masses
+
+
+def _count_law(p: FiniteProcess, t: int) -> dict[int, Fraction]:
+    """The cached law of N_t (see ``count_distribution``), not copied."""
+    law = p._count_laws.get(t)
+    if law is None:
+        den = p.marginal(t).denominator
+        law = {k: Fraction(m, den) for k, m in enumerate(_count_masses(p, t))}
+        p._count_laws[t] = law
+    return law
+
+
 def count_distribution(p: FiniteProcess, t: int) -> dict[int, Fraction]:
     """Exact law of the count N_t, tabulated for every total 0..cap.
 
     Computed once per t and cached on ``p``; each call returns a fresh dict,
     so a caller that mutates it leaves the cache intact.
     """
-    law = p._count_laws.get(t)
-    if law is None:
-        marg = p.marginal(t)
-        acc: dict[int, int] = {}
-        for prefix, m in marg.masses.items():
-            k = sum(prefix)
-            acc[k] = acc.get(k, 0) + m
-        den = marg.denominator
-        law = {k: Fraction(acc.get(k, 0), den) for k in range(p.count_cap + 1)}
-        p._count_laws[t] = law
-    return dict(law)
+    return dict(_count_law(p, t))
 
 
 def terminal_law(p: FiniteProcess) -> dict[int, Fraction]:
@@ -184,7 +202,7 @@ def structure_function(p: FiniteProcess, t: int, k: int) -> Fraction:
             raise EmptySupportError(
                 f"structure function undefined at t={t}, k={k}: no positive-weight path"
             )
-        value = count_distribution(p, t).get(k, ZERO) / c
+        value = _count_law(p, t).get(k, ZERO) / c
         p._structure[(t, k)] = value
     return value
 
@@ -207,19 +225,23 @@ def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
 
     The law of the prefix given N_t = k is the model for (t+1, k) exactly
     when density(x) * normalizer = P{N_t = k} * prod a(x_j) for every
-    composition x of k, which is compared in place.  The witness is the first
-    failing (t, k).  A count with mass that no positive-weight prefix reaches
-    has no product-form model, so it fails.
+    composition x of k.  On the masses m of ``marginal(t)``, the count
+    masses M_t(k) over the same denominator and the scaled weight, that is
+    the integer identity m(x) * C'_{t+1}(k) = M_t(k) * prod L * a(x_j),
+    compared in place.  The witness is the first failing (t, k).  A count
+    with mass that no positive-weight prefix reaches has no product-form
+    model, so it fails.
     """
     name = "jump-conditionals-product-form"
+    a = p.weight
     for t in range(p.horizon + 1):
-        marg = p.marginal(t)
-        for k, mass in count_distribution(p, t).items():
+        masses = p.marginal(t).masses
+        for k, mass in enumerate(_count_masses(p, t)):
             if not mass:
                 continue
-            c = normalization_constant(p.weight, t + 1, k)
+            c = scaled_normalizer(a, t + 1, k)
             if c == 0 or any(
-                marg.get(x, ZERO) * c != mass * p.weight.product(x)
+                masses.get(x, 0) * c != mass * a.scaled_product(x)
                 for x in combinat.enumerate_compositions(t + 1, k)
             ):
                 return CheckOutcome(name, False, f"(t,k)={(t, k)}")
@@ -231,23 +253,26 @@ def check_mixed_geometric_form(p: FiniteProcess) -> CheckOutcome:
 
     Every positive-weight prefix of the same length and total must have the
     same ratio of density to weight, and every zero-weight prefix must carry
-    zero probability.  The witness is the first failing (t, prefix).
+    zero probability.  On the masses m of ``marginal(t)`` and the scaled
+    weights w, the ratio of each prefix is cross-multiplied with that of the
+    first positive-weight prefix: m * w0 = m0 * w.  The witness is the first
+    failing (t, prefix).
     """
     name = "joint-factorization"
+    a = p.weight
     for t in range(p.horizon + 1):
-        marg = p.marginal(t)
+        masses = p.marginal(t).masses
         for k in range(p.count_cap + 1):
-            common = None
+            m0 = w0 = None
             for prefix in combinat.enumerate_compositions(t + 1, k):
-                prob = marg.get(prefix, ZERO)
-                w = p.weight.product(prefix)
+                m = masses.get(prefix, 0)
+                w = a.scaled_product(prefix)
                 if w == 0:
-                    ok = prob == 0
+                    ok = m == 0
                 else:
-                    value = prob / w
-                    if common is None:
-                        common = value
-                    ok = value == common
+                    if w0 is None:
+                        m0, w0 = m, w
+                    ok = m * w0 == m0 * w
                 if not ok:
                     return CheckOutcome(name, False, f"prefix {(t, prefix)}")
     return CheckOutcome(name, True)
@@ -310,19 +335,29 @@ def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
     Both arrival descriptions share one walk over the events: prefix sums
     map the k-tuples of gaps summing to at most M one-to-one onto the
     nondecreasing k-tuples of times in 0..M, keeping lexicographic order, so
-    each event is evaluated once for both formulas.
+    each event is evaluated once for both formulas.  The formula value of an
+    event with prefix x is R_t(k) * w / L**(t+1), w = prod L * a(x_j), kept
+    as the integer pair (numerator, denominator) that a probability is
+    cross-multiplied with.
     """
     out = [check_weight_model_conditionals(p), check_mixed_geometric_form(p)]
     if not out[1].passed:
         return out
+    weigh = p.weight.scaled_product
+    powers = [p.weight.scale**cells for cells in range(p.horizon + 2)]
 
-    def factored(profile: JumpPath) -> Fraction:
+    def factored(profile: JumpPath) -> tuple[int, int]:
         # R is the structure function once the joint factorizes; a positive
         # weight means a positive normalizer, so the lookup never raises
-        w = p.weight.product(profile)
+        w = weigh(profile)
         if w == 0:
-            return ZERO
-        return structure_function(p, len(profile) - 1, sum(profile)) * w
+            return 0, 1
+        r = structure_function(p, len(profile) - 1, sum(profile))
+        return r.numerator * w, r.denominator * powers[len(profile)]
+
+    def misses(law: Fraction, expected: tuple[int, int]) -> bool:
+        num, den = expected
+        return law.numerator * den != num * law.denominator
 
     events = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(p.horizon + 1), k)
@@ -334,9 +369,9 @@ def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
         expected = factored(_arrival_profile(times, p.horizon))
         gap_law = interarrival_event_probability(p, gaps)
         time_law = arrival_event_probability(p, times)
-        if by_gaps is None and gap_law != expected:
+        if by_gaps is None and misses(gap_law, expected):
             by_gaps = f"gaps {gaps}"
-        if by_times is None and time_law != expected:
+        if by_times is None and misses(time_law, expected):
             by_times = f"times {times}"
         elif by_times is None and gap_law != time_law:
             by_times = f"times {times} vs gaps {list(gaps)}"
@@ -357,12 +392,12 @@ def transition_probability(p: FiniteProcess, t: int, k: int, i: int) -> Fraction
         raise ValueError(f"transition time {t} outside 0..{p.horizon - 1}")
     if i < 0:
         raise ValueError(f"jump amount must be >= 0, got {i}")
-    here = count_distribution(p, t).get(k, ZERO)
+    here = _count_law(p, t).get(k, ZERO)
     if here == 0:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
     if i > p.weight.x_max:
         return ZERO
-    if count_distribution(p, t + 1).get(k + i, ZERO) == 0:
+    if _count_law(p, t + 1).get(k + i, ZERO) == 0:
         return ZERO
     return (
         p.weight(i)

@@ -8,6 +8,7 @@ emitted in sorted key order so equal objects serialize to identical bytes.
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 from .models import (
@@ -15,6 +16,7 @@ from .models import (
     OccupancyDistribution,
     WeightFunction,
     builtin_weight,
+    masses_of,
 )
 from .process import FiniteProcess, build_process
 
@@ -31,10 +33,18 @@ def fraction_from_str(s) -> Fraction:
 
 
 def table_doc(n: int, r: int, table: dict) -> dict:
-    """Canonical document for any exact table keyed by int tuples."""
-    entries = [
-        [*key, fraction_to_str(table[key])] for key in sorted(table)
-    ]
+    """Canonical document for any exact table keyed by int tuples.
+
+    Each entry is written from its integer mass (see ``masses_of``) in
+    lowest terms, as ``fraction_to_str`` would write its probability.
+    """
+    den, masses = masses_of(table)
+    entries = []
+    for key in sorted(masses):
+        m = masses[key]
+        g = math.gcd(m, den)
+        q = f"{m // g}/{den // g}" if g != den else str(m // g)
+        entries.append([*key, q])
     return {"n": n, "r": r, "entries": entries}
 
 
@@ -136,8 +146,7 @@ def rows_to_csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(list(row))
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -16,6 +16,7 @@ from .errors import ConditioningError, EmptySupportError
 from .models import (
     ONE,
     ZERO,
+    FractionTable,
     MixingSpec,
     OccupancyDistribution,
     WeightFunction,
@@ -515,22 +516,27 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
     def markov_transitions():
         for label, p in processes:
             for t in range(p.horizon):
-                # P{N_t = k, J_{t+1} = i} for every cell, in one pass
-                cells: dict[tuple[int, int], Fraction] = {}
-                for prefix, pr in p.marginal(t + 1).items():
+                # the masses of P{N_t = k, J_{t+1} = i} for every cell, in
+                # one pass, over the denominator of marginal(t + 1)
+                fine = p.marginal(t + 1)
+                cells: dict[tuple[int, int], int] = {}
+                for prefix, m in fine.masses.items():
                     key = (sum(prefix[:-1]), prefix[-1])
-                    cells[key] = cells.get(key, ZERO) + pr
+                    cells[key] = cells.get(key, 0) + m
                 for k, mass in count_distribution(p, t).items():
                     if not mass:
                         continue
+                    # each step must equal cells[k, i] / (denominator * mass)
+                    scale = fine.denominator * mass.numerator
+                    steps = []
                     for i in range(p.count_cap - k + 1):
-                        direct = cells.get((k, i), ZERO) / mass
-                        if transition_probability(p, t, k, i) != direct:
+                        step = transition_probability(p, t, k, i)
+                        if step.numerator * scale != (
+                            cells.get((k, i), 0) * mass.denominator * step.denominator
+                        ):
                             return f"{label} (t,k,i)=({t},{k},{i})"
-                    row = sum(
-                        transition_probability(p, t, k, i)
-                        for i in range(p.count_cap - k + 1)
-                    )
+                        steps.append(step)
+                    row = sum(steps)
                     if row != 1:
                         return f"{label} row (t,k)=({t},{k}) sums to {row}"
         return None
@@ -555,11 +561,11 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
             for t in range(1, p.horizon + 1):
                 coarse = p.marginal(t - 1)
                 fine = p.marginal(t)
-                acc: dict[tuple, Fraction] = {}
-                for prefix, pr in fine.items():
+                acc: dict[tuple, int] = {}
+                for prefix, m in fine.masses.items():
                     key = prefix[:-1]
-                    acc[key] = acc.get(key, ZERO) + pr
-                if acc != coarse:
+                    acc[key] = acc.get(key, 0) + m
+                if FractionTable.lowest(fine.denominator, acc) != coarse:
                     return f"{label} t={t}"
         return None
 

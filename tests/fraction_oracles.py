@@ -1,21 +1,33 @@
 """Per-entry ``Fraction`` constructions of the model, process and transform
-tables: the straightforward bodies that the integer-mass paths in ``eomkit``
-replace.  Each returns a plain dict of exact probabilities, so a test can
-compare a fast path with its oracle table for table.  Normalizers are the
-literal sums over the composition space, independent of the row memo.
+tables, and the ``Fraction`` forms of the process characterization checks:
+the straightforward bodies that the integer-mass paths in ``eomkit``
+replace.  Each table builder returns a plain dict of exact probabilities, so
+a test can compare a fast path with its oracle table for table; each check
+returns the same ``CheckOutcome`` list as its fast path.  Weights are read
+one value at a time through ``a(v)``, normalizers are the literal sums over
+the composition space, and process laws are summed from the joint's
+``Fraction`` view, so no oracle calls the code it judges.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from eomkit import combinat
 from eomkit.errors import ConditioningError, EmptySupportError
+from eomkit.report import CheckOutcome
 
 ZERO = Fraction(0)
 
 
+def weight_product(a, x) -> Fraction:
+    return math.prod((a(v) for v in x), start=Fraction(1))
+
+
 def literal_normalizer(a, n: int, r: int) -> Fraction:
     return sum(
-        (a.product(x) for x in combinat.enumerate_compositions(n, r)), start=ZERO
+        (weight_product(a, x) for x in combinat.enumerate_compositions(n, r)),
+        start=ZERO,
     )
 
 
@@ -25,7 +37,7 @@ def weight_model(a, n: int, r: int) -> dict:
         raise EmptySupportError(f"no mass over {n} cells and {r} particles")
     table = {}
     for x in combinat.enumerate_compositions(n, r):
-        w = a.product(x)
+        w = weight_product(a, x)
         if w:
             table[x] = w / c
     return table
@@ -42,7 +54,7 @@ def build_process(a, horizon: int, terminal_law) -> dict:
         if c == 0:
             raise EmptySupportError(f"terminal count {k} is unreachable")
         for path in combinat.enumerate_compositions(cells, k):
-            w = a.product(path)
+            w = weight_product(a, path)
             if w:
                 joint[path] = pk / c * w
     return joint
@@ -83,3 +95,91 @@ def condition_on_partial_sum(table: dict, n: int, s: int) -> dict:
     if total == 0:
         raise ConditioningError(f"first {n} cells never hold {s} particles")
     return {x: p / total for x, p in acc.items()}
+
+
+def prefix_law(p, t: int) -> dict:
+    """P{(J_0, ..., J_t) = x}, summed from the joint."""
+    law = {}
+    for path, pr in p.joint.items():
+        prefix = path[: t + 1]
+        law[prefix] = law.get(prefix, ZERO) + pr
+    return law
+
+
+def count_law(p, t: int) -> dict:
+    """P{N_t = k} for k = 0..cap, summed from the joint."""
+    law = dict.fromkeys(range(p.count_cap + 1), ZERO)
+    for path, pr in p.joint.items():
+        law[sum(path[: t + 1])] += pr
+    return law
+
+
+def check_weight_model_conditionals(p) -> CheckOutcome:
+    name = "jump-conditionals-product-form"
+    for t in range(p.horizon + 1):
+        marg = prefix_law(p, t)
+        for k, mass in count_law(p, t).items():
+            if not mass:
+                continue
+            c = literal_normalizer(p.weight, t + 1, k)
+            if c == 0 or any(
+                marg.get(x, ZERO) * c != mass * weight_product(p.weight, x)
+                for x in combinat.enumerate_compositions(t + 1, k)
+            ):
+                return CheckOutcome(name, False, f"(t,k)={(t, k)}")
+    return CheckOutcome(name, True)
+
+
+def check_mixed_geometric_form(p) -> CheckOutcome:
+    name = "joint-factorization"
+    for t in range(p.horizon + 1):
+        marg = prefix_law(p, t)
+        for k in range(p.count_cap + 1):
+            common = None
+            for prefix in combinat.enumerate_compositions(t + 1, k):
+                prob = marg.get(prefix, ZERO)
+                w = weight_product(p.weight, prefix)
+                if w == 0:
+                    ok = prob == 0
+                else:
+                    value = prob / w
+                    if common is None:
+                        common = value
+                    ok = value == common
+                if not ok:
+                    return CheckOutcome(name, False, f"prefix {(t, prefix)}")
+    return CheckOutcome(name, True)
+
+
+def check_characterizations(p) -> list:
+    """The four outcomes.  The arrival events are walked one by one: the
+    event with times T pins the jump prefix x up to its last time t, whose
+    probability must be P{N_t = k} / C_{t+1}(k) * prod a(x_j), k = sum x.
+    The gap and time routes read that one probability, so both fail at the
+    first event that misses."""
+    out = [check_weight_model_conditionals(p), check_mixed_geometric_form(p)]
+    if not out[1].passed:
+        return out
+    laws = [prefix_law(p, t) for t in range(p.horizon + 1)]
+    counts = [count_law(p, t) for t in range(p.horizon + 1)]
+    events = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(p.horizon + 1), k)
+        for k in range(1, p.count_cap + 1)
+    )
+    for times in events:
+        profile = [0] * (times[-1] + 1)
+        for h in times:
+            profile[h] += 1
+        t, k = len(profile) - 1, len(times)
+        w = weight_product(p.weight, profile)
+        expected = counts[t][k] / literal_normalizer(p.weight, t + 1, k) * w if w else ZERO
+        if laws[t].get(tuple(profile), ZERO) != expected:
+            gaps = (times[0],) + tuple(b - a for a, b in zip(times, times[1:]))
+            return out + [
+                CheckOutcome("interarrival-product-formula", False, f"gaps {gaps}"),
+                CheckOutcome("arrival-product-formula", False, f"times {times}"),
+            ]
+    return out + [
+        CheckOutcome("interarrival-product-formula", True),
+        CheckOutcome("arrival-product-formula", True),
+    ]

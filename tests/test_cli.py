@@ -331,3 +331,14 @@ def test_sample_csv_bytes_are_pinned(tmp_path):
         proc = run_cli("sample", "--spec", str(path), "--paths", "50", "--seed", "3",
                        check=True)
         assert proc.stdout == expected, name
+
+
+def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
+    from eomkit import cli
+
+    def refuse():
+        raise AssertionError("build_parser called after import")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert cli.main(["enumerate", "--n", "2", "--r", "2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "x1,x2\n0,2\n1,1\n2,0\n"

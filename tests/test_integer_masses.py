@@ -110,6 +110,26 @@ def test_build_process_matches_fraction_oracle(horizon, cap, data):
     assert_lowest_terms(build_process(a, horizon, pi).joint, expected)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(weights), st.data())
+def test_product_matches_the_product_of_single_weights(a, data):
+    x = data.draw(st.lists(st.integers(0, a.x_max), max_size=5))
+    assert a.product(x) == math.prod((a(v) for v in x), start=F(1))
+    assert a.scaled_product(x) == a.product(x) * a.scale ** len(x)
+    # the first occupancy outside the table is reported, as a(v) reports it
+    bad = data.draw(st.sampled_from([-1, a.x_max + 1]))
+    x.insert(data.draw(st.integers(0, len(x))), bad)
+    x.append(-2)
+    with pytest.raises(ValueError) as expected:
+        a(bad)
+    with pytest.raises(ValueError) as raised:
+        a.product(x)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == (
+        f"weight undefined at occupancy {bad} (table covers 0..{a.x_max})"
+    )
+
+
 def test_equal_tables_have_equal_storage():
     halves = OccupancyDistribution.from_masses(2, 1, 6, {(0, 1): 3, (1, 0): 3})
     assert (halves.table.denominator, halves.table.masses) == (2, {(0, 1): 1, (1, 0): 1})

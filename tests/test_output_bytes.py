@@ -57,6 +57,12 @@ DIGESTS = {
         "2d3565964ede9785d32544a6d57973db6ff648623a5a52589fcb0d774677e7b7",
     ("verify", "--suite", "theorem", "--horizon", "2"):
         "e9694e56ea1e55c6a2ebf592a281d24a899731eea3bd7184083af59e48e9dd91",
+    # a passing report names no witness, so these two read as the one
+    # above: they pin that the suite still passes at these bounds
+    ("verify", "--suite", "theorem", "--horizon", "3", "--seed", "3"):
+        "e9694e56ea1e55c6a2ebf592a281d24a899731eea3bd7184083af59e48e9dd91",
+    ("verify", "--suite", "theorem", "--horizon", "4"):
+        "e9694e56ea1e55c6a2ebf592a281d24a899731eea3bd7184083af59e48e9dd91",
 }
 
 
@@ -84,3 +90,12 @@ def test_stdout_bytes_are_pinned(workdir, command):
         for a in command
     ]
     assert stdout_digest(argv) == DIGESTS[command]
+
+
+def test_parses_in_one_process_share_no_defaults():
+    # main parses with one parser for the whole process: a flag given to one
+    # call must not carry over to the next
+    labels = ("model", "--weight", "mb", "--n", "3", "--r", "4", "--labels")
+    plain = labels[:-1]
+    for command in (labels, plain, labels):
+        assert stdout_digest(list(command)) == DIGESTS[command]

@@ -5,8 +5,9 @@ import math
 import random
 from fractions import Fraction
 
+import fraction_oracles as oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eomkit import combinat, process
@@ -291,13 +292,19 @@ def test_sample_path_determinism(flat_process):
 
 
 @st.composite
-def arbitrary_processes(draw):
+def arbitrary_processes(draw, max_denominator=1):
     """A weight table with zeros and any joint on paths of total at most its
-    x_max; the joint need not factorize."""
+    x_max; the joint need not factorize.  The weights are integers unless
+    ``max_denominator`` > 1, when they are rationals with denominators up to
+    it, so that L, the lcm of those denominators, is not always 1."""
     horizon = draw(st.integers(0, 3))
     cap = draw(st.integers(0, 4))
     values = draw(
-        st.lists(st.integers(0, 4), min_size=cap + 1, max_size=cap + 1).filter(any)
+        st.lists(
+            st.builds(F, st.integers(0, 4), st.integers(1, max_denominator)),
+            min_size=cap + 1,
+            max_size=cap + 1,
+        ).filter(any)
     )
     paths = [
         path
@@ -308,7 +315,26 @@ def arbitrary_processes(draw):
     masses = draw(st.lists(st.integers(1, 9), min_size=len(chosen), max_size=len(chosen)))
     total = sum(masses)
     joint = {path: F(m, total) for path, m in zip(chosen, masses)}
-    return FiniteProcess(WeightFunction(tuple(F(v) for v in values)), horizon, joint)
+    return FiniteProcess(WeightFunction(tuple(values)), horizon, joint)
+
+
+@st.composite
+def built_processes(draw):
+    """``build_process`` of a rational weight (denominators 1..6, zeros
+    allowed) and a random terminal law, half the time perturbed by
+    ``perturbed_process``: joints that factorize, or nearly do."""
+    horizon = draw(st.integers(0, 3))
+    cap = draw(st.integers(0, 4))
+    rationals = st.builds(F, st.integers(0, 4), st.integers(1, 6))
+    values = draw(st.lists(rationals, min_size=cap + 1, max_size=cap + 1).filter(any))
+    raw = draw(st.lists(rationals, min_size=cap + 1, max_size=cap + 1).filter(any))
+    try:
+        p = build_process(WeightFunction(tuple(values)), horizon, [v / sum(raw) for v in raw])
+    except EmptySupportError:
+        assume(False)
+    if draw(st.booleans()):
+        return perturbed_process(p) or p
+    return p
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,6 +480,18 @@ def test_mixed_geometric_form_matches_structure_function(p):
     )
     assert first < bad
     assert density / weight(bad) != joint_jump_density(p, t, first) / weight(first)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        arbitrary_processes(),
+        arbitrary_processes(max_denominator=6),
+        built_processes(),
+    )
+)
+def test_characterizations_match_fraction_oracle(p):
+    assert check_characterizations(p) == oracle.check_characterizations(p)
 
 
 def two_table_conditionals(p):
