@@ -34,7 +34,8 @@ class WeightFunction:
     the integers L * a(x): every model and process table is built from these,
     with the normalizers of the scaled weight as denominators.
     ``_power_rows`` memoizes the integer coefficient rows of A'(z)**n, where
-    A'(z) = sum_x L * a(x) z^x (see ``_power_row``).  The three live as long
+    A'(z) = sum_x L * a(x) z^x (see ``_power_row``), and ``_weighted`` the
+    tables of ``weighted_compositions`` per (n, r).  All four live as long
     as the weight object and take no part in equality, hashing or repr.
     """
 
@@ -44,6 +45,9 @@ class WeightFunction:
     scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _power_rows: list = field(
         default_factory=list, init=False, repr=False, compare=False, hash=False
+    )
+    _weighted: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
 
     def __post_init__(self):
@@ -96,6 +100,28 @@ class WeightFunction:
         """{x: scaled_product(x)} over the keys with a positive product."""
         weigh = self.scaled_product
         return {x: w for x in keys if (w := weigh(x))}
+
+    def weighted_compositions(self, n: int, r: int) -> dict:
+        """{x: scaled_product(x)} over every length-``n`` composition of
+        ``r``, zero products included, in lexicographic order.
+
+        Memoized per (n, r) on the weight: the process builder and checks
+        read each table many times.  The memo is returned itself, so callers
+        must not mutate it.  ``r`` must lie in 0..x_max, and the composition
+        budget is charged before any composition is listed.  One-shot tables
+        (``weight_model``) use ``scaled_products`` instead, so that no second
+        copy outlives them.
+        """
+        table = self._weighted.get((n, r))
+        if table is None:
+            if r > self.x_max:
+                raise ValueError(
+                    f"weight table covers 0..{self.x_max} but occupancies up to {r} are possible"
+                )
+            weigh = self.scaled_product
+            table = {x: weigh(x) for x in combinat.enumerate_compositions(n, r)}
+            self._weighted[(n, r)] = table
+        return table
 
     def support(self) -> list[int]:
         return [x for x, v in enumerate(self.values) if v > 0]
@@ -171,6 +197,9 @@ class FractionTable(Mapping):
 
     def __getitem__(self, key) -> Fraction:
         return self.fractions()[key]
+
+    def get(self, key, default=None):
+        return self.fractions().get(key, default)
 
     def __iter__(self):
         return iter(self.masses)

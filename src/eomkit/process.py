@@ -10,6 +10,7 @@ equivalent arrival/inter-arrival formulas on arbitrary joints.
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,9 +44,10 @@ class FiniteProcess:
 
     The laws derived from the joint are computed once and cached on the
     process for its lifetime: prefix marginals per t (``marginal``), count
-    masses and count laws per t (``count_distribution``) and structure
-    values per (t, k) (``structure_function``).  The caches take no part in
-    equality.
+    masses, count laws and the prefix masses grouped by count per t
+    (``count_distribution``, ``conditional_jumps_given_count``) and
+    structure values per (t, k) (``structure_function``).  The caches take
+    no part in equality.
     """
 
     weight: WeightFunction
@@ -54,6 +56,7 @@ class FiniteProcess:
     _marginals: dict = field(default_factory=dict, repr=False, compare=False)
     _count_masses: dict = field(default_factory=dict, repr=False, compare=False)
     _count_laws: dict = field(default_factory=dict, repr=False, compare=False)
+    _count_groups: dict = field(default_factory=dict, repr=False, compare=False)
     _structure: dict = field(default_factory=dict, repr=False, compare=False)
     count_cap: int = field(init=False, repr=False, compare=False)
 
@@ -82,15 +85,16 @@ class FiniteProcess:
 
     def marginal(self, t: int) -> FractionTable:
         """Exact law of the jump prefix (J_0, ..., J_t)."""
-        if not 0 <= t <= self.horizon:
-            raise ValueError(f"time {t} outside 0..{self.horizon}")
-        if t not in self._marginals:
+        table = self._marginals.get(t)
+        if table is None:
+            if not 0 <= t <= self.horizon:
+                raise ValueError(f"time {t} outside 0..{self.horizon}")
             acc: dict[JumpPath, int] = {}
             for path, m in self.joint.masses.items():
                 key = path[: t + 1]
                 acc[key] = acc.get(key, 0) + m
-            self._marginals[t] = FractionTable.lowest(self.joint.denominator, acc)
-        return self._marginals[t]
+            table = self._marginals[t] = FractionTable.lowest(self.joint.denominator, acc)
+        return table
 
 
 def build_process(
@@ -132,8 +136,8 @@ def build_process(
     masses: dict[JumpPath, int] = {}
     for k, s in scales.items():
         factor = s.numerator * (den // s.denominator)
-        products = a.scaled_products(combinat.enumerate_compositions(cells, k))
-        masses.update((path, factor * w) for path, w in products.items())
+        products = a.weighted_compositions(cells, k)
+        masses.update((path, factor * w) for path, w in products.items() if w)
     return FiniteProcess.from_masses(a, horizon, den, masses)
 
 
@@ -147,29 +151,48 @@ def joint_jump_density(p: FiniteProcess, t: int, jumps) -> Fraction:
     return p.marginal(t).get(jumps, ZERO)
 
 
-def _count_masses(p: FiniteProcess, t: int) -> list[int]:
-    """M_t(k) for k = 0..cap: P{N_t = k} times ``p.marginal(t).denominator``.
+def _count_masses(p: FiniteProcess, t: int) -> tuple[int, list[int]]:
+    """(D_t, [M_t(0), ..., M_t(cap)]): the denominator D_t of
+    ``p.marginal(t)`` and the count masses M_t(k) = P{N_t = k} * D_t.
 
-    Cached on ``p`` per t.  The cached list is returned itself, so callers
+    Cached on ``p`` per t, so that D_t is read with the masses and not
+    from ``marginal`` again.  The cached list is returned itself, so callers
     must not mutate it.
     """
-    masses = p._count_masses.get(t)
-    if masses is None:
+    entry = p._count_masses.get(t)
+    if entry is None:
+        marginal = p.marginal(t)
         masses = [0] * (p.count_cap + 1)
-        for prefix, m in p.marginal(t).masses.items():
+        for prefix, m in marginal.masses.items():
             masses[sum(prefix)] += m
-        p._count_masses[t] = masses
-    return masses
+        entry = p._count_masses[t] = (marginal.denominator, masses)
+    return entry
 
 
 def _count_law(p: FiniteProcess, t: int) -> dict[int, Fraction]:
     """The cached law of N_t (see ``count_distribution``), not copied."""
     law = p._count_laws.get(t)
     if law is None:
-        den = p.marginal(t).denominator
-        law = {k: Fraction(m, den) for k, m in enumerate(_count_masses(p, t))}
+        den, masses = _count_masses(p, t)
+        law = {k: Fraction(m, den) for k, m in enumerate(masses)}
         p._count_laws[t] = law
     return law
+
+
+def _count_groups(p: FiniteProcess, t: int) -> dict[int, dict[JumpPath, int]]:
+    """{k: {prefix: m}}: the masses of ``p.marginal(t)`` grouped by total.
+
+    Each group keeps the order of the marginal; only totals with mass have
+    a group.  Cached on ``p`` per t and returned itself, so callers must not
+    mutate it.
+    """
+    groups = p._count_groups.get(t)
+    if groups is None:
+        groups = {}
+        for prefix, m in p.marginal(t).masses.items():
+            groups.setdefault(sum(prefix), {})[prefix] = m
+        p._count_groups[t] = groups
+    return groups
 
 
 def count_distribution(p: FiniteProcess, t: int) -> dict[int, Fraction]:
@@ -199,25 +222,30 @@ def structure_function(p: FiniteProcess, t: int, k: int) -> Fraction:
     if value is None:
         c = normalization_constant(p.weight, t + 1, k)
         if c == 0:
-            raise EmptySupportError(
-                f"structure function undefined at t={t}, k={k}: no positive-weight path"
-            )
+            raise _undefined_structure(t, k)
         value = _count_law(p, t).get(k, ZERO) / c
         p._structure[(t, k)] = value
     return value
 
 
+def _undefined_structure(t: int, k: int) -> EmptySupportError:
+    return EmptySupportError(
+        f"structure function undefined at t={t}, k={k}: no positive-weight path"
+    )
+
+
 def conditional_jumps_given_count(
     p: FiniteProcess, t: int, k: int
 ) -> OccupancyDistribution:
-    """Law of (J_0, ..., J_t) given N_t = k, as an occupancy model."""
-    masses = {
-        prefix: m for prefix, m in p.marginal(t).masses.items() if sum(prefix) == k
-    }
-    total = sum(masses.values())
-    if total == 0:
+    """Law of (J_0, ..., J_t) given N_t = k, as an occupancy model.
+
+    Built from a copy of the cached group of prefixes of total k (see
+    ``_count_groups``).
+    """
+    group = _count_groups(p, t).get(k)
+    if group is None:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
-    return OccupancyDistribution.from_masses(t + 1, k, total, masses)
+    return OccupancyDistribution.from_masses(t + 1, k, sum(group.values()), dict(group))
 
 
 def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
@@ -228,21 +256,21 @@ def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
     composition x of k.  On the masses m of ``marginal(t)``, the count
     masses M_t(k) over the same denominator and the scaled weight, that is
     the integer identity m(x) * C'_{t+1}(k) = M_t(k) * prod L * a(x_j),
-    compared in place.  The witness is the first failing (t, k).  A count
-    with mass that no positive-weight prefix reaches has no product-form
-    model, so it fails.
+    compared in place over the weight's memoized ``weighted_compositions``.
+    The witness is the first failing (t, k).  A count with mass that no
+    positive-weight prefix reaches has no product-form model, so it fails.
     """
     name = "jump-conditionals-product-form"
     a = p.weight
     for t in range(p.horizon + 1):
         masses = p.marginal(t).masses
-        for k, mass in enumerate(_count_masses(p, t)):
+        for k, mass in enumerate(_count_masses(p, t)[1]):
             if not mass:
                 continue
             c = scaled_normalizer(a, t + 1, k)
             if c == 0 or any(
-                masses.get(x, 0) * c != mass * a.scaled_product(x)
-                for x in combinat.enumerate_compositions(t + 1, k)
+                masses.get(x, 0) * c != mass * w
+                for x, w in a.weighted_compositions(t + 1, k).items()
             ):
                 return CheckOutcome(name, False, f"(t,k)={(t, k)}")
     return CheckOutcome(name, True)
@@ -264,9 +292,8 @@ def check_mixed_geometric_form(p: FiniteProcess) -> CheckOutcome:
         masses = p.marginal(t).masses
         for k in range(p.count_cap + 1):
             m0 = w0 = None
-            for prefix in combinat.enumerate_compositions(t + 1, k):
+            for prefix, w in a.weighted_compositions(t + 1, k).items():
                 m = masses.get(prefix, 0)
-                w = a.scaled_product(prefix)
                 if w == 0:
                     ok = m == 0
                 else:
@@ -283,14 +310,18 @@ def _arrival_profile(arrival_times, horizon: int) -> JumpPath:
     times = tuple(arrival_times)
     if not times:
         raise ValueError("at least one arrival time is required")
-    if any(t < 0 for t in times):
+    if min(times) < 0:
         raise ValueError(f"arrival times must be >= 0, got {times}")
-    if any(a > b for a, b in zip(times, times[1:])):
+    if list(times) != sorted(times):
         raise ValueError(f"arrival times {times} are not nondecreasing")
-    last = times[-1]
-    if last > horizon:
-        raise ValueError(f"arrival time {last} beyond horizon {horizon}")
-    jumps = [0] * (last + 1)
+    if times[-1] > horizon:
+        raise ValueError(f"arrival time {times[-1]} beyond horizon {horizon}")
+    return _profile(times)
+
+
+def _profile(times) -> JumpPath:
+    """Jump prefix (j_0..j_t) of valid nondecreasing arrival times."""
+    jumps = [0] * (times[-1] + 1)
     for t in times:
         jumps[t] += 1
     return tuple(jumps)
@@ -306,21 +337,19 @@ def interarrival_event_probability(p: FiniteProcess, gaps) -> Fraction:
     gaps = tuple(gaps)
     if not gaps:
         raise ValueError("at least one inter-arrival gap is required")
-    if any(z < 0 for z in gaps):
+    if min(gaps) < 0:
         raise ValueError(f"gaps must be >= 0, got {gaps}")
-    times = []
-    acc = 0
-    for z in gaps:
-        acc += z
-        times.append(acc)
-    profile = _arrival_profile(times, p.horizon)
-    return joint_jump_density(p, len(profile) - 1, profile)
+    return _prefix_density(p, _arrival_profile(itertools.accumulate(gaps), p.horizon))
 
 
 def arrival_event_probability(p: FiniteProcess, arrival_times) -> Fraction:
     """P{T_1 = times[0], ..., T_x = times[-1], T_{x+1} > times[-1]}."""
-    profile = _arrival_profile(arrival_times, p.horizon)
-    return joint_jump_density(p, len(profile) - 1, profile)
+    return _prefix_density(p, _arrival_profile(arrival_times, p.horizon))
+
+
+def _prefix_density(p: FiniteProcess, profile: JumpPath) -> Fraction:
+    """``joint_jump_density`` of a prefix that ``_arrival_profile`` built."""
+    return p.marginal(len(profile) - 1).get(profile, ZERO)
 
 
 def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
@@ -338,22 +367,25 @@ def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
     each event is evaluated once for both formulas.  The formula value of an
     event with prefix x is R_t(k) * w / L**(t+1), w = prod L * a(x_j), kept
     as the integer pair (numerator, denominator) that a probability is
-    cross-multiplied with.
+    cross-multiplied with.  The walk generates valid times, so it builds
+    each prefix without the validation of ``_arrival_profile`` and reads w
+    from the weight's ``weighted_compositions``.
     """
     out = [check_weight_model_conditionals(p), check_mixed_geometric_form(p)]
     if not out[1].passed:
         return out
-    weigh = p.weight.scaled_product
+    weighted = p.weight.weighted_compositions
     powers = [p.weight.scale**cells for cells in range(p.horizon + 2)]
 
-    def factored(profile: JumpPath) -> tuple[int, int]:
+    def factored(times) -> tuple[int, int]:
         # R is the structure function once the joint factorizes; a positive
         # weight means a positive normalizer, so the lookup never raises
-        w = weigh(profile)
+        t, k = times[-1], len(times)
+        w = weighted(t + 1, k)[_profile(times)]
         if w == 0:
             return 0, 1
-        r = structure_function(p, len(profile) - 1, sum(profile))
-        return r.numerator * w, r.denominator * powers[len(profile)]
+        r = structure_function(p, t, k)
+        return r.numerator * w, r.denominator * powers[t + 1]
 
     def misses(law: Fraction, expected: tuple[int, int]) -> bool:
         num, den = expected
@@ -365,15 +397,20 @@ def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
     )
     by_gaps = by_times = None
     for times in events:
-        gaps = (times[0],) + tuple(b - a for a, b in zip(times, times[1:]))
-        expected = factored(_arrival_profile(times, p.horizon))
+        gaps = tuple(map(operator.sub, times, (0,) + times[:-1]))
+        expected = factored(times)
         gap_law = interarrival_event_probability(p, gaps)
         time_law = arrival_event_probability(p, times)
-        if by_gaps is None and misses(gap_law, expected):
+        miss = misses(gap_law, expected)
+        if by_gaps is None and miss:
             by_gaps = f"gaps {gaps}"
-        if by_times is None and misses(time_law, expected):
+        # both lookups read one stored value, so the time law is compared
+        # again only when it is another object
+        if time_law is not gap_law:
+            miss = misses(time_law, expected)
+        if by_times is None and miss:
             by_times = f"times {times}"
-        elif by_times is None and gap_law != time_law:
+        elif by_times is None and gap_law is not time_law and gap_law != time_law:
             by_times = f"times {times} vs gaps {list(gaps)}"
         if by_gaps and by_times:
             break
@@ -386,23 +423,37 @@ def transition_probability(p: FiniteProcess, t: int, k: int, i: int) -> Fraction
     """P{N_{t+1} = k + i | N_t = k} via the structure-function form.
 
     Equals a(i) * R_{t+1}(k+i) / R_t(k); returns 0 outright when the target
-    count is unreachable.
+    count is unreachable.  With R_t(k) = M_t(k) * L**(t+1) / (D_t *
+    C'_{t+1}(k)) (see ``_count_masses`` and ``scaled_normalizer``) the
+    powers of L cancel, leaving one Fraction of integers:
+    L * a(i) * M_{t+1}(k+i) * D_t * C'_{t+1}(k) over
+    D_{t+1} * C'_{t+2}(k+i) * M_t(k).  A zero normalizer raises as
+    ``structure_function`` does, for the target count first.
     """
     if not 0 <= t < p.horizon:
         raise ValueError(f"transition time {t} outside 0..{p.horizon - 1}")
     if i < 0:
         raise ValueError(f"jump amount must be >= 0, got {i}")
-    here = _count_law(p, t).get(k, ZERO)
+    cap = p.count_cap
+    den, masses = _count_masses(p, t)
+    here = masses[k] if 0 <= k <= cap else 0
     if here == 0:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
-    if i > p.weight.x_max:
+    if i > p.weight.x_max or k + i > cap:
         return ZERO
-    if _count_law(p, t + 1).get(k + i, ZERO) == 0:
+    next_den, next_masses = _count_masses(p, t + 1)
+    there = next_masses[k + i]
+    if there == 0:
         return ZERO
-    return (
-        p.weight(i)
-        * structure_function(p, t + 1, k + i)
-        / structure_function(p, t, k)
+    a = p.weight
+    c_there = scaled_normalizer(a, t + 2, k + i)
+    if c_there == 0:
+        raise _undefined_structure(t + 1, k + i)
+    c_here = scaled_normalizer(a, t + 1, k)
+    if c_here == 0:
+        raise _undefined_structure(t, k)
+    return Fraction(
+        a.scaled[i] * there * den * c_here, next_den * c_there * here
     )
 
 
@@ -412,13 +463,14 @@ def check_structure_recursion(p: FiniteProcess) -> bool:
     The sum is truncated at the count cap; omitted terms are exactly zero
     because no path reaches past the cap.
     """
+    support = p.weight.support()
     for t in range(1, p.horizon + 1):
         for k in range(p.count_cap + 1):
-            if normalization_constant(p.weight, t, k) == 0:
+            if scaled_normalizer(p.weight, t, k) == 0:
                 continue
             lhs = structure_function(p, t - 1, k)
             rhs = ZERO
-            for l in p.weight.support():
+            for l in support:
                 if k + l > p.count_cap:
                     break
                 rhs += p.weight(l) * structure_function(p, t, k + l)

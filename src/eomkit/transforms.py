@@ -236,10 +236,11 @@ def product_form_weights(d: OccupancyDistribution) -> WeightFunction | None:
         raise NonExchangeableError("product-form detection requires an exchangeable model")
     support = d.support()
     values = sorted({v for x in support for v in x})
+    allowed = set(values)
     expected = [
         x
         for x in combinat.enumerate_compositions(d.n, d.r)
-        if all(v in set(values) for v in x)
+        if allowed.issuperset(x)
     ]
     if expected != support:
         return None

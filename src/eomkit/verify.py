@@ -473,7 +473,11 @@ def _suite_processes(seed: int, max_horizon: int):
 
 
 def perturbed_process(p: FiniteProcess) -> FiniteProcess | None:
-    """Move half the mass of one path onto another path with the same total."""
+    """Move half the mass of one path onto another path with the same total.
+
+    Over twice the joint's denominator the donor keeps its mass m and the
+    receiver gains it, so the move is made on the integer masses.
+    """
     by_total: dict[int, list] = {}
     for path in sorted(p.joint):
         by_total.setdefault(sum(path), []).append(path)
@@ -481,11 +485,12 @@ def perturbed_process(p: FiniteProcess) -> FiniteProcess | None:
         paths = by_total[total]
         if len(paths) >= 2:
             donor, receiver = paths[0], paths[1]
-            eps = p.joint[donor] / 2
-            joint = dict(p.joint)
-            joint[donor] -= eps
-            joint[receiver] += eps
-            return FiniteProcess(p.weight, p.horizon, joint)
+            masses = {path: 2 * m for path, m in p.joint.masses.items()}
+            masses[donor] //= 2
+            masses[receiver] += masses[donor]
+            return FiniteProcess.from_masses(
+                p.weight, p.horizon, 2 * p.joint.denominator, masses
+            )
     return None
 
 

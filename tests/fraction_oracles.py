@@ -1,9 +1,10 @@
 """Per-entry ``Fraction`` constructions of the model, process and transform
-tables, and the ``Fraction`` forms of the process characterization checks:
-the straightforward bodies that the integer-mass paths in ``eomkit``
-replace.  Each table builder returns a plain dict of exact probabilities, so
-a test can compare a fast path with its oracle table for table; each check
-returns the same ``CheckOutcome`` list as its fast path.  Weights are read
+tables, and the ``Fraction`` forms of the process characterization checks
+and queries: the straightforward bodies that the integer-mass paths in
+``eomkit`` replace.  Each table builder returns a plain dict of exact
+probabilities, so a test can compare a fast path with its oracle table for
+table; each check returns the same ``CheckOutcome`` list as its fast path,
+and each query raises the same errors.  Weights are read
 one value at a time through ``a(v)``, normalizers are the literal sums over
 the composition space, and process laws are summed from the joint's
 ``Fraction`` view, so no oracle calls the code it judges.
@@ -97,6 +98,23 @@ def condition_on_partial_sum(table: dict, n: int, s: int) -> dict:
     return {x: p / total for x, p in acc.items()}
 
 
+def perturbed_joint(p) -> dict | None:
+    """The joint with half the mass of its first path moved onto its second
+    path of the same total, at the smallest total that has two paths."""
+    by_total = {}
+    for path in sorted(p.joint):
+        by_total.setdefault(sum(path), []).append(path)
+    for total in sorted(by_total):
+        paths = by_total[total]
+        if len(paths) >= 2:
+            joint = dict(p.joint)
+            eps = joint[paths[0]] / 2
+            joint[paths[0]] -= eps
+            joint[paths[1]] += eps
+            return joint
+    return None
+
+
 def prefix_law(p, t: int) -> dict:
     """P{(J_0, ..., J_t) = x}, summed from the joint."""
     law = {}
@@ -112,6 +130,39 @@ def count_law(p, t: int) -> dict:
     for path, pr in p.joint.items():
         law[sum(path[: t + 1])] += pr
     return law
+
+
+def conditional_given_count(p, t: int, k: int) -> dict:
+    """P{(J_0, ..., J_t) = x | N_t = k}: the prefix law filtered by sum."""
+    cond = {x: pr for x, pr in prefix_law(p, t).items() if sum(x) == k}
+    total = sum(cond.values(), start=ZERO)
+    if total == 0:
+        raise ConditioningError(f"count {k} at time {t} has probability zero")
+    return {x: pr / total for x, pr in cond.items()}
+
+
+def structure_value(p, t: int, k: int) -> Fraction:
+    """R_t(k) = P{N_t = k} / C_{t+1}(k), raising where C_{t+1}(k) = 0."""
+    c = literal_normalizer(p.weight, t + 1, k)
+    if c == 0:
+        raise EmptySupportError(
+            f"structure function undefined at t={t}, k={k}: no positive-weight path"
+        )
+    return count_law(p, t).get(k, ZERO) / c
+
+
+def transition_probability(p, t: int, k: int, i: int) -> Fraction:
+    """a(i) * R_{t+1}(k+i) / R_t(k), with the count laws summed from the
+    joint and the same checks, in the same order, as the fast path."""
+    if not 0 <= t < p.horizon:
+        raise ValueError(f"transition time {t} outside 0..{p.horizon - 1}")
+    if i < 0:
+        raise ValueError(f"jump amount must be >= 0, got {i}")
+    if count_law(p, t).get(k, ZERO) == 0:
+        raise ConditioningError(f"count {k} at time {t} has probability zero")
+    if i > p.weight.x_max or count_law(p, t + 1).get(k + i, ZERO) == 0:
+        return ZERO
+    return p.weight(i) * structure_value(p, t + 1, k + i) / structure_value(p, t, k)
 
 
 def check_weight_model_conditionals(p) -> CheckOutcome:

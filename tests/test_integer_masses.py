@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eomkit import (
+    BudgetExceededError,
     ConditioningError,
     EmptySupportError,
     OccupancyDistribution,
@@ -128,6 +129,30 @@ def test_product_matches_the_product_of_single_weights(a, data):
     assert str(raised.value) == (
         f"weight undefined at occupancy {bad} (table covers 0..{a.x_max})"
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(weights), st.integers(1, 4), st.data())
+def test_weighted_compositions_match_the_products_of_single_weights(a, n, data):
+    r = data.draw(st.integers(0, a.x_max))
+    table = a.weighted_compositions(n, r)
+    # every composition, zero products included, in lexicographic order
+    assert list(table.items()) == [
+        (x, oracle.weight_product(a, x) * a.scale**n)
+        for x in enumerate_compositions(n, r)
+    ]
+    assert a.weighted_compositions(n, r) is table  # served from the memo
+
+
+def test_weighted_compositions_charge_the_budget_before_memoizing():
+    a = WeightFunction((F(1),) * 6)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        a.weighted_compositions(100, 5)  # 91,962,520 compositions
+    with pytest.raises(ValueError, match="covers 0..5"):
+        a.weighted_compositions(3, 6)
+    assert a._weighted == {}
+    assert a.weighted_compositions(2, 5) == {(v, 5 - v): 1 for v in range(6)}
+    assert list(a._weighted) == [(2, 5)]
 
 
 def test_equal_tables_have_equal_storage():

@@ -1,19 +1,25 @@
-"""Byte identity of the command line's standard output.
+"""Byte identity of the command line's standard output and of the process
+queries.
 
 Each command below prints a table document, a CSV of seeded draws or a
 verification report.  The sha256 digests of those bytes are pinned, so any
 change to how tables are stored, transformed or sampled that alters a single
-output byte fails here.  A deliberate change of output must re-record them.
+output byte fails here.  A passing ``verify`` report names no witness, so the
+process layer's query results are pinned as well, through one digest over
+their canonical bytes.  A deliberate change of output must re-record them.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
 
+from eomkit import process
 from eomkit.cli import main
+from eomkit.models import WeightFunction, builtin_weight
 
 #: a rational weight table with a zero entry (a gap in its support)
 WEIGHT_FILE = {"values": ["3/7", "0", "5/2", "1/9", "2", "4/3"]}
@@ -99,3 +105,56 @@ def test_parses_in_one_process_share_no_defaults():
     plain = labels[:-1]
     for command in (labels, plain, labels):
         assert stdout_digest(list(command)) == DIGESTS[command]
+
+
+#: terminal law on 0..5 with a zero at count 1, which the WEIGHT_FILE
+#: weight cannot reach (a(1) = 0); fd holds at most M + 1 = 4 arrivals
+TERMINAL_LAW = ["1/6", "0", "1/4", "1/3", "1/8", "1/8"]
+FD_TERMINAL_LAW = ["1/6", "0", "1/4", "1/3", "1/4"]
+QUERY_DIGEST = "33304166c1fbf7ba29de602f0a1895d6af1618d142ed6a0477c0c8d3e21089c6"
+
+
+def query_bytes(p) -> bytes:
+    """Canonical bytes of the count laws, the count conditionals, the gap
+    and time laws of every arrival event, and the transition matrix."""
+    horizon, cap = p.horizon, p.count_cap
+    laws = [process.count_distribution(p, t) for t in range(horizon + 1)]
+    data = [[[str(law[k]) for k in sorted(law)] for law in laws]]
+    data.append([
+        [t, k, [[*x, str(q)] for x, q in sorted(
+            process.conditional_jumps_given_count(p, t, k).table.items())]]
+        for t, law in enumerate(laws) for k, mass in law.items() if mass
+    ])
+    events = []
+    for chi in range(1, cap + 1):
+        for times in itertools.combinations_with_replacement(range(horizon + 1), chi):
+            gaps = (times[0],) + tuple(b - a for a, b in zip(times, times[1:]))
+            events.append([
+                list(times),
+                str(process.arrival_event_probability(p, times)),
+                str(process.interarrival_event_probability(p, gaps)),
+            ])
+    data.append(events)
+    data.append([
+        [t, k, i, str(process.transition_probability(p, t, k, i))]
+        for t in range(horizon)
+        for k, mass in laws[t].items() if mass
+        for i in range(cap - k + 1)
+    ])
+    return json.dumps(data, separators=(",", ":")).encode()
+
+
+def test_process_query_bytes_are_pinned():
+    horizon = 3
+    processes = [
+        process.build_process(builtin_weight("mb", 5), horizon, TERMINAL_LAW),
+        process.build_process(builtin_weight("fd", 4), horizon, FD_TERMINAL_LAW),
+        process.build_process(builtin_weight("pc:2", 5), horizon, TERMINAL_LAW),
+        process.build_process(
+            WeightFunction(tuple(WEIGHT_FILE["values"])), horizon, TERMINAL_LAW
+        ),
+    ]
+    digest = hashlib.sha256()
+    for p in processes:
+        digest.update(query_bytes(p))
+    assert digest.hexdigest() == QUERY_DIGEST

@@ -566,3 +566,114 @@ def test_injected_fault_in_arrival_walk(faults, by_gaps, by_times, monkeypatch):
         ("interarrival-product-formula", by_gaps is None, by_gaps),
         ("arrival-product-formula", by_times is None, by_times),
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(built_processes(), arbitrary_processes(max_denominator=6)))
+def test_perturbation_moves_half_the_donor_mass(p):
+    expected = oracle.perturbed_joint(p)
+    bad = perturbed_process(p)
+    if expected is None:
+        assert bad is None
+        return
+    assert bad.joint == expected
+    assert bad == FiniteProcess(p.weight, p.horizon, expected)
+    assert math.gcd(bad.joint.denominator, *bad.joint.masses.values()) == 1
+
+
+def outcome_of(call, *args):
+    """The value of ``call(*args)``, or the type and text of what it raises."""
+    try:
+        return call(*args)
+    except (ValueError, EmptySupportError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_transitions_match_oracle(p):
+    for t in range(-1, p.horizon + 1):
+        for k in range(-1, p.count_cap + 2):
+            for i in range(-1, p.weight.x_max + 2):
+                args = (p, t, k, i)
+                assert outcome_of(transition_probability, *args) == outcome_of(
+                    oracle.transition_probability, *args
+                ), (t, k, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(built_processes(), arbitrary_processes(max_denominator=6)))
+def test_transitions_match_fraction_oracle(p):
+    assert_transitions_match_oracle(p)
+
+
+def test_transition_errors_match_oracle_at_zero_normalizers():
+    # count 2 at t=0 has mass, but one fd cell cannot hold it: C'_1(2) = 0
+    here = FiniteProcess(
+        builtin_weight("fd", 2), 1, {(0, 0): F(1, 2), (2, 0): F(1, 4), (1, 1): F(1, 4)}
+    )
+    # count 3 at t=1 has mass, but two fd cells cannot hold it: C'_2(3) = 0
+    there = FiniteProcess(builtin_weight("fd", 3), 1, {(0, 0): F(1, 2), (0, 3): F(1, 2)})
+    # both normalizers vanish: the target count is named first
+    both = FiniteProcess(
+        builtin_weight("fd", 3), 1, {(0, 0): F(1, 2), (3, 0): F(1, 4), (0, 3): F(1, 4)}
+    )
+    for p, args, text in (
+        (here, (0, 2, 0), "t=0, k=2"),
+        (there, (0, 0, 3), "t=1, k=3"),
+        (both, (0, 3, 0), "t=1, k=3"),
+    ):
+        expected = (
+            EmptySupportError,
+            f"structure function undefined at {text}: no positive-weight path",
+        )
+        for call in (transition_probability, oracle.transition_probability):
+            with pytest.raises(EmptySupportError) as caught:
+                call(p, *args)
+            assert (type(caught.value), str(caught.value)) == expected
+        assert_transitions_match_oracle(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(built_processes(), arbitrary_processes()))
+def test_count_conditionals_match_filter_by_sum(p):
+    for t in range(p.horizon + 1):
+        for k in range(-1, p.count_cap + 2):
+            try:
+                expected = oracle.conditional_given_count(p, t, k)
+            except ConditioningError as exc:
+                with pytest.raises(ConditioningError, match=str(exc)):
+                    conditional_jumps_given_count(p, t, k)
+                continue
+            first = conditional_jumps_given_count(p, t, k)
+            assert first.table == expected
+            stored = first.table.denominator, dict(first.table.masses)
+            # a caller that mutates its table leaves the cached group intact
+            for x in list(first.table.masses):
+                first.table.masses[x] += 1
+            first.table.masses[(k + 1,) * (t + 1)] = 1
+            again = conditional_jumps_given_count(p, t, k)
+            assert (again.table.denominator, again.table.masses) == stored
+    for t in (-1, p.horizon + 1):
+        with pytest.raises(ValueError, match=f"time {t} outside"):
+            conditional_jumps_given_count(p, t, 0)
+
+
+#: (event function, argument, error text) on ``flat_process`` (horizon 1):
+#: an argument breaking several rules gets the text of the first in order
+#: (negative, order, horizon); gaps add up to nondecreasing times >= 0, so
+#: only the horizon is left to the profile there
+ARRIVAL_ERRORS = [
+    (arrival_event_probability, (-1, 3, 2), "arrival times must be >= 0, got (-1, 3, 2)"),
+    (arrival_event_probability, (3, 2), "arrival times (3, 2) are not nondecreasing"),
+    (arrival_event_probability, (0, 2), "arrival time 2 beyond horizon 1"),
+    (arrival_event_probability, (), "at least one arrival time is required"),
+    (interarrival_event_probability, (-1, 3, 2), "gaps must be >= 0, got (-1, 3, 2)"),
+    (interarrival_event_probability, (0, 2), "arrival time 2 beyond horizon 1"),
+    (interarrival_event_probability, (), "at least one inter-arrival gap is required"),
+]
+
+
+@pytest.mark.parametrize("call, arg, text", ARRIVAL_ERRORS)
+def test_arrival_profile_errors_come_in_order(flat_process, call, arg, text):
+    with pytest.raises(ValueError) as caught:
+        call(flat_process, arg)
+    assert str(caught.value) == text
