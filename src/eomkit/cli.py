@@ -16,7 +16,6 @@ from .combinat import enumerate_compositions
 from .errors import EomkitError
 from .models import (
     WeightFunction,
-    builtin_weight,
     label_distribution,
     label_marginal,
     order_statistics_distribution,
@@ -30,8 +29,8 @@ from .verify import run_suite
 def _load_weight(spec: str, x_max: int) -> WeightFunction:
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as fh:
-            return serialize.weight_from_spec(json.load(fh), x_max)
-    return builtin_weight(spec, x_max)
+            spec = json.load(fh)
+    return serialize.weight_from_spec(spec, x_max)
 
 
 def _cmd_enumerate(args) -> int:

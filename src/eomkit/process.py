@@ -4,8 +4,9 @@ A process is stored as the exact joint law of its jump amounts
 (J_0, ..., J_M), as integer masses over one denominator.  Built from a weight
 table and a terminal count law, the joint factorizes as
 R_t(total) * prod_h a(j_h) at every time t, which makes the conditional law
-of the jumps given the count a product-form occupancy model; the checks in this module verify those characterizations and the
-equivalent arrival/inter-arrival formulas on arbitrary joints.
+of the jumps given the count a product-form occupancy model; the checks in
+this module verify those characterizations and the equivalent
+arrival/inter-arrival formulas on arbitrary joints.
 """
 
 import itertools
@@ -43,21 +44,18 @@ class FiniteProcess:
     largest total any path reaches, which is kept as ``count_cap``.
 
     The laws derived from the joint are computed once and cached on the
-    process for its lifetime: prefix marginals per t (``marginal``), count
-    masses, count laws and the prefix masses grouped by count per t
-    (``count_distribution``, ``conditional_jumps_given_count``) and
-    structure values per (t, k) (``structure_function``).  The caches take
-    no part in equality.
+    process for its lifetime: the prefix law per t (``marginal``), one count
+    record per t (see ``_counts``), which every count query reads, and the
+    structure values per (t, k) (``structure_function``).  The caches are
+    not constructor parameters and take no part in equality.
     """
 
     weight: WeightFunction
     horizon: int
     joint: FractionTable
-    _marginals: dict = field(default_factory=dict, repr=False, compare=False)
-    _count_masses: dict = field(default_factory=dict, repr=False, compare=False)
-    _count_laws: dict = field(default_factory=dict, repr=False, compare=False)
-    _count_groups: dict = field(default_factory=dict, repr=False, compare=False)
-    _structure: dict = field(default_factory=dict, repr=False, compare=False)
+    _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _structure: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     count_cap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -151,57 +149,37 @@ def joint_jump_density(p: FiniteProcess, t: int, jumps) -> Fraction:
     return p.marginal(t).get(jumps, ZERO)
 
 
-def _count_masses(p: FiniteProcess, t: int) -> tuple[int, list[int]]:
-    """(D_t, [M_t(0), ..., M_t(cap)]): the denominator D_t of
-    ``p.marginal(t)`` and the count masses M_t(k) = P{N_t = k} * D_t.
+def _counts(
+    p: FiniteProcess, t: int
+) -> tuple[int, list[int], dict[int, dict[JumpPath, int]]]:
+    """(D_t, [M_t(0), ..., M_t(cap)], {k: {prefix: m}}): the count record.
 
-    Cached on ``p`` per t, so that D_t is read with the masses and not
-    from ``marginal`` again.  The cached list is returned itself, so callers
-    must not mutate it.
-    """
-    entry = p._count_masses.get(t)
-    if entry is None:
-        marginal = p.marginal(t)
-        masses = [0] * (p.count_cap + 1)
-        for prefix, m in marginal.masses.items():
-            masses[sum(prefix)] += m
-        entry = p._count_masses[t] = (marginal.denominator, masses)
-    return entry
-
-
-def _count_law(p: FiniteProcess, t: int) -> dict[int, Fraction]:
-    """The cached law of N_t (see ``count_distribution``), not copied."""
-    law = p._count_laws.get(t)
-    if law is None:
-        den, masses = _count_masses(p, t)
-        law = {k: Fraction(m, den) for k, m in enumerate(masses)}
-        p._count_laws[t] = law
-    return law
-
-
-def _count_groups(p: FiniteProcess, t: int) -> dict[int, dict[JumpPath, int]]:
-    """{k: {prefix: m}}: the masses of ``p.marginal(t)`` grouped by total.
-
-    Each group keeps the order of the marginal; only totals with mass have
-    a group.  Cached on ``p`` per t and returned itself, so callers must not
+    ``p.marginal(t)`` grouped by total in one pass: its denominator D_t, the
+    count masses M_t(k) = P{N_t = k} * D_t, and its masses m per total k.
+    Each group keeps the order of the marginal; only totals with mass have a
+    group.  Cached on ``p`` per t and returned itself, so callers must not
     mutate it.
     """
-    groups = p._count_groups.get(t)
-    if groups is None:
-        groups = {}
-        for prefix, m in p.marginal(t).masses.items():
-            groups.setdefault(sum(prefix), {})[prefix] = m
-        p._count_groups[t] = groups
-    return groups
+    record = p._counts.get(t)
+    if record is None:
+        marginal = p.marginal(t)
+        masses = [0] * (p.count_cap + 1)
+        groups: dict[int, dict[JumpPath, int]] = {}
+        for prefix, m in marginal.masses.items():
+            k = sum(prefix)
+            masses[k] += m
+            groups.setdefault(k, {})[prefix] = m
+        record = p._counts[t] = (marginal.denominator, masses, groups)
+    return record
 
 
 def count_distribution(p: FiniteProcess, t: int) -> dict[int, Fraction]:
     """Exact law of the count N_t, tabulated for every total 0..cap.
 
-    Computed once per t and cached on ``p``; each call returns a fresh dict,
-    so a caller that mutates it leaves the cache intact.
+    Read from the count record; each call returns a fresh dict.
     """
-    return dict(_count_law(p, t))
+    den, masses, _ = _counts(p, t)
+    return {k: Fraction(m, den) for k, m in enumerate(masses)}
 
 
 def terminal_law(p: FiniteProcess) -> dict[int, Fraction]:
@@ -214,17 +192,21 @@ def structure_function(p: FiniteProcess, t: int, k: int) -> Fraction:
 
     Undefined (raises) when the normalization constant vanishes, i.e. when no
     positive-weight prefix reaches total ``k``.  Defined values are cached on
-    ``p`` per (t, k) for the lifetime of the process.
+    ``p`` per (t, k) for the lifetime of the process.  With the count record
+    and the scaled normalizer C'_{t+1}(k) = L**(t+1) * C_{t+1}(k) the value
+    is one Fraction of integers, M_t(k) * L**(t+1) over D_t * C'_{t+1}(k).
     """
     if k < 0:
         raise ValueError(f"count must be >= 0, got {k}")
     value = p._structure.get((t, k))
     if value is None:
-        c = normalization_constant(p.weight, t + 1, k)
+        a = p.weight
+        c = scaled_normalizer(a, t + 1, k)
         if c == 0:
             raise _undefined_structure(t, k)
-        value = _count_law(p, t).get(k, ZERO) / c
-        p._structure[(t, k)] = value
+        den, masses, _ = _counts(p, t)
+        mass = masses[k] if k <= p.count_cap else 0
+        value = p._structure[(t, k)] = Fraction(mass * a.scale ** (t + 1), den * c)
     return value
 
 
@@ -239,13 +221,14 @@ def conditional_jumps_given_count(
 ) -> OccupancyDistribution:
     """Law of (J_0, ..., J_t) given N_t = k, as an occupancy model.
 
-    Built from a copy of the cached group of prefixes of total k (see
-    ``_count_groups``).
+    Built from a copy of the group of prefixes of total k in the count
+    record (see ``_counts``), over the count mass M_t(k).
     """
-    group = _count_groups(p, t).get(k)
+    _, masses, groups = _counts(p, t)
+    group = groups.get(k)
     if group is None:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
-    return OccupancyDistribution.from_masses(t + 1, k, sum(group.values()), dict(group))
+    return OccupancyDistribution.from_masses(t + 1, k, masses[k], dict(group))
 
 
 def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
@@ -253,23 +236,25 @@ def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
 
     The law of the prefix given N_t = k is the model for (t+1, k) exactly
     when density(x) * normalizer = P{N_t = k} * prod a(x_j) for every
-    composition x of k.  On the masses m of ``marginal(t)``, the count
-    masses M_t(k) over the same denominator and the scaled weight, that is
-    the integer identity m(x) * C'_{t+1}(k) = M_t(k) * prod L * a(x_j),
-    compared in place over the weight's memoized ``weighted_compositions``.
-    The witness is the first failing (t, k).  A count with mass that no
-    positive-weight prefix reaches has no product-form model, so it fails.
+    composition x of k.  On the count record of t (see ``_counts``), with
+    the masses m of the group of total k, the count mass M_t(k) over the
+    same denominator and the scaled weight, that is the integer identity
+    m(x) * C'_{t+1}(k) = M_t(k) * prod L * a(x_j), compared in place over
+    the weight's memoized ``weighted_compositions``.  The witness is the
+    first failing (t, k).  A count with mass that no positive-weight prefix
+    reaches has no product-form model, so it fails.
     """
     name = "jump-conditionals-product-form"
     a = p.weight
     for t in range(p.horizon + 1):
-        masses = p.marginal(t).masses
-        for k, mass in enumerate(_count_masses(p, t)[1]):
+        _, masses, groups = _counts(p, t)
+        for k, mass in enumerate(masses):
             if not mass:
                 continue
+            group = groups[k]
             c = scaled_normalizer(a, t + 1, k)
             if c == 0 or any(
-                masses.get(x, 0) * c != mass * w
+                group.get(x, 0) * c != mass * w
                 for x, w in a.weighted_compositions(t + 1, k).items()
             ):
                 return CheckOutcome(name, False, f"(t,k)={(t, k)}")
@@ -281,19 +266,24 @@ def check_mixed_geometric_form(p: FiniteProcess) -> CheckOutcome:
 
     Every positive-weight prefix of the same length and total must have the
     same ratio of density to weight, and every zero-weight prefix must carry
-    zero probability.  On the masses m of ``marginal(t)`` and the scaled
-    weights w, the ratio of each prefix is cross-multiplied with that of the
-    first positive-weight prefix: m * w0 = m0 * w.  The witness is the first
-    failing (t, prefix).
+    zero probability.  On the masses m of the group of total k in the count
+    record of t (see ``_counts``) and the scaled weights w, the ratio of each
+    prefix is cross-multiplied with that of the first positive-weight
+    prefix: m * w0 = m0 * w.  A total with no mass passes outright (every
+    m is 0), so only the totals with a group are walked.  The witness is
+    the first failing (t, prefix).
     """
     name = "joint-factorization"
     a = p.weight
     for t in range(p.horizon + 1):
-        masses = p.marginal(t).masses
-        for k in range(p.count_cap + 1):
+        _, masses, groups = _counts(p, t)
+        for k, mass in enumerate(masses):
+            if not mass:
+                continue
+            group = groups[k]
             m0 = w0 = None
             for prefix, w in a.weighted_compositions(t + 1, k).items():
-                m = masses.get(prefix, 0)
+                m = group.get(prefix, 0)
                 if w == 0:
                     ok = m == 0
                 else:
@@ -424,8 +414,8 @@ def transition_probability(p: FiniteProcess, t: int, k: int, i: int) -> Fraction
 
     Equals a(i) * R_{t+1}(k+i) / R_t(k); returns 0 outright when the target
     count is unreachable.  With R_t(k) = M_t(k) * L**(t+1) / (D_t *
-    C'_{t+1}(k)) (see ``_count_masses`` and ``scaled_normalizer``) the
-    powers of L cancel, leaving one Fraction of integers:
+    C'_{t+1}(k)) (see ``structure_function``) the powers of L cancel,
+    leaving one Fraction of integers:
     L * a(i) * M_{t+1}(k+i) * D_t * C'_{t+1}(k) over
     D_{t+1} * C'_{t+2}(k+i) * M_t(k).  A zero normalizer raises as
     ``structure_function`` does, for the target count first.
@@ -435,13 +425,13 @@ def transition_probability(p: FiniteProcess, t: int, k: int, i: int) -> Fraction
     if i < 0:
         raise ValueError(f"jump amount must be >= 0, got {i}")
     cap = p.count_cap
-    den, masses = _count_masses(p, t)
+    den, masses, _ = _counts(p, t)
     here = masses[k] if 0 <= k <= cap else 0
     if here == 0:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
     if i > p.weight.x_max or k + i > cap:
         return ZERO
-    next_den, next_masses = _count_masses(p, t + 1)
+    next_den, next_masses, _ = _counts(p, t + 1)
     there = next_masses[k + i]
     if there == 0:
         return ZERO

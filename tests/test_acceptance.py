@@ -8,10 +8,12 @@ with the command-line ``verify`` suites.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -219,8 +221,14 @@ def test_criterion_10_sampling(tmp_path):
         sys.executable, "-m", "eomkit",
         "sample", "--spec", str(spec), "--paths", str(draws), "--seed", "7",
     ]
-    first = subprocess.run(cmd, capture_output=True, timeout=300)
-    second = subprocess.run(cmd, capture_output=True, timeout=300)
+    # the child process imports eomkit from this checkout's src
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    }
+    first = subprocess.run(cmd, capture_output=True, timeout=300, env=env)
+    second = subprocess.run(cmd, capture_output=True, timeout=300, env=env)
     if first.returncode != 0 or second.returncode != 0:
         failures.append(f"sampler exited nonzero: {first.stderr!r}")
     elif first.stdout != second.stdout:

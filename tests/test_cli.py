@@ -1,18 +1,26 @@
 """Command-line interface: outputs, exit codes, and byte-level determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 CMD = [sys.executable, "-m", "eomkit"]
+#: the child process imports eomkit from this checkout's src
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 def run_cli(*args, check=False):
     proc = subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=120
+        CMD + list(args), capture_output=True, text=True, timeout=120, env=ENV
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"{args} failed: {proc.stderr}")

@@ -1,6 +1,7 @@
 """Finite-horizon processes: construction, laws, and the characterization checks."""
 
 import ast
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -283,6 +284,13 @@ def test_finite_process_validation():
         FiniteProcess(builtin_weight("be", 2), 1, {(1, 0): F(1, 2)})
 
 
+def test_constructor_takes_only_weight_horizon_joint():
+    assert list(inspect.signature(FiniteProcess).parameters) == ["weight", "horizon", "joint"]
+    # a cache handed in by the caller could feed the count queries a non-law
+    with pytest.raises(TypeError):
+        FiniteProcess(builtin_weight("be", 1), 1, {(0, 1): F(1)}, {})
+
+
 def test_sample_path_determinism(flat_process):
     rng_a, rng_b = random.Random(3), random.Random(3)
     first = [sample_path(flat_process, rng_a) for _ in range(40)]
@@ -338,10 +346,30 @@ def built_processes(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(arbitrary_processes())
-def test_cached_laws_match_sums_over_joint(p):
+@given(arbitrary_processes(), st.booleans())
+def test_cached_laws_match_sums_over_joint(p, counts_last):
     cap = max(sum(path) for path in p.joint)
     assert p.count_cap == cap
+    if counts_last:
+        # on a fresh process, the other count queries build the cached
+        # records first
+        for t in range(p.horizon + 1):
+            for k in range(cap + 1):
+                assert outcome_of(structure_function, p, t, k) == outcome_of(
+                    oracle.structure_value, p, t, k
+                )
+                try:
+                    expected = oracle.conditional_given_count(p, t, k)
+                except ConditioningError:
+                    with pytest.raises(ConditioningError):
+                        conditional_jumps_given_count(p, t, k)
+                else:
+                    assert conditional_jumps_given_count(p, t, k).table == expected
+                if t < p.horizon:
+                    for i in range(p.weight.x_max + 1):
+                        assert outcome_of(transition_probability, p, t, k, i) == outcome_of(
+                            oracle.transition_probability, p, t, k, i
+                        )
     for _ in range(2):  # the second round is served from the caches
         for t in range(p.horizon + 1):
             direct = {k: F(0) for k in range(cap + 1)}
