@@ -558,27 +558,42 @@ def conditional_from_iid(
     rate-tilted i.i.d. laws, computed cell by cell.  The conditional law
     never depends on the mixture, because the total is sufficient for the
     mixing rate; that cancellation is left to the normalization.
+
+    The masses are integers: atom m's tilted law on 0..r is put over one
+    denominator D_m, its share weight_m / D_m**n over one denominator E
+    common to the atoms, and a vector's mass is the integer
+    sum_m E * weight_m / D_m**n * prod_j D_m * q(x_j) * rate_m**x_j.
     """
     combinat.check_composition_budget(n, r)
     weights = tuple(Fraction(v) for v in q)
+    if any(v < 0 for v in weights):
+        raise ValueError("weights must be nonnegative")
     if len(weights) - 1 < r:
         raise ValueError(
             f"weight table covers 0..{len(weights) - 1} but must reach {r}"
         )
     atoms = ((ONE, ONE),) if mix is None else mix.atoms  # unmixed: one atom at rate 1
-    tilted = [(m, [v * rho**z for z, v in enumerate(weights)]) for rho, m in atoms]
-    table: dict[Composition, Fraction] = {}
-    total = ZERO
+    laws, shares = [], []
+    for rho, m in atoms:
+        law = [v * rho**z for z, v in enumerate(weights[: r + 1])]
+        den = math.lcm(*(t.denominator for t in law))
+        laws.append([t.numerator * (den // t.denominator) for t in law])
+        shares.append(m / den**n)
+    common = math.lcm(*(c.denominator for c in shares))
+    tilted = [
+        (c.numerator * (common // c.denominator), law) for c, law in zip(shares, laws)
+    ]
+    masses: dict[Composition, int] = {}
     for x in combinat.enumerate_compositions(n, r):
-        w = sum(m * math.prod(law[v] for v in x) for m, law in tilted)
+        w = sum(c * math.prod(map(law.__getitem__, x)) for c, law in tilted)
         if w:
-            table[x] = w
-            total += w
+            masses[x] = w
+    total = sum(masses.values())
     if total == 0:
         raise EmptySupportError(
             f"conditioning on total {r} over {n} cells leaves zero mass"
         )
-    return OccupancyDistribution(n, r, {x: w / total for x, w in table.items()})
+    return OccupancyDistribution.from_masses(n, r, total, masses)
 
 
 def sample_exact(table, rng: random.Random, count: int) -> list:

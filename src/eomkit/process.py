@@ -200,6 +200,9 @@ def structure_function(p: FiniteProcess, t: int, k: int) -> Fraction:
         raise ValueError(f"count must be >= 0, got {k}")
     value = p._structure.get((t, k))
     if value is None:
+        # checked first: the normalizer would grow the weight's row memo to t + 1
+        if not 0 <= t <= p.horizon:
+            raise ValueError(f"time {t} outside 0..{p.horizon}")
         a = p.weight
         c = scaled_normalizer(a, t + 1, k)
         if c == 0:

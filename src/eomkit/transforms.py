@@ -6,6 +6,7 @@ under particle drop exactly when the weight table passes
 ``check_drop_closure``.
 """
 
+import math
 from fractions import Fraction
 
 from . import combinat
@@ -126,6 +127,11 @@ def check_drop_closure(a: WeightFunction, n: int, r: int) -> CheckOutcome:
     with C the normalization constants.  On failure the witness is the first
     violating x'.  Compositions outside the support are skipped:
     they carry no mass in either model.
+
+    The test runs on integers: with C(n, r-1) / C(n, r) = P / Q in lowest
+    terms and g(v) = (v + 1) * a(v + 1) / a(v) put over one common
+    denominator G as g(v) = G_v / G, the identity reads
+    P * sum_h G_{x'_h} == r * G * Q, one integer sum per composition.
     """
     if r < 1:
         raise ValueError("closure under particle drop needs at least one particle")
@@ -136,13 +142,17 @@ def check_drop_closure(a: WeightFunction, n: int, r: int) -> CheckOutcome:
             f"weight table has zero total mass over {n} cells at {r - 1} or {r} particles"
         )
     ratio = c_lo / c_hi
+    s = a.scaled
+    g = {v: Fraction((v + 1) * s[v + 1], s[v]) for v in range(r) if s[v]}
+    den = math.lcm(*(f.denominator for f in g.values()))
+    g = {v: f.numerator * (den // f.denominator) for v, f in g.items()}
+    target = r * den * ratio.denominator
     for xp in combinat.enumerate_compositions(n, r - 1):
-        if any(a(v) == 0 for v in xp):
+        try:
+            total = sum(map(g.__getitem__, xp))
+        except KeyError:  # a cell with a(x'_h) = 0: outside the support
             continue
-        total = ZERO
-        for v in xp:
-            total += Fraction(v + 1, r) * (a(v + 1) / a(v))
-        if ratio * total != 1:
+        if ratio.numerator * total != target:
             return CheckOutcome("drop-closure", False, str(xp))
     return CheckOutcome("drop-closure", True)
 

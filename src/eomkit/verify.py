@@ -16,6 +16,7 @@ from .errors import ConditioningError, EmptySupportError
 from .models import (
     ONE,
     ZERO,
+    ExactTable,
     FractionTable,
     MixingSpec,
     OccupancyDistribution,
@@ -65,16 +66,22 @@ def random_weight_function(rng: random.Random, x_max: int) -> WeightFunction:
 
 
 def random_eom(rng: random.Random, n: int, r: int) -> OccupancyDistribution:
-    """Random exchangeable model: positive mass per orbit, spread evenly."""
+    """Random exchangeable model: positive mass per orbit, spread evenly.
+
+    Orbit ``rep`` draws the integer mass m(rep) and gives each of its c(rep)
+    compositions m(rep) / (total * c(rep)): over the denominator total * L,
+    L the lcm of the orbit sizes, that is the integer m(rep) * L / c(rep).
+    """
     reps = sorted({tuple(sorted(x)) for x in combinat.enumerate_compositions(n, r)})
-    masses = {rep: Fraction(rng.randint(1, 20)) for rep in reps}
-    total = sum(masses.values())
+    masses = {rep: rng.randint(1, 20) for rep in reps}
+    sizes = {rep: combinat.distinct_permutation_count(rep) for rep in reps}
+    lcm = math.lcm(*sizes.values())
     table = {}
     for rep, mass in masses.items():
-        share = mass / (total * combinat.distinct_permutation_count(rep))
+        share = mass * (lcm // sizes[rep])
         for x in combinat.distinct_permutations(rep):
             table[x] = share
-    return OccupancyDistribution(n, r, table)
+    return OccupancyDistribution.from_masses(n, r, sum(masses.values()) * lcm, table)
 
 
 def _grid(max_n: int, max_r: int, min_n: int = 1, min_r: int = 0):
@@ -83,19 +90,76 @@ def _grid(max_n: int, max_r: int, min_n: int = 1, min_r: int = 0):
     ]
 
 
-def _builtins(pairs):
-    """(kind, n, r, a, model) for each built-in weight with support at each (n, r)."""
-    for n, r in pairs:
-        for kind in BUILTIN_KINDS:
+class _Contents:
+    """A table as a memo key: equal to another when the tables are equal.
+
+    It refers to the table instead of copying its entries, and hashes them
+    once.
+    """
+
+    __slots__ = ("table", "_hash")
+
+    def __init__(self, table: ExactTable):
+        self.table = table
+        masses = table.table.masses
+        self._hash = hash((table.n, table.r, frozenset(masses.items())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Contents) and self.table == other.table
+
+
+class _SuiteMemo:
+    """The derived tables of one suite run, each built once.
+
+    ``memo(build, *args)`` returns ``build(*args)``, calling it only for
+    arguments not seen before: tables count as the same argument when
+    their contents are equal, anything else (weights, counts) when it
+    compares equal.  The suites pass the names this module imports, looked
+    up at the call, so a replaced name builds every table.  A memo lives
+    in one suite call and is dropped when the suite returns.
+    """
+
+    def __init__(self):
+        self._built = {}
+
+    def __call__(self, build, *args):
+        key = (build, *(_Contents(a) if isinstance(a, ExactTable) else a for a in args))
+        if key not in self._built:
+            self._built[key] = build(*args)
+        return self._built[key]
+
+    def builtin(self, kind: str, n: int, r: int):
+        """(a, model) of the built-in weight ``kind`` on 0..r at (n, r); the
+        model is None where the weight has no support."""
+        key = ("builtin", kind, n, r)
+        if key not in self._built:
             a = builtin_weight(kind, r)
             try:
-                d = weight_model(a, n, r)
+                d = self(weight_model, a, n, r)
             except EmptySupportError:
-                continue
-            yield kind, n, r, a, d
+                d = None
+            self._built[key] = a, d
+        return self._built[key]
+
+    def builtins(self, pairs):
+        """(kind, n, r, a, model) for each built-in weight with support at each (n, r)."""
+        for n, r in pairs:
+            for kind in BUILTIN_KINDS:
+                a, d = self.builtin(kind, n, r)
+                if d is not None:
+                    yield kind, n, r, a, d
 
 
-def _all_models(seed: int, max_n: int, max_r: int):
+def _probability(d: ExactTable, key) -> Fraction:
+    """``d.probability(key)`` for a valid key, read from the masses: a table
+    kept in a suite memo then holds no ``Fraction`` view after the check."""
+    return Fraction(d.table.masses.get(key, 0), d.table.denominator)
+
+
+def _all_models(memo: _SuiteMemo, seed: int, max_n: int, max_r: int):
     """Named built-in models on the grid, then 20 seeded random exchangeable
     models cycling through the same grid."""
     pairs = _grid(max_n, max_r, min_n=2, min_r=1)
@@ -103,7 +167,7 @@ def _all_models(seed: int, max_n: int, max_r: int):
         raise ValueError(
             f"model grid needs max_n >= 2 and max_r >= 1, got {max_n}, {max_r}"
         )
-    out = [(f"{kind}({n},{r})", d) for kind, n, r, _, d in _builtins(pairs)]
+    out = [(f"{kind}({n},{r})", d) for kind, n, r, _, d in memo.builtins(pairs)]
     rng = random.Random(seed)
     for i in range(20):
         n, r = pairs[i % len(pairs)]
@@ -120,8 +184,13 @@ def _run(report: SuiteReport, checks) -> SuiteReport:
 
 
 def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
-    """Model-layer checks: marginals, label laws, order statistics, sufficiency."""
-    models = _all_models(seed, max_n, max_r)
+    """Model-layer checks: marginals, label laws, order statistics, sufficiency.
+
+    Each built-in model and each model's label law is built once per call
+    (see ``_SuiteMemo``) and read by every check that needs it.
+    """
+    memo = _SuiteMemo()
+    models = _all_models(memo, seed, max_n, max_r)
     pairs = _grid(max_n, max_r, min_n=2, min_r=1)
     rng = random.Random(seed + 1)
     random_weights = [random_weight_function(rng, max_r) for _ in range(20)]
@@ -134,7 +203,7 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
 
     def weight_model_exchangeable():
         for n, r in pairs:
-            for kind, _, _, _, d in _builtins([(n, r)]):
+            for kind, _, _, _, d in memo.builtins([(n, r)]):
                 if not is_exchangeable(d):
                     return f"{kind}({n},{r})"
             for i, a in enumerate(random_weights):
@@ -144,7 +213,7 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
 
     def uniform_single_marginals():
         for name, d in models:
-            ld = label_distribution(d)
+            ld = memo(label_distribution, d)
             for i in range(1, d.r + 1):
                 marg = label_marginal(ld, {i})
                 for label in range(1, d.n + 1):
@@ -154,35 +223,36 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
 
     def label_law_closed_forms():
         for n, r in pairs:
-            mb = label_distribution(weight_model(builtin_weight("mb", r), n, r))
-            be = label_distribution(weight_model(builtin_weight("be", r), n, r))
+            mb = memo(label_distribution, memo.builtin("mb", n, r)[1])
+            be = memo(label_distribution, memo.builtin("be", n, r)[1])
             fd = None
             if r <= n:
-                fd = label_distribution(weight_model(builtin_weight("fd", r), n, r))
+                fd = memo(label_distribution, memo.builtin("fd", n, r)[1])
             for y in combinat.enumerate_labels(r, n):
                 counts = combinat.tilde_phi(y, n)
                 tie_prod = math.prod(math.factorial(c) for c in counts)
-                if mb.probability(y) != Fraction(1, n**r):
+                if _probability(mb, y) != Fraction(1, n**r):
                     return f"mb({n},{r}) at {y}"
                 # ascending factorial n (n+1) ... (n+r-1)
-                if be.probability(y) != Fraction(tie_prod, math.perm(n + r - 1, r)):
+                if _probability(be, y) != Fraction(tie_prod, math.perm(n + r - 1, r)):
                     return f"be({n},{r}) at {y}"
                 if fd is not None:
                     expect = (
                         Fraction(tie_prod, math.perm(n, r)) if len(set(y)) == r else ZERO
                     )
-                    if fd.probability(y) != expect:
+                    if _probability(fd, y) != expect:
                         return f"fd({n},{r}) at {y}"
         return None
 
     def order_statistics_match():
         for name, d in models:
             direct = order_statistics_distribution(d)
-            brute: dict[tuple, Fraction] = {}
-            for y, p in label_distribution(d).table.items():
+            labels = memo(label_distribution, d).table
+            brute: dict[tuple, int] = {}
+            for y, m in labels.masses.items():
                 key = tuple(sorted(y))
-                brute[key] = brute.get(key, ZERO) + p
-            if direct != brute:
+                brute[key] = brute.get(key, 0) + m
+            if direct != {key: Fraction(m, labels.denominator) for key, m in brute.items()}:
                 return name
         return None
 
@@ -205,18 +275,18 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
 
     def label_occupancy_roundtrip():
         for name, d in models:
-            ld = label_distribution(d)
-            if occupancy_from_labels(ld) != d:
-                return name
-            if label_distribution(occupancy_from_labels(ld)) != ld:
+            ld = memo(label_distribution, d)
+            back = occupancy_from_labels(ld)
+            # the label law of the rebuilt model is built afresh: that is the check
+            if back != d or label_distribution(back) != ld:
                 return name
         return None
 
     def weight_label_density():
-        for kind, n, r, a, d in _builtins(_grid(min(max_n, 3), max_r, min_n=2, min_r=1)):
-            ld = label_distribution(d)
+        for kind, n, r, a, d in memo.builtins(_grid(min(max_n, 3), max_r, min_n=2, min_r=1)):
+            ld = memo(label_distribution, d)
             for y in combinat.enumerate_labels(r, n):
-                if weight_model_label_density(a, n, r, y) != ld.probability(y):
+                if weight_model_label_density(a, n, r, y) != _probability(ld, y):
                     return f"{kind}({n},{r}) at {y}"
         return None
 
@@ -252,9 +322,8 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                 ("pc:2", negbin),
             ]
             for kind, q in targets:
-                try:
-                    expected = weight_model(builtin_weight(kind, r), n, r)
-                except EmptySupportError:
+                expected = memo.builtin(kind, n, r)[1]
+                if expected is None:
                     continue
                 results = [conditional_from_iid(q, n, r, mix) for mix in mixes]
                 if any(res != expected for res in results):
@@ -281,19 +350,25 @@ ADHOC_WEIGHT = WeightFunction((1, 1, 5, 1), kind="adhoc")
 
 
 def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
-    """Transform-layer checks: closure properties and the product-form boundary."""
-    models = _all_models(seed, max_n, max_r)
+    """Transform-layer checks: closure properties and the product-form boundary.
+
+    Each built-in model, each model's drop and erase image and label law,
+    each drop-closure outcome and each conditioned target model is built
+    once per call (see ``_SuiteMemo``) and read by every check that needs it.
+    """
+    memo = _SuiteMemo()
+    models = _all_models(memo, seed, max_n, max_r)
     pairs = _grid(max_n, max_r, min_n=2, min_r=1)
 
     def drop_keeps_exchangeable():
         for name, d in models:
-            if d.r >= 1 and not is_exchangeable(drop_particle(d)):
+            if d.r >= 1 and not is_exchangeable(memo(drop_particle, d)):
                 return name
         return None
 
     def erase_keeps_exchangeable():
         for name, d in models:
-            if d.n >= 2 and not is_exchangeable(erase_cell(d)):
+            if d.n >= 2 and not is_exchangeable(memo(erase_cell, d)):
                 return name
         return None
 
@@ -310,7 +385,7 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         return None
 
     def conditioning_preserves_weight_model():
-        for kind, big_n, r, a, d in _builtins(pairs):
+        for kind, big_n, r, a, d in memo.builtins(pairs):
             for sub_n in range(1, big_n):
                 for s in range(r + 1):
                     try:
@@ -321,15 +396,15 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
                         ):
                             return f"{kind}({big_n},{r}) cond({sub_n},{s}) empty"
                         continue
-                    if cond != weight_model(a, sub_n, s):
+                    if cond != memo(weight_model, a, sub_n, s):
                         return f"{kind}({big_n},{r}) cond({sub_n},{s})"
         return None
 
     # a built-in weight with support at (n, r) has support at (n, r - 1)
     # too, so check_drop_closure raises on none of these
     def drop_closure_builtins():
-        for kind, n, r, a, _ in _builtins(pairs):
-            result = check_drop_closure(a, n, r)
+        for kind, n, r, a, _ in memo.builtins(pairs):
+            result = memo(check_drop_closure, a, n, r)
             if not result.passed:
                 return f"{kind}({n},{r}) witness {result.witness}"
         return None
@@ -341,10 +416,10 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         return None
 
     def drop_matches_weight_model():
-        for kind, n, r, a, d in _builtins(pairs):
-            if not check_drop_closure(a, n, r).passed:
+        for kind, n, r, a, d in memo.builtins(pairs):
+            if not memo(check_drop_closure, a, n, r).passed:
                 continue
-            if drop_particle(d) != weight_model(a, n, r - 1):
+            if memo(drop_particle, d) != memo(weight_model, a, n, r - 1):
                 return f"{kind}({n},{r})"
         return None
 
@@ -359,8 +434,8 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         for name, d in models:
             if d.n > 3 or d.r < 2 or d.r > 4:
                 continue
-            left = label_distribution(drop_particle(d))
-            right = label_marginal(label_distribution(d), range(1, d.r))
+            left = memo(label_distribution, memo(drop_particle, d))
+            right = label_marginal(memo(label_distribution, d), range(1, d.r))
             if left != right:
                 return name
         return None
@@ -369,44 +444,37 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         for name, d in models:
             outputs = []
             if d.r >= 1:
-                outputs.append(drop_particle(d))
+                outputs.append(memo(drop_particle, d))
             if d.n >= 2:
-                outputs.append(erase_cell(d))
+                outputs.append(memo(erase_cell, d))
             for out in outputs:
-                if sum(out.table.values()) != 1:
+                if sum(out.table.masses.values()) != out.table.denominator:
                     return name
         return None
 
     def product_form_detector_positive():
-        recovered = product_form_weights(weight_model(builtin_weight("be", 2), 3, 2))
+        be = memo.builtin("be", 3, 2)[1]
+        recovered = product_form_weights(be)
         if recovered is None:
             return "detector missed the uniform model at (3,2)"
-        if weight_model(recovered, 3, 2) != weight_model(builtin_weight("be", 2), 3, 2):
+        if weight_model(recovered, 3, 2) != be:
             return "detector returned an inconsistent weight table"
         return None
 
     def strict_containment():
-        found = []
+        # one image outside the product form decides the check
         for n, r in _grid(5, 5, min_n=3, min_r=3):
+            adhoc = WeightFunction(tuple([ONE] * 2 + [Fraction(5)] + [ONE] * (r - 2)))
             bases = [
-                ("be", builtin_weight("be", r)),
-                ("pc:2", builtin_weight("pc:2", r)),
-                ("adhoc", WeightFunction(tuple([ONE] * 2 + [Fraction(5)] + [ONE] * (r - 2)))),
+                memo.builtin("be", n, r)[1],
+                memo.builtin("pc:2", n, r)[1],
+                memo(weight_model, adhoc, n, r),
             ]
-            for name, a in bases:
-                try:
-                    d = weight_model(a, n, r)
-                except EmptySupportError:
-                    continue
-                for op_name, image in (
-                    ("drop", drop_particle(d)),
-                    ("erase", erase_cell(d)),
-                ):
-                    if product_form_weights(image) is None:
-                        found.append(f"{op_name}({name}({n},{r}))")
-        if not found:
-            return "every searched transform image stayed product-form"
-        return None
+            for d in bases:
+                for op in (drop_particle, erase_cell):
+                    if product_form_weights(memo(op, d)) is None:
+                        return None
+        return "every searched transform image stayed product-form"
 
     return _run(
         SuiteReport("transforms"),

@@ -1,13 +1,13 @@
 """Per-entry ``Fraction`` constructions of the model, process and transform
-tables, and the ``Fraction`` forms of the process characterization checks
-and queries: the straightforward bodies that the integer-mass paths in
-``eomkit`` replace.  Each table builder returns a plain dict of exact
-probabilities, so a test can compare a fast path with its oracle table for
-table; each check returns the same ``CheckOutcome`` list as its fast path,
-and each query raises the same errors.  Weights are read
-one value at a time through ``a(v)``, normalizers are the literal sums over
-the composition space, and process laws are summed from the joint's
-``Fraction`` view, so no oracle calls the code it judges.
+tables, and the ``Fraction`` forms of the drop-closure check, the process
+characterization checks and queries: the straightforward bodies that the
+integer-mass paths in ``eomkit`` replace.  Each table builder returns a
+plain dict of exact probabilities, so a test can compare a fast path with
+its oracle table for table; each check returns the same ``CheckOutcome``
+(or list of them) as its fast path, and each query raises the same errors.
+Weights are read one value at a time through ``a(v)``, normalizers are the
+literal sums over the composition space, and process laws are summed from
+the joint's ``Fraction`` view, so no oracle calls the code it judges.
 """
 
 import itertools
@@ -96,6 +96,56 @@ def condition_on_partial_sum(table: dict, n: int, s: int) -> dict:
     if total == 0:
         raise ConditioningError(f"first {n} cells never hold {s} particles")
     return {x: p / total for x, p in acc.items()}
+
+
+def check_drop_closure(a, n: int, r: int) -> CheckOutcome:
+    """C(n, r-1) / C(n, r) * sum_h ((x'_h + 1) / r) * a(x'_h + 1) / a(x'_h)
+    == 1 at every x' of r - 1 with positive weight, one Fraction per cell."""
+    if r < 1:
+        raise ValueError("closure under particle drop needs at least one particle")
+    c_lo = literal_normalizer(a, n, r - 1)
+    c_hi = literal_normalizer(a, n, r)
+    if c_lo == 0 or c_hi == 0:
+        raise EmptySupportError(
+            f"weight table has zero total mass over {n} cells at {r - 1} or {r} particles"
+        )
+    ratio = c_lo / c_hi
+    for xp in combinat.enumerate_compositions(n, r - 1):
+        if any(a(v) == 0 for v in xp):
+            continue
+        total = ZERO
+        for v in xp:
+            total += Fraction(v + 1, r) * (a(v + 1) / a(v))
+        if ratio * total != 1:
+            return CheckOutcome("drop-closure", False, str(xp))
+    return CheckOutcome("drop-closure", True)
+
+
+def conditional_from_iid(q, n: int, r: int, mix=None) -> dict:
+    """The law of n i.i.d. counts with weights q (or their mixture over the
+    atoms of ``mix``) given total r: the joint mass of each composition is
+    summed over the atoms in Fractions, then divided by the total."""
+    weights = tuple(Fraction(v) for v in q)
+    if any(v < 0 for v in weights):
+        raise ValueError("weights must be nonnegative")
+    if len(weights) - 1 < r:
+        raise ValueError(
+            f"weight table covers 0..{len(weights) - 1} but must reach {r}"
+        )
+    atoms = ((Fraction(1), Fraction(1)),) if mix is None else mix.atoms
+    tilted = [(m, [v * rho**z for z, v in enumerate(weights)]) for rho, m in atoms]
+    table = {}
+    total = ZERO
+    for x in combinat.enumerate_compositions(n, r):
+        w = sum(m * math.prod(law[v] for v in x) for m, law in tilted)
+        if w:
+            table[x] = w
+            total += w
+    if total == 0:
+        raise EmptySupportError(
+            f"conditioning on total {r} over {n} cells leaves zero mass"
+        )
+    return {x: w / total for x, w in table.items()}
 
 
 def perturbed_joint(p) -> dict | None:

@@ -1,9 +1,10 @@
 """Tables stored as integer masses over one denominator.
 
-The model, process and transform builders accumulate integer masses; each is
-pitted here against its per-entry ``Fraction`` construction
-(``fraction_oracles``) on random rational weights with zeros and gaps, and
-the stored form is checked to be in lowest terms.
+The model, process and transform builders accumulate integer masses, and
+the drop-closure check decides on integers; each is pitted here against its
+per-entry ``Fraction`` construction (``fraction_oracles``) on random
+rational weights with zeros and gaps, and the stored form is checked to be
+in lowest terms.
 """
 
 import math
@@ -18,10 +19,14 @@ from eomkit import (
     BudgetExceededError,
     ConditioningError,
     EmptySupportError,
+    MixingSpec,
     OccupancyDistribution,
     WeightFunction,
     build_process,
+    builtin_weight,
+    check_drop_closure,
     condition_on_partial_sum,
+    conditional_from_iid,
     drop_particle,
     erase_cell,
     weight_model,
@@ -109,6 +114,52 @@ def test_build_process_matches_fraction_oracle(horizon, cap, data):
             build_process(a, horizon, pi)
         return
     assert_lowest_terms(build_process(a, horizon, pi).joint, expected)
+
+
+def outcome_of(call, *args):
+    """The value of ``call(*args)``, or the type and text of what it raises."""
+    try:
+        return call(*args)
+    except (ValueError, EmptySupportError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def tilted_builtins(draw, r):
+    """A built-in weight on 0..r times t**x: product form, so closed under
+    drop exactly when the built-in weight is."""
+    a = builtin_weight(draw(st.sampled_from(["mb", "be", "fd", "pc:2", "pc:3"])), r)
+    t = draw(st.builds(F, st.integers(1, 5), st.integers(1, 5)))
+    return WeightFunction(tuple(v * t**x for x, v in enumerate(a.values)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_drop_closure_matches_fraction_oracle(n, r, data):
+    a = data.draw(st.one_of(weights(r), tilted_builtins(r)))
+    assert outcome_of(check_drop_closure, a, n, r) == outcome_of(
+        oracle.check_drop_closure, a, n, r
+    )
+
+
+#: the mixing specs of the ``eom`` suite's sufficiency check
+MIXES = [
+    None,
+    MixingSpec(((F(1, 2), F(1)),)),
+    MixingSpec(((F(1, 3), F(1, 2)), (F(2, 3), F(1, 2)))),
+    MixingSpec(((F(1, 5), F(1, 4)), (F(1, 2), F(1, 4)), (F(3, 4), F(1, 2)))),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.sampled_from(MIXES), st.data())
+def test_conditional_from_iid_matches_fraction_oracle(n, r, mix, data):
+    q = data.draw(st.lists(rationals(), min_size=r + 1, max_size=r + 3))
+    expected = outcome_of(oracle.conditional_from_iid, q, n, r, mix)
+    if isinstance(expected, dict):
+        assert_lowest_terms(conditional_from_iid(q, n, r, mix).table, expected)
+    else:
+        assert outcome_of(conditional_from_iid, q, n, r, mix) == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -391,6 +391,9 @@ def test_conditional_from_iid_errors():
         conditional_from_iid([F(1)], 2, 2)  # table stops short of the total
     with pytest.raises(EmptySupportError):
         conditional_from_iid([F(1), F(0), F(0)], 2, 2, MIXES[0])
+    # the signs would cancel in the normalization and leave the uniform law
+    with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+        conditional_from_iid([1, -1], 2, 1)
 
 
 def test_mixing_spec_validation():

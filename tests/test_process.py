@@ -116,6 +116,20 @@ def test_structure_function(flat_process):
         structure_function(fd, 0, 2)  # two particles cannot share time 0
 
 
+def test_structure_function_rejects_times_outside_the_horizon():
+    p = build_process(builtin_weight("mb", 2), 1, [F(1, 3)] * 3)
+    rows = len(p.weight._power_rows)
+    for t in (5000, -1):
+        with pytest.raises(ValueError, match=f"^time {t} outside 0..1$"):
+            structure_function(p, t, 2)
+    # before the check came first, t = 5000 left 5,002 rows on the weight
+    assert len(p.weight._power_rows) == rows
+    # a(1) = 0, so C_6(1) = 0: the time is reported, not the empty normalizer
+    gap = build_process(WeightFunction((1, 0, 1)), 1, [F(1, 2), 0, F(1, 2)])
+    with pytest.raises(ValueError, match="^time 5 outside 0..1$"):
+        structure_function(gap, 5, 1)
+
+
 def test_conditional_jumps(flat_process):
     cond = conditional_jumps_given_count(flat_process, 1, 2)
     assert cond.table == {(2, 0): F(1, 3), (1, 1): F(1, 3), (0, 2): F(1, 3)}
