@@ -2,8 +2,9 @@
 
 Subcommands build models from flags or spec files, run transformations,
 sample, and run the verification suites.  All tables are emitted as JSON
-documents with exact "num/den" probability strings, or as CSV; exit codes
-are 0 on success, 1 on verification failure, 2 on usage or contract errors.
+documents with exact "num/den" probability strings, or as CSV, written to
+standard output as they are formatted; exit codes are 0 on success, 1 on
+verification failure, 2 on usage or contract errors.
 """
 
 import argparse
@@ -33,29 +34,38 @@ def _load_weight(spec: str, x_max: int) -> WeightFunction:
     return serialize.weight_from_spec(spec, x_max)
 
 
+def _print_doc(doc) -> None:
+    """Write ``doc`` as indented JSON and a line break to standard output."""
+    write = sys.stdout.write
+    serialize.write_json(doc, write)
+    write("\n")
+
+
+def _print_table(n: int, r: int, table) -> None:
+    _print_doc({"n": n, "r": r, "entries": serialize.table_entries(table)})
+
+
 def _cmd_enumerate(args) -> int:
     space = enumerate_compositions(args.n, args.r)
     if args.format == "csv":
-        sys.stdout.write(serialize.compositions_to_csv(space, args.n))
+        serialize.write_csv(sys.stdout, serialize.composition_header(args.n), space)
     else:
-        doc = {"n": args.n, "r": args.r, "compositions": [list(x) for x in space]}
-        print(serialize.to_json(doc))
+        _print_doc({"n": args.n, "r": args.r, "compositions": space})
     return 0
 
 
 def _cmd_model(args) -> int:
     a = _load_weight(args.weight, args.r)
     d = weight_model(a, args.n, args.r)
+    r, table = d.r, d.table
     if args.labels:
-        doc = serialize.labels_to_doc(label_distribution(d))
+        table = label_distribution(d).table
     elif args.order_stats:
-        doc = serialize.table_doc(d.n, d.r, order_statistics_distribution(d))
+        table = order_statistics_distribution(d)
     elif args.marginal is not None:
         marg = label_marginal(label_distribution(d), {args.marginal})
-        doc = serialize.labels_to_doc(marg)
-    else:
-        doc = serialize.occupancy_to_doc(d)
-    print(serialize.to_json(doc))
+        r, table = marg.r, marg.table
+    _print_table(d.n, r, table)
     return 0
 
 
@@ -81,7 +91,7 @@ def _cmd_transform(args) -> int:
         out = condition_on_partial_sum(d, sub_n, s)
     else:
         raise ValueError(f"unknown transform {op!r} (use k1, k2, or cond:<n>,<s>)")
-    print(serialize.to_json(serialize.occupancy_to_doc(out)))
+    _print_table(out.n, out.r, out.table)
     return 0
 
 
@@ -93,7 +103,7 @@ def _cmd_verify(args) -> int:
         max_r=args.max_r,
         horizon=args.horizon,
     )
-    print(serialize.to_json(report.to_doc()))
+    _print_doc(report.to_doc())
     return 0 if report.passed else 1
 
 
@@ -108,7 +118,7 @@ def _cmd_sample(args) -> int:
     if "horizon" in doc:
         p = serialize.process_from_doc(doc)
         rows = sample_exact(p.joint, rng, args.paths)
-        sys.stdout.write(serialize.paths_to_csv(rows, p.horizon))
+        serialize.write_csv(sys.stdout, serialize.path_header(p.horizon), rows)
     else:
         try:
             n, r = serialize.int_field(doc, "n"), serialize.int_field(doc, "r")
@@ -119,7 +129,7 @@ def _cmd_sample(args) -> int:
             ) from None
         d = weight_model(serialize.weight_from_spec(weight_spec, r), n, r)
         rows = sample_exact(d.table, rng, args.paths)
-        sys.stdout.write(serialize.compositions_to_csv(rows, n))
+        serialize.write_csv(sys.stdout, serialize.composition_header(n), rows)
     return 0
 
 

@@ -454,21 +454,34 @@ def check_structure_recursion(p: FiniteProcess) -> bool:
     """Exact check that each R_{t-1}(k) equals sum_l a(l) * R_t(k+l).
 
     The sum is truncated at the count cap; omitted terms are exactly zero
-    because no path reaches past the cap.
+    because no path reaches past the cap.  Decided on integers: with
+    R_t(k) = M_t(k) * L**(t+1) / (D_t * C'_{t+1}(k)) (see
+    ``structure_function``) and lam the lcm of the C'_{t+1}(k+l) in the
+    sum, the identity reads
+    M_{t-1}(k) * D_t * lam = D_{t-1} * C'_t(k) * sum_l L * a(l) * M_t(k+l)
+    * (lam / C'_{t+1}(k+l)).  Every C'_{t+1}(k+l) in the sum is positive,
+    being at least C'_t(k) * L * a(l).
     """
-    support = p.weight.support()
+    a = p.weight
+    cap = p.count_cap
+    support = a.support()
+    prev_den, prev_masses, _ = _counts(p, 0)
     for t in range(1, p.horizon + 1):
-        for k in range(p.count_cap + 1):
-            if scaled_normalizer(p.weight, t, k) == 0:
+        den, masses, _ = _counts(p, t)
+        for k in range(cap + 1):
+            c_here = scaled_normalizer(a, t, k)
+            if c_here == 0:
                 continue
-            lhs = structure_function(p, t - 1, k)
-            rhs = ZERO
-            for l in support:
-                if k + l > p.count_cap:
-                    break
-                rhs += p.weight(l) * structure_function(p, t, k + l)
-            if lhs != rhs:
+            terms = [
+                (a.scaled[l] * masses[k + l], scaled_normalizer(a, t + 1, k + l))
+                for l in support
+                if k + l <= cap
+            ]
+            lam = math.lcm(*(c for _, c in terms))
+            rhs = sum(w * (lam // c) for w, c in terms)
+            if prev_masses[k] * den * lam != prev_den * c_here * rhs:
                 return False
+        prev_den, prev_masses = den, masses
     return True
 
 

@@ -3,13 +3,19 @@
 Probabilities and weights always travel as exact "num/den" strings (plain
 integers when the denominator is 1), never as floats.  Table entries are
 emitted in sorted key order so equal objects serialize to identical bytes.
+Documents are written as they are formatted (``write_json``, ``write_csv``):
+a table's entries are formatted one at a time from its integer masses, so
+no list of entries or whole-output string is built.
 """
 
 import csv
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from .models import (
     LabelDistribution,
@@ -32,20 +38,24 @@ def fraction_from_str(s) -> Fraction:
         raise ValueError(f"zero denominator in {s!r}") from None
 
 
-def table_doc(n: int, r: int, table: dict) -> dict:
-    """Canonical document for any exact table keyed by int tuples.
+def table_entries(table):
+    """Yield the entries ``[*key, "num/den"]`` of an exact table keyed by
+    int tuples, in sorted key order.
 
-    Each entry is written from its integer mass (see ``masses_of``) in
-    lowest terms, as ``fraction_to_str`` would write its probability.
+    Each probability is written from its integer mass (see ``masses_of``) in
+    lowest terms, as ``fraction_to_str`` would write it.
     """
     den, masses = masses_of(table)
-    entries = []
+    gcd = math.gcd
     for key in sorted(masses):
         m = masses[key]
-        g = math.gcd(m, den)
-        q = f"{m // g}/{den // g}" if g != den else str(m // g)
-        entries.append([*key, q])
-    return {"n": n, "r": r, "entries": entries}
+        g = gcd(m, den)
+        yield [*key, f"{m // g}/{den // g}" if g != den else str(m // g)]
+
+
+def table_doc(n: int, r: int, table: dict) -> dict:
+    """Canonical document for any exact table keyed by int tuples."""
+    return {"n": n, "r": r, "entries": list(table_entries(table))}
 
 
 def occupancy_to_doc(d: OccupancyDistribution) -> dict:
@@ -137,22 +147,106 @@ def process_from_doc(doc: dict) -> FiniteProcess:
     return build_process(a, horizon, pi)
 
 
+#: JSON text of the scalars that fill table entries and compositions; the
+#: exact types, so that booleans are not written as ints
+_ATOMS = {int: repr, str: encode_basestring_ascii}
+
+
+def write_json(doc, write) -> None:
+    """Send the text of ``json.dumps(doc, indent=2)`` through ``write``.
+
+    Objects and arrays (lists, tuples and generators) are written one
+    member at a time, so a generator is read only as far as the text
+    already written.  An array of ints and strings is written whole: its
+    text is one ``join``.
+    """
+    text = _flat_text(doc, "\n")
+    if text is None:
+        _write_container(doc, write, "", "\n")
+    else:
+        write(text)
+
+
+def _write_container(value, write, prefix: str, newline: str) -> None:
+    """Write ``prefix`` and then the JSON text of a dict or an array whose
+    members ``_flat_text`` does not join; nested lines start with
+    ``newline`` (a line break and the indent)."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        labels = (_key_text(k) + ": " for k in value)
+        members = value.values()
+    else:
+        opening, closing = "[", "]"
+        labels, members = itertools.repeat(""), value
+    separator = prefix + opening + inner
+    empty = True
+    for label, member in zip(labels, members):
+        text = _flat_text(member, inner)
+        if text is None:
+            _write_container(member, write, separator + label, inner)
+        else:
+            write(separator + label + text)
+        separator = "," + inner
+        empty = False
+    write(prefix + opening + closing if empty else newline + closing)
+
+
+def _flat_text(value, newline: str):
+    """The JSON text of a scalar, or of a list or tuple of ints and strings;
+    None for a container that ``_write_container`` writes member by member."""
+    if isinstance(value, (list, tuple)):
+        try:
+            parts = [_ATOMS[type(v)](v) for v in value]
+        except KeyError:
+            return None
+        if not parts:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    atom = _ATOMS.get(type(value))
+    if atom is not None:
+        return atom(value)
+    if isinstance(value, (dict, GeneratorType)):
+        return None
+    return json.dumps(value)  # None, booleans, floats; raises on anything else
+
+
+def _key_text(key) -> str:
+    """An object key as ``json.dumps`` writes it."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
+
+
 def to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
+    chunks: list[str] = []
+    write_json(doc, chunks.append)
+    return "".join(chunks)
+
+
+def write_csv(out, header: list[str], rows) -> None:
+    """Write CSV with a fixed header to the text stream ``out``; newline is
+    always a bare LF."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def rows_to_csv(header: list[str], rows) -> str:
-    """CSV text with a fixed header; newline is always a bare LF."""
+    """The text ``write_csv`` writes."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    write_csv(buf, header, rows)
     return buf.getvalue()
 
 
-def compositions_to_csv(compositions, n: int) -> str:
-    return rows_to_csv([f"x{j}" for j in range(1, n + 1)], compositions)
+def composition_header(n: int) -> list[str]:
+    return [f"x{j}" for j in range(1, n + 1)]
 
 
-def paths_to_csv(paths, horizon: int) -> str:
-    return rows_to_csv([f"j{t}" for t in range(horizon + 1)], paths)
+def path_header(horizon: int) -> list[str]:
+    return [f"j{t}" for t in range(horizon + 1)]

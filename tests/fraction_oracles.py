@@ -1,13 +1,14 @@
 """Per-entry ``Fraction`` constructions of the model, process and transform
 tables, and the ``Fraction`` forms of the drop-closure check, the process
-characterization checks and queries: the straightforward bodies that the
-integer-mass paths in ``eomkit`` replace.  Each table builder returns a
-plain dict of exact probabilities, so a test can compare a fast path with
-its oracle table for table; each check returns the same ``CheckOutcome``
-(or list of them) as its fast path, and each query raises the same errors.
-Weights are read one value at a time through ``a(v)``, normalizers are the
-literal sums over the composition space, and process laws are summed from
-the joint's ``Fraction`` view, so no oracle calls the code it judges.
+characterization and structure-recursion checks and queries: the
+straightforward bodies that the integer-mass paths in ``eomkit`` replace.
+Each table builder returns a plain dict of exact probabilities, so a test
+can compare a fast path with its oracle table for table; each check returns
+the same ``CheckOutcome`` (or list of them, or bool) as its fast path, and
+each query raises the same errors.  Weights are read one value at a time
+through ``a(v)``, normalizers are the literal sums over the composition
+space, and process laws are summed from the joint's ``Fraction`` view, so no
+oracle calls the code it judges.
 """
 
 import itertools
@@ -199,6 +200,24 @@ def structure_value(p, t: int, k: int) -> Fraction:
             f"structure function undefined at t={t}, k={k}: no positive-weight path"
         )
     return count_law(p, t).get(k, ZERO) / c
+
+
+def check_structure_recursion(p) -> bool:
+    """R_{t-1}(k) against sum_l a(l) * R_t(k+l), summed up to the count cap,
+    at every (t, k) with C_t(k) > 0."""
+    a, cap = p.weight, p.count_cap
+    for t in range(1, p.horizon + 1):
+        for k in range(cap + 1):
+            if literal_normalizer(a, t, k) == 0:
+                continue
+            rhs = sum(
+                (a(l) * structure_value(p, t, k + l)
+                 for l in range(cap - k + 1) if l <= a.x_max and a(l)),
+                start=ZERO,
+            )
+            if structure_value(p, t - 1, k) != rhs:
+                return False
+    return True
 
 
 def transition_probability(p, t: int, k: int, i: int) -> Fraction:

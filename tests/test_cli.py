@@ -2,12 +2,17 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+
+from eomkit import serialize
+from eomkit.combinat import enumerate_compositions
+from eomkit.models import weight_model
 
 CMD = [sys.executable, "-m", "eomkit"]
 #: the child process imports eomkit from this checkout's src
@@ -350,3 +355,33 @@ def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", refuse)
     assert cli.main(["enumerate", "--n", "2", "--r", "2", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "x1,x2\n0,2\n1,1\n2,0\n"
+
+
+def test_streamed_output_to_a_file_is_the_whole_document(tmp_path):
+    # stdout is a real file here, behind the interpreter's own text wrapper,
+    # and each output is far larger than one buffer of it
+    rng = random.Random(11)
+    weight = {"values": [f"{rng.randint(1, 97)}/{rng.randint(1, 89)}" for _ in range(8)]}
+    (tmp_path / "w.json").write_text(json.dumps(weight))
+    d = weight_model(serialize.weight_from_spec(weight, 7), 9, 7)
+    assert len(d.table) == 6435
+    cases = [
+        (
+            ["model", "--weight", f"@{tmp_path / 'w.json'}", "--n", "9", "--r", "7"],
+            json.dumps(serialize.table_doc(9, 7, d.table), indent=2) + "\n",
+        ),
+        (
+            ["enumerate", "--n", "9", "--r", "7", "--format", "csv"],
+            serialize.rows_to_csv(
+                serialize.composition_header(9), enumerate_compositions(9, 7)
+            ),
+        ),
+    ]
+    for argv, expected in cases:
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as fh:
+            proc = subprocess.run(
+                CMD + argv, stdout=fh, stderr=subprocess.PIPE, timeout=120, env=ENV
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == expected.encode()

@@ -43,6 +43,14 @@ DIGESTS = {
         "570f84492a881383c2ba16274d6fcd441fc48f2ba3f1a8205522ecdd3847467f",
     ("model", "--weight", "@w.json", "--n", "3", "--r", "4", "--labels"):
         "a19f7412745b5461d48945f4aa3835ea62bb9b900c9c0299c7f2cab813e2f369",
+    ("model", "--weight", "@w.json", "--n", "3", "--r", "4", "--order-stats"):
+        "05fde339ad27e2d469ac82884b8081d8f77e46192b0d571755c3184258acf443",
+    ("model", "--weight", "pc:2", "--n", "3", "--r", "4", "--marginal", "2"):
+        "da04ca3412f081659e94df84e708ebb0d29f7085f429ce5437cf4beda0b34170",
+    ("enumerate", "--n", "3", "--r", "4"):
+        "e11c90b7dac742e5db18745a8d66ccfcd254ed4513f53aa5accd77850f4531c3",
+    ("enumerate", "--n", "3", "--r", "4", "--format", "csv"):
+        "6f73729a92b2dc9c9000bdb1a2b10e7ac78b89294a802ad393603ffbd4236562",
     ("transform", "--op", "k1", "--weight", "mb", "--n", "4", "--r", "4"):
         "d731a9165ea719be698c82441357337c51ac2a37dafebff279d1a7fbed7058b1",
     ("transform", "--op", "k2", "--weight", "@w.json", "--n", "3", "--r", "5"):

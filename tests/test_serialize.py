@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eomkit import serialize
 from eomkit.models import builtin_weight, label_distribution, weight_model
@@ -104,7 +106,58 @@ def test_process_doc():
 
 
 def test_csv_formats():
-    text = serialize.compositions_to_csv([(0, 2), (1, 1)], 2)
+    text = serialize.rows_to_csv(serialize.composition_header(2), [(0, 2), (1, 1)])
     assert text == "x1,x2\n0,2\n1,1\n"
-    text = serialize.paths_to_csv([(1, 0, 2)], 2)
+    text = serialize.rows_to_csv(serialize.path_header(2), [(1, 0, 2)])
     assert text == "j0,j1,j2\n1,0,2\n"
+
+
+#: quotes, backslashes, control characters and non-ASCII text, often
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7fé€\U0001f600a1') | st.characters())
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**60), 10**60),
+    st.floats(),
+    TEXT,
+)
+KEYS = st.one_of(TEXT, st.integers(), st.booleans(), st.none(), st.floats())
+DOCS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCS)
+def test_to_json_is_indented_json_dumps(doc):
+    assert serialize.to_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_write_json_writes_each_generator_member_before_the_next_is_made():
+    chunks = []
+
+    def entries():
+        for i in range(3):
+            yield [i, "1/3"]
+            # the member just yielded is written before the generator resumes
+            assert "".join(chunks).count('"1/3"') == i + 1
+
+    serialize.write_json({"n": 1, "entries": entries(), "empty": (x for x in ())}, chunks.append)
+    expected = {"n": 1, "entries": [[i, "1/3"] for i in range(3)], "empty": []}
+    assert "".join(chunks) == json.dumps(expected, indent=2)
+    assert len(chunks) > 3
+
+
+def test_write_json_rejects_what_json_dumps_rejects():
+    for doc in ({"a": {1, 2}}, {(1, 2): 0}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            serialize.to_json(doc)
