@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import combinat
-from .combinat import Composition, LabelVector, OrderedLabels
+from .combinat import Composition, LabelVector
 from .errors import BudgetExceededError, EmptySupportError, NonExchangeableError
 
 ZERO = Fraction(0)
@@ -245,6 +245,11 @@ def masses_of(table) -> tuple[int, dict]:
 def checked_masses(table, shape_error, what: str, key_error=None) -> FractionTable:
     """The validated table of ``table`` (see ``masses_of``), in lowest terms.
 
+    The one place where a table is validated: the public constructors of
+    ``ExactTable`` subclasses and ``FiniteProcess`` call it on every table
+    they are given, so input from ``serialize``, the CLI and callers passes
+    through it once.  The builders' ``from_masses`` does not.
+
     Entry by entry, ``shape_error(key)`` is reported first, then a negative
     probability, then ``key_error(key)`` if given; each check returns a
     message or None.  Zero entries are dropped, and the masses must sum to
@@ -276,8 +281,11 @@ def checked_masses(table, shape_error, what: str, key_error=None) -> FractionTab
 class ExactTable:
     """Exact probability table of a model with ``n`` cells and ``r`` particles.
 
-    ``table`` may be given as any mapping of probabilities; it is stored as a
-    validated ``FractionTable`` (see ``from_masses`` for integer input).
+    The constructor is the trust boundary: ``table`` may be given as any
+    mapping of probabilities (a ``FractionTable`` included), and it is
+    validated by ``checked_masses`` and stored as a ``FractionTable`` in
+    lowest terms.  The builders, whose input was validated this way, make
+    their tables with ``from_masses`` instead, which validates nothing.
     Only strictly positive entries are stored, and they must sum to 1;
     looking up a valid key outside the table yields probability zero.  A
     subclass says which keys are valid: ``_key_length()`` and
@@ -306,8 +314,17 @@ class ExactTable:
 
     @classmethod
     def from_masses(cls, n: int, r: int, denominator: int, masses: dict):
-        """The table of ``masses[key] / denominator``, from integer masses."""
-        return cls(n, r, FractionTable(denominator, masses))
+        """The table of ``masses[key] / denominator``, trusted as it is.
+
+        For builders only: every key must be valid for (n, r) and every
+        mass a positive int.  Nothing is checked, not even the sum (the
+        suites' ``model-normalization`` and ``mass-conservation`` checks
+        test it); the masses are only put in lowest terms.
+        """
+        d = object.__new__(cls)
+        # a frozen dataclass: set the fields without running __post_init__
+        vars(d).update(n=n, r=r, table=FractionTable.lowest(denominator, masses))
+        return d
 
     def probability(self, key) -> Fraction:
         key = tuple(key)
@@ -507,11 +524,14 @@ def occupancy_from_labels(ld: LabelDistribution) -> OccupancyDistribution:
     return OccupancyDistribution.from_masses(ld.n, ld.r, ld.table.denominator, masses)
 
 
-def order_statistics_distribution(
-    d: OccupancyDistribution,
-) -> dict[OrderedLabels, Fraction]:
-    """Law of the sorted label vector: the composition law pushed through psi."""
-    return {combinat.psi(x): p for x, p in d.table.items()}
+def order_statistics_distribution(d: OccupancyDistribution) -> FractionTable:
+    """Law of the sorted label vector: the composition law pushed through psi.
+
+    psi is one-to-one, so the masses and denominator of ``d`` serve as
+    they are.
+    """
+    psi = combinat.psi
+    return FractionTable(d.table.denominator, {psi(x): m for x, m in d.table.masses.items()})
 
 
 def label_marginal(ld: LabelDistribution, index_set) -> LabelDistribution:

@@ -37,11 +37,13 @@ JumpPath = tuple[int, ...]
 class FiniteProcess:
     """Joint law of the jump amounts (J_0, ..., J_M) of a counting process.
 
-    ``joint`` maps length-(M+1) jump paths to exact probabilities; it may be
-    given as any mapping of probabilities and is stored as a validated
-    ``FractionTable`` (see ``from_masses`` for integer input).  Only positive
-    entries are stored.  The weight table must cover occupancies up to the
-    largest total any path reaches, which is kept as ``count_cap``.
+    ``joint`` maps length-(M+1) jump paths to exact probabilities.  The
+    constructor is the trust boundary: the joint may be given as any mapping
+    of probabilities (a ``FractionTable`` included), and it is validated by
+    ``checked_masses`` and stored as a ``FractionTable`` in lowest terms.
+    Builders use ``from_masses`` instead, which validates nothing.  Only
+    positive entries are stored.  The weight table must cover occupancies up
+    to the largest total any path reaches, which is kept as ``count_cap``.
 
     The laws derived from the joint are computed once and cached on the
     process for its lifetime: the prefix law per t (``marginal``), one count
@@ -78,8 +80,25 @@ class FiniteProcess:
 
     @classmethod
     def from_masses(cls, weight: WeightFunction, horizon: int, denominator: int, masses: dict):
-        """The process with joint ``masses[path] / denominator``, from integer masses."""
-        return cls(weight, horizon, FractionTable(denominator, masses))
+        """The process with joint ``masses[path] / denominator``, trusted as it is.
+
+        For builders only: every key must be a jump path for the horizon
+        whose total the weight table covers, and every mass a positive int.
+        Nothing is checked, not even the sum; the masses are only put in
+        lowest terms.  The process gets ``count_cap`` and caches of its own.
+        """
+        p = object.__new__(cls)
+        # a frozen dataclass: set the fields without running __post_init__
+        vars(p).update(
+            weight=weight,
+            horizon=horizon,
+            joint=FractionTable.lowest(denominator, masses),
+            _marginals={},
+            _counts={},
+            _structure={},
+            count_cap=max(map(sum, masses), default=0),
+        )
+        return p
 
     def marginal(self, t: int) -> FractionTable:
         """Exact law of the jump prefix (J_0, ..., J_t)."""

@@ -82,7 +82,12 @@ def occupancy_from_doc(doc: dict) -> OccupancyDistribution:
         raise ValueError("distribution document needs fields n, r, entries") from None
     if not isinstance(entries, list):
         raise ValueError("distribution document needs a list of entries")
-    table = {_entry_key(entry): fraction_from_str(entry[-1]) for entry in entries}
+    table = {}
+    for entry in entries:
+        key = _entry_key(entry)
+        if key in table:
+            raise ValueError(f"duplicate entry {key}")
+        table[key] = fraction_from_str(entry[-1])
     return OccupancyDistribution(n, r, table)
 
 

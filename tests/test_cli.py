@@ -250,6 +250,16 @@ def test_transform_non_integer_entry_count_exits_2(tmp_path, count, shown):
     assert proc.stdout == ""
 
 
+def test_transform_duplicate_entry_exits_2(tmp_path):
+    # keeping only the last repeat would read a table that sums to 3/2 as 1
+    doc = tmp_path / "d.json"
+    entries = [[2, 0, "1/2"], [0, 2, "1/2"], [2, 0, "1/2"]]
+    doc.write_text(json.dumps({"n": 2, "r": 2, "entries": entries}))
+    proc = run_cli("transform", "--op", "k1", "--input", str(doc))
+    assert_one_line_error(proc, "duplicate entry (2, 0)")
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("suite", ["eom", "transforms"])
 def test_verify_empty_model_grid_exits_2(suite):
     proc = run_cli("verify", "--suite", suite, "--max-n", "1")

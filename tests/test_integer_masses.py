@@ -211,21 +211,25 @@ def test_equal_tables_have_equal_storage():
     assert (halves.table.denominator, halves.table.masses) == (2, {(0, 1): 1, (1, 0): 1})
     assert halves == OccupancyDistribution(2, 1, {(0, 1): F(1, 2), (1, 0): F(1, 2)})
     assert halves.table == {(0, 1): F(1, 2), (1, 0): F(1, 2)}
-    # zero masses are dropped before the gcd is taken
-    assert OccupancyDistribution.from_masses(2, 1, 4, {(0, 1): 4, (1, 0): 0}).table.masses == {
-        (0, 1): 1
-    }
+    # the public constructor drops zero masses before the gcd is taken
+    zero = FractionTable(4, {(0, 1): 4, (1, 0): 0})
+    assert OccupancyDistribution(2, 1, zero).table.masses == {(0, 1): 1}
 
 
 def test_from_masses_validates_like_the_fraction_constructor():
+    # integer masses given to the public constructor as a FractionTable are
+    # validated like any other mapping; ``from_masses`` trusts its builder
+    def build(n, r, denominator, masses):
+        return OccupancyDistribution(n, r, FractionTable(denominator, masses))
+
     with pytest.raises(ValueError, match="negative probability -1/2 at"):
-        OccupancyDistribution.from_masses(2, 2, 2, {(1, 1): 3, (2, 0): -1})
+        build(2, 2, 2, {(1, 1): 3, (2, 0): -1})
     with pytest.raises(ValueError, match="probabilities sum to 2/3, not 1"):
-        OccupancyDistribution.from_masses(2, 2, 3, {(1, 1): 2})
+        build(2, 2, 3, {(1, 1): 2})
     with pytest.raises(ValueError, match="is not a composition of 2"):
-        OccupancyDistribution.from_masses(2, 2, 1, {(2, 1): 1})
+        build(2, 2, 1, {(2, 1): 1})
     with pytest.raises(ValueError, match="denominator must be a positive integer"):
-        OccupancyDistribution.from_masses(2, 2, 0, {})
+        build(2, 2, 0, {})
 
 
 def test_length_and_keys_do_not_build_the_fraction_view():

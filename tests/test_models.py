@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from eomkit import combinat
 from eomkit.errors import BudgetExceededError, EmptySupportError, NonExchangeableError
 from eomkit.models import (
+    FractionTable,
     LabelDistribution,
     MixingSpec,
     OccupancyDistribution,
@@ -495,7 +496,7 @@ def shared_factor_masses(draw):
 @given(shared_factor_masses(), st.integers(0, 2**32), st.integers(0, 40))
 def test_sample_exact_on_stored_masses_matches_linear_scan(case, seed, count):
     n, r, g, masses = case
-    d = OccupancyDistribution.from_masses(n, r, sum(masses.values()), masses)
+    d = OccupancyDistribution(n, r, FractionTable(sum(masses.values()), masses))
     assert d.table.denominator * g <= sum(masses.values())
     rng, oracle_rng = random.Random(seed), random.Random(seed)
     drawn = sample_exact(d.table, rng, count)

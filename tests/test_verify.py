@@ -2,20 +2,27 @@
 
 With default arguments every check passes, so a report pins only check names
 and order.  Each case below swaps one or two names that ``eomkit.verify``
-imports for a version that is wrong on a few models, processes or (t, k)
-deep in the sweep, and pins which checks then fail and at which witness.
+imports (or a method of one) for a version that is wrong on a few models,
+processes or (t, k) deep in the sweep, and pins which checks then fail and
+at which witness.  Builders store their tables unchecked (``from_masses``),
+so a builder that loses mass reaches the suites, and the sum checks
+report it.
 The witnesses were recorded before the suites became table-driven, so they
 also pin the order in which each sweep visits its cases.  So do the digests
 of the arguments that one imported name receives over a whole clean run.
 """
 
+import functools
 import hashlib
 from fractions import Fraction
 
 import pytest
 
-from eomkit import verify
-from eomkit.models import OccupancyDistribution
+from eomkit import combinat, verify
+from eomkit.models import FractionTable, LabelDistribution, OccupancyDistribution
+from eomkit.models import weight_model as real_weight_model
+from eomkit.process import FiniteProcess
+from eomkit.report import CheckOutcome
 
 F = Fraction
 
@@ -48,7 +55,7 @@ def exchangeable_fault(real):
 
 def order_statistics_fault(real):
     def fake(d):
-        out = real(d)
+        out = dict(real(d))  # the real table is read-only
         if skewed(d):
             key = min(out)
             out[key] += 1
@@ -66,6 +73,113 @@ def weight_model_fault(kind, n, r):
         return fake
 
     return make
+
+
+def lose_orbit(d: OccupancyDistribution) -> OccupancyDistribution:
+    """Forget the orbit of the largest sorted key: still exchangeable, but
+    the masses no longer sum to the denominator."""
+    top = max(tuple(sorted(x)) for x in d.table.masses)
+    kept = {x: m for x, m in d.table.masses.items() if tuple(sorted(x)) != top}
+    return OccupancyDistribution.from_masses(d.n, d.r, d.table.denominator, kept)
+
+
+def weight_model_loses(kind, n, r):
+    def make(real):
+        def fake(a, n_, r_):
+            d = real(a, n_, r_)
+            return lose_orbit(d) if (a.kind, n_, r_) == (kind, n, r) else d
+
+        return fake
+
+    return make
+
+
+def erase_cell_loses(real):
+    def fake(d):
+        out = real(d)
+        return lose_orbit(out) if (d.n, d.r) == (4, 3) else out
+
+    return fake
+
+
+def label_marginal_overwrites(real):
+    """On three-cell laws, keep the last mass of each key instead of the sum."""
+
+    def fake(ld, index_set):
+        if ld.n != 3:
+            return real(ld, index_set)
+        idx = sorted(set(index_set))
+        out = {tuple(y[i - 1] for i in idx): m for y, m in ld.table.masses.items()}
+        return LabelDistribution.from_masses(ld.n, len(idx), ld.table.denominator, out)
+
+    return fake
+
+
+def occupancy_without_multinomial(real):
+    """Give each composition the mass of one label vector, not of its orbit."""
+
+    def fake(ld):
+        masses = {
+            combinat.phi(y, ld.n): m
+            for y, m in ld.table.masses.items()
+            if list(y) == sorted(y)
+        }
+        return OccupancyDistribution.from_masses(ld.n, ld.r, ld.table.denominator, masses)
+
+    return fake
+
+
+def drop_closure_rejects(real):
+    def fake(a, n, r):
+        if (a.kind, n, r) == ("pc:3", 4, 3):
+            return CheckOutcome("drop-closure", False, "(0, 0, 1, 1)")
+        return real(a, n, r)
+
+    return fake
+
+
+def drop_closure_accepts(real):
+    return lambda a, n, r: CheckOutcome("drop-closure", True)
+
+
+def drop_keeps_adhoc_product_form(real):
+    adhoc = real_weight_model(verify.ADHOC_WEIGHT, 2, 3)
+
+    def fake(d):
+        if d == adhoc:
+            return real_weight_model(verify.ADHOC_WEIGHT, 2, 2)
+        return real(d)
+
+    return fake
+
+
+def structure_reads_previous_time(real):
+    return lambda p, t, k: real(p, max(t - 1, 0), k)
+
+
+def marginal_overwrites(real):
+    """For pc:2 processes, keep the last path's mass of each prefix."""
+
+    def fake(self, t):
+        if self.weight.kind != "pc:2":
+            return real(self, t)
+        acc = {path[: t + 1]: m for path, m in self.joint.masses.items()}
+        return FractionTable.lowest(self.joint.denominator, acc)
+
+    return fake
+
+
+def perturbation_onto_donor(real):
+    """Move the mass onto the donor itself: the process is unchanged."""
+
+    def fake(p):
+        if real(p) is None:
+            return None
+        return FiniteProcess.from_masses(
+            p.weight, p.horizon, p.joint.denominator, dict(p.joint.masses)
+        )
+
+    return fake
 
 
 def uosp_fault(real):
@@ -136,6 +250,87 @@ CASES = {
             ("structure-recursion", "random-0/M=3/uniform"),
         ],
     ),
+    "eom, be(3,3) loses an orbit": (
+        lambda: verify.eom_suite(),
+        [("weight_model", weight_model_loses("be", 3, 3))],
+        [
+            ("model-normalization", "be(3,3)"),
+            ("uniform-single-marginals", "be(3,3) coordinate 1 label 1"),
+            ("label-law-closed-forms", "be(3,3) at (1, 2, 3)"),
+            ("uniform-transfer", "no uniform instance at (3,3)"),
+            ("weight-label-density", "be(3,3) at (1, 2, 3)"),
+            ("iid-conditional-sufficiency", "be(3,3)"),
+        ],
+    ),
+    "transforms, erase loses an orbit at (4,3)": (
+        lambda: verify.transforms_suite(),
+        [("erase_cell", erase_cell_loses)],
+        [("mass-conservation", "mb(4,3)")],
+    ),
+    "eom, three-cell marginals overwrite": (
+        lambda: verify.eom_suite(),
+        [("label_marginal", label_marginal_overwrites)],
+        [("uniform-single-marginals", "mb(3,2) coordinate 1 label 1")],
+    ),
+    "transforms, three-cell marginals overwrite": (
+        lambda: verify.transforms_suite(),
+        [("label_marginal", label_marginal_overwrites)],
+        [("dropped-label-marginal", "mb(3,2)")],
+    ),
+    "eom, occupancy view without multinomials": (
+        lambda: verify.eom_suite(),
+        [("occupancy_from_labels", occupancy_without_multinomial)],
+        [("label-occupancy-roundtrip", "mb(2,2)")],
+    ),
+    "transforms, drop closure rejects pc:3(4,3)": (
+        lambda: verify.transforms_suite(),
+        [("check_drop_closure", drop_closure_rejects)],
+        [("drop-closure-builtins", "pc:3(4,3) witness (0, 0, 1, 1)")],
+    ),
+    "transforms, drop closure accepts everything": (
+        lambda: verify.transforms_suite(),
+        [("check_drop_closure", drop_closure_accepts)],
+        [
+            (
+                "drop-closure-counterexample",
+                "ad-hoc weight (1,1,5,1) unexpectedly passes at n=2, r=3",
+            )
+        ],
+    ),
+    "transforms, drop keeps the ad-hoc model product-form": (
+        lambda: verify.transforms_suite(),
+        [("drop_particle", drop_keeps_adhoc_product_form)],
+        [
+            (
+                "drop-breaks-weight-model",
+                "ad-hoc weight (1,1,5,1) preserved by drop at n=2, r=3",
+            )
+        ],
+    ),
+    "transforms, detector recovers nothing": (
+        lambda: verify.transforms_suite(),
+        [("product_form_weights", lambda real: lambda d: None)],
+        [("product-form-detector-positive", "detector missed the uniform model at (3,2)")],
+    ),
+    "theorem, structure function one time late": (
+        lambda: verify.theorem_suite(0, 3),
+        [("structure_function", structure_reads_previous_time)],
+        [("zero-count-identity", "mb/M=2/uniform t=1")],
+    ),
+    "theorem, pc:2 marginals overwrite": (
+        lambda: verify.theorem_suite(0, 3),
+        [("FiniteProcess.marginal", marginal_overwrites)],
+        [
+            ("markov-transitions", "pc:2/M=2/uniform row (t,k)=(0,0) sums to 28/3"),
+            ("structure-recursion", "pc:2/M=2/uniform"),
+            ("marginal-consistency", "pc:2/M=2/uniform t=1"),
+        ],
+    ),
+    "theorem, perturbation onto the donor": (
+        lambda: verify.theorem_suite(0, 3),
+        [("perturbed_process", perturbation_onto_donor)],
+        [("mutation-detected", "mb/M=2/uniform perturbation went undetected")],
+    ),
     "classic, three wrong closed-form values": (
         lambda: verify.classic_suite(4),
         [("classic_uosp_value", uosp_fault)],
@@ -153,7 +348,9 @@ def test_injected_fault_is_reported_at_its_witness(case, monkeypatch):
     suite, patches, expected = CASES[case]
     clean = [c.name for c in suite().checks]
     for name, make in patches:
-        monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+        *path, attr = name.split(".")
+        owner = functools.reduce(getattr, path, verify)
+        monkeypatch.setattr(owner, attr, make(getattr(owner, attr)))
     report = suite()
     assert [c.name for c in report.checks] == clean
     assert [(c.name, c.witness) for c in report.checks if not c.passed] == expected
