@@ -247,6 +247,8 @@ def conditional_jumps_given_count(
     record (see ``_counts``), over the count mass M_t(k).
     """
     _, masses, groups = _counts(p, t)
+    if k < 0:
+        raise ValueError(f"count must be >= 0, got {k}")
     group = groups.get(k)
     if group is None:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
@@ -322,13 +324,25 @@ def _arrival_profile(arrival_times, horizon: int) -> JumpPath:
     times = tuple(arrival_times)
     if not times:
         raise ValueError("at least one arrival time is required")
-    if min(times) < 0:
+    ordered = sorted(times)
+    if ordered[0] < 0:
         raise ValueError(f"arrival times must be >= 0, got {times}")
-    if list(times) != sorted(times):
+    if times != tuple(ordered):
         raise ValueError(f"arrival times {times} are not nondecreasing")
+    return _bounded_profile(times, horizon)
+
+
+def _bounded_profile(times: tuple, horizon: int) -> JumpPath:
+    """``_profile`` of nondecreasing times >= 0, the last one checked against
+    the horizon.  A time that is not an integer fails to index the jump
+    list, which is reported as a ``ValueError``.
+    """
     if times[-1] > horizon:
         raise ValueError(f"arrival time {times[-1]} beyond horizon {horizon}")
-    return _profile(times)
+    try:
+        return _profile(times)
+    except TypeError:
+        raise ValueError(f"arrival times must be integers, got {times}") from None
 
 
 def _profile(times) -> JumpPath:
@@ -344,14 +358,17 @@ def interarrival_event_probability(p: FiniteProcess, gaps) -> Fraction:
 
     The event pins the jump amounts up to the k-th arrival time, so it is
     evaluated as a prefix density; a zero gap is a tie (two arrivals at the
-    same time).
+    same time).  The times summed from non-negative gaps are nondecreasing
+    and non-negative, so they are checked only against the horizon and for
+    being integers (see ``_bounded_profile``).
     """
     gaps = tuple(gaps)
     if not gaps:
         raise ValueError("at least one inter-arrival gap is required")
     if min(gaps) < 0:
         raise ValueError(f"gaps must be >= 0, got {gaps}")
-    return _prefix_density(p, _arrival_profile(itertools.accumulate(gaps), p.horizon))
+    times = tuple(itertools.accumulate(gaps))
+    return _prefix_density(p, _bounded_profile(times, p.horizon))
 
 
 def arrival_event_probability(p: FiniteProcess, arrival_times) -> Fraction:
@@ -360,7 +377,7 @@ def arrival_event_probability(p: FiniteProcess, arrival_times) -> Fraction:
 
 
 def _prefix_density(p: FiniteProcess, profile: JumpPath) -> Fraction:
-    """``joint_jump_density`` of a prefix that ``_arrival_profile`` built."""
+    """``joint_jump_density`` of a prefix that ``_bounded_profile`` built."""
     return p.marginal(len(profile) - 1).get(profile, ZERO)
 
 
@@ -371,64 +388,69 @@ def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
     factorize through the total, and the closed-form inter-arrival and
     arrival-time probabilities must reproduce that factorization (with the
     arrival route also agreeing with the gap route event by event).  One
-    outcome per description, carrying the first discrepancy found.
-
-    Both arrival descriptions share one walk over the events: prefix sums
-    map the k-tuples of gaps summing to at most M one-to-one onto the
-    nondecreasing k-tuples of times in 0..M, keeping lexicographic order, so
-    each event is evaluated once for both formulas.  The formula value of an
-    event with prefix x is R_t(k) * w / L**(t+1), w = prod L * a(x_j), kept
-    as the integer pair (numerator, denominator) that a probability is
-    cross-multiplied with.  The walk generates valid times, so it builds
-    each prefix without the validation of ``_arrival_profile`` and reads w
-    from the weight's ``weighted_compositions``.
+    outcome per description, carrying the first discrepancy found.  The two
+    arrival descriptions are decided by one walk, ``_arrival_walk``.
     """
     out = [check_weight_model_conditionals(p), check_mixed_geometric_form(p)]
     if not out[1].passed:
         return out
-    weighted = p.weight.weighted_compositions
-    powers = [p.weight.scale**cells for cells in range(p.horizon + 2)]
-
-    def factored(times) -> tuple[int, int]:
-        # R is the structure function once the joint factorizes; a positive
-        # weight means a positive normalizer, so the lookup never raises
-        t, k = times[-1], len(times)
-        w = weighted(t + 1, k)[_profile(times)]
-        if w == 0:
-            return 0, 1
-        r = structure_function(p, t, k)
-        return r.numerator * w, r.denominator * powers[t + 1]
-
-    def misses(law: Fraction, expected: tuple[int, int]) -> bool:
-        num, den = expected
-        return law.numerator * den != num * law.denominator
-
-    events = itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(p.horizon + 1), k)
-        for k in range(1, p.count_cap + 1)
-    )
-    by_gaps = by_times = None
-    for times in events:
-        gaps = tuple(map(operator.sub, times, (0,) + times[:-1]))
-        expected = factored(times)
-        gap_law = interarrival_event_probability(p, gaps)
-        time_law = arrival_event_probability(p, times)
-        miss = misses(gap_law, expected)
-        if by_gaps is None and miss:
-            by_gaps = f"gaps {gaps}"
-        # both lookups read one stored value, so the time law is compared
-        # again only when it is another object
-        if time_law is not gap_law:
-            miss = misses(time_law, expected)
-        if by_times is None and miss:
-            by_times = f"times {times}"
-        elif by_times is None and gap_law is not time_law and gap_law != time_law:
-            by_times = f"times {times} vs gaps {list(gaps)}"
-        if by_gaps and by_times:
-            break
+    by_gaps, by_times = _arrival_walk(p)
     out.append(CheckOutcome("interarrival-product-formula", by_gaps is None, by_gaps))
     out.append(CheckOutcome("arrival-product-formula", by_times is None, by_times))
     return out
+
+
+def _arrival_walk(p: FiniteProcess) -> tuple[str | None, str | None]:
+    """First witnesses of the inter-arrival and the arrival-time formulas.
+
+    Prefix sums map the k-tuples of gaps summing to at most M one-to-one
+    onto the nondecreasing k-tuples of times in 0..M, keeping lexicographic
+    order, so each event is walked once for both formulas, and each event
+    function is called once per event.  The formula value of an event with
+    prefix x is R_t(k) * w / L**(t+1), w = prod L * a(x_j), kept as the
+    integer pair (numerator, denominator) that a probability is
+    cross-multiplied with; R_t(k) is read from ``structure_function`` at the
+    first positive-weight prefix of each (t, k).  The walk generates valid
+    times, so it builds each prefix without the validation of
+    ``_arrival_profile`` and reads w from the weight's
+    ``weighted_compositions``.
+    """
+    a, horizon = p.weight, p.horizon
+    by_gaps = by_times = None
+    for k in range(1, p.count_cap + 1):
+        weights = [a.weighted_compositions(t + 1, k) for t in range(horizon + 1)]
+        factors = [None] * (horizon + 1)
+        for times in itertools.combinations_with_replacement(range(horizon + 1), k):
+            t = times[-1]
+            w = weights[t][_profile(times)]
+            if w == 0:
+                num, den = 0, 1
+            else:
+                factor = factors[t]
+                if factor is None:
+                    # R is the structure function once the joint factorizes;
+                    # a positive weight means a positive normalizer, so the
+                    # lookup never raises
+                    r = structure_function(p, t, k)
+                    factor = factors[t] = r.numerator, r.denominator * a.scale ** (t + 1)
+                num, den = factor[0] * w, factor[1]
+            gaps = (times[0], *map(operator.sub, times[1:], times))
+            gap_law = interarrival_event_probability(p, gaps)
+            time_law = arrival_event_probability(p, times)
+            miss = gap_law.numerator * den != num * gap_law.denominator
+            if by_gaps is None and miss:
+                by_gaps = f"gaps {gaps}"
+            # both lookups read one stored value, so the time law is compared
+            # again only when it is another object
+            if time_law is not gap_law:
+                miss = time_law.numerator * den != num * time_law.denominator
+            if by_times is None and miss:
+                by_times = f"times {times}"
+            elif by_times is None and gap_law is not time_law and gap_law != time_law:
+                by_times = f"times {times} vs gaps {list(gaps)}"
+            if by_gaps and by_times:
+                return by_gaps, by_times
+    return by_gaps, by_times
 
 
 def transition_probability(p: FiniteProcess, t: int, k: int, i: int) -> Fraction:
@@ -446,9 +468,11 @@ def transition_probability(p: FiniteProcess, t: int, k: int, i: int) -> Fraction
         raise ValueError(f"transition time {t} outside 0..{p.horizon - 1}")
     if i < 0:
         raise ValueError(f"jump amount must be >= 0, got {i}")
+    if k < 0:
+        raise ValueError(f"count must be >= 0, got {k}")
     cap = p.count_cap
     den, masses, _ = _counts(p, t)
-    here = masses[k] if 0 <= k <= cap else 0
+    here = masses[k] if k <= cap else 0
     if here == 0:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
     if i > p.weight.x_max or k + i > cap:
@@ -511,22 +535,30 @@ def classic_uosp_value(kind: str, t: int, k: int, times) -> Fraction:
     ``strict``: strictly increasing times in {1..t}; probability 1/binom(t, k).
     ``leq1``:   nondecreasing times in {0..t}; multinomial over ties times (t+1)**-k.
     ``leq2``:   nondecreasing times in {0..t}; probability 1/binom(t+k, k).
+
+    The times are checked for their count, their order, their range and
+    then for being integers, in that order.
     """
     times = tuple(times)
     if len(times) != k:
         raise ValueError(f"expected {k} arrival times, got {len(times)}")
-    if kind == "strict":
-        if any(a >= b for a, b in zip(times, times[1:])):
-            raise ValueError(f"times {times} are not strictly increasing")
-        if times and not (1 <= times[0] and times[-1] <= t):
-            raise ValueError(f"times {times} outside 1..{t}")
+    strict = kind == "strict"
+    # strictly increasing times are their sorted distinct values
+    if times != tuple(sorted(set(times) if strict else times)):
+        order = "strictly increasing" if strict else "nondecreasing"
+        raise ValueError(f"times {times} are not {order}")
+    first = 1 if strict else 0
+    if times and not (first <= times[0] and times[-1] <= t):
+        raise ValueError(f"times {times} outside {first}..{t}")
+    ties = [0] * (t + 1)
+    try:
+        for h in times:
+            ties[h] += 1
+    except TypeError:
+        raise ValueError(f"times {times} are not integers") from None
+    if strict:
         return Fraction(1, math.comb(t, k))
-    if any(a > b for a, b in zip(times, times[1:])):
-        raise ValueError(f"times {times} are not nondecreasing")
-    if times and not (0 <= times[0] and times[-1] <= t):
-        raise ValueError(f"times {times} outside 0..{t}")
     if kind == "leq1":
-        ties = [times.count(h) for h in range(t + 1)]
         coeff = math.factorial(k)
         for j in ties:
             coeff //= math.factorial(j)

@@ -34,6 +34,7 @@ from .models import (
 )
 from .process import (
     FiniteProcess,
+    _counts,
     build_process,
     check_characterizations,
     check_mixed_geometric_form,
@@ -41,7 +42,6 @@ from .process import (
     check_weight_model_conditionals,
     classic_uosp_value,
     conditional_jumps_given_count,
-    count_distribution,
     structure_function,
     transition_probability,
 )
@@ -564,6 +564,42 @@ def perturbed_process(p: FiniteProcess) -> FiniteProcess | None:
     return None
 
 
+def _markov_mismatch(p: FiniteProcess) -> str | None:
+    """First transition step of ``p`` that misses its cell of the joint, or
+    first row of steps that does not sum to 1.
+
+    From the count record of t + 1 (see ``_counts``), the masses of
+    P{N_t = k, J_{t+1} = i} over D_{t+1} are summed for every cell in one
+    pass; with the count mass M_t(k) over D_t, each step must equal
+    cell(k, i) * D_t / (D_{t+1} * M_t(k)).  Once every step of a row equals
+    its cell, the row sums to 1 exactly when its cells sum to
+    D_{t+1} * M_t(k) / D_t, so the sum is decided on integers; a
+    ``Fraction`` is made only for the witness of a failing row.
+    """
+    for t in range(p.horizon):
+        den, masses, _ = _counts(p, t)
+        fine_den, _, groups = _counts(p, t + 1)
+        cells: dict[tuple[int, int], int] = {}
+        for total, group in groups.items():
+            for prefix, m in group.items():
+                key = (total - prefix[-1], prefix[-1])
+                cells[key] = cells.get(key, 0) + m
+        for k, mass in enumerate(masses):
+            if not mass:
+                continue
+            scale = fine_den * mass
+            row = 0
+            for i in range(p.count_cap - k + 1):
+                step = transition_probability(p, t, k, i)
+                cell = cells.get((k, i), 0)
+                if step.numerator * scale != cell * den * step.denominator:
+                    return f"(t,k,i)=({t},{k},{i})"
+                row += cell
+            if row * den != scale:
+                return f"row (t,k)=({t},{k}) sums to {Fraction(row * den, scale)}"
+    return None
+
+
 CHARACTERIZATION_NAMES = (
     "jump-conditionals-product-form",
     "joint-factorization",
@@ -590,30 +626,9 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
 
     def markov_transitions():
         for label, p in processes:
-            for t in range(p.horizon):
-                # the masses of P{N_t = k, J_{t+1} = i} for every cell, in
-                # one pass, over the denominator of marginal(t + 1)
-                fine = p.marginal(t + 1)
-                cells: dict[tuple[int, int], int] = {}
-                for prefix, m in fine.masses.items():
-                    key = (sum(prefix[:-1]), prefix[-1])
-                    cells[key] = cells.get(key, 0) + m
-                for k, mass in count_distribution(p, t).items():
-                    if not mass:
-                        continue
-                    # each step must equal cells[k, i] / (denominator * mass)
-                    scale = fine.denominator * mass.numerator
-                    steps = []
-                    for i in range(p.count_cap - k + 1):
-                        step = transition_probability(p, t, k, i)
-                        if step.numerator * scale != (
-                            cells.get((k, i), 0) * mass.denominator * step.denominator
-                        ):
-                            return f"{label} (t,k,i)=({t},{k},{i})"
-                        steps.append(step)
-                    row = sum(steps)
-                    if row != 1:
-                        return f"{label} row (t,k)=({t},{k}) sums to {row}"
+            witness = _markov_mismatch(p)
+            if witness:
+                return f"{label} {witness}"
         return None
 
     def structure_recursion():
@@ -627,7 +642,9 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
             if p.weight(0) == 0:
                 continue
             for t in range(p.horizon + 1):
-                if count_distribution(p, t).get(0, ZERO) != structure_function(p, t, 0):
+                den, masses, _ = _counts(p, t)
+                r = structure_function(p, t, 0)
+                if masses[0] * r.denominator != r.numerator * den:
                     return f"{label} t={t}"
         return None
 
@@ -685,29 +702,43 @@ CLASSIC_RECOVERIES = (
 
 
 def _classic_recovery(weight_kind: str, uosp_kind: str, max_horizon: int) -> str | None:
-    """First jump prefix whose conditional probability misses the closed form."""
+    """First jump prefix whose conditional probability misses the closed form,
+    over the processes of horizon 1..``max_horizon`` with a uniform terminal
+    law."""
     for horizon in range(1, max_horizon + 1):
         cap = horizon + 1 if weight_kind == "fd" else 4
         pi = [Fraction(1, cap + 1)] * (cap + 1)
         p = build_process(builtin_weight(weight_kind, cap), horizon, pi)
-        for t in range(horizon + 1):
-            for k, mass in count_distribution(p, t).items():
-                if not mass:
-                    continue
-                cond = conditional_jumps_given_count(p, t, k)
-                if uosp_kind == "strict":
-                    # unit jumps: one arrival time in 1..t+1 per occupied cell
-                    cases, shift, last = cond.table.items(), 1, t + 1
-                else:
-                    cases = (
-                        (x, cond.probability(x))
-                        for x in combinat.enumerate_compositions(t + 1, k)
-                    )
-                    shift, last = 0, t
-                for prefix, pr in cases:
-                    times = [h + shift for h, j in enumerate(prefix) for _ in range(j)]
-                    if pr != classic_uosp_value(uosp_kind, last, k, times):
-                        return f"M={horizon} (t,k)=({t},{k}) at {prefix}"
+        witness = _classic_mismatch(p, uosp_kind)
+        if witness:
+            return f"M={horizon} {witness}"
+    return None
+
+
+def _classic_mismatch(p: FiniteProcess, uosp_kind: str) -> str | None:
+    """First (t, k) and jump prefix of ``p`` whose conditional probability
+    misses ``classic_uosp_value``.
+
+    The conditional's integer mass m over its denominator D is
+    cross-multiplied with each closed-form value v: m * v.denominator must
+    equal v.numerator * D.  Unit jumps (``strict``) put one arrival time in
+    1..t+1 on each occupied cell, so only the prefixes with mass are cases;
+    otherwise every composition of k into t+1 cells is one.
+    """
+    strict = uosp_kind == "strict"
+    shift = 1 if strict else 0
+    for t in range(p.horizon + 1):
+        for k, mass in enumerate(_counts(p, t)[1]):
+            if not mass:
+                continue
+            cond = conditional_jumps_given_count(p, t, k).table
+            den, masses = cond.denominator, cond.masses
+            cases = masses if strict else combinat.enumerate_compositions(t + 1, k)
+            for prefix in cases:
+                times = [h + shift for h, j in enumerate(prefix) for _ in range(j)]
+                value = classic_uosp_value(uosp_kind, t + shift, k, times)
+                if masses.get(prefix, 0) * value.denominator != value.numerator * den:
+                    return f"(t,k)=({t},{k}) at {prefix}"
     return None
 
 

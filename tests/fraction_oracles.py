@@ -1,10 +1,12 @@
 """Per-entry ``Fraction`` constructions of the model, process and transform
 tables, and the ``Fraction`` forms of the drop-closure check, the process
-characterization and structure-recursion checks and queries: the
+characterization and structure-recursion checks and queries, the arrival
+event probabilities, and the per-process bodies of the ``theorem`` suite's
+Markov check and the ``classic`` suite's recovery checks: the
 straightforward bodies that the integer-mass paths in ``eomkit`` replace.
 Each table builder returns a plain dict of exact probabilities, so a test
 can compare a fast path with its oracle table for table; each check returns
-the same ``CheckOutcome`` (or list of them, or bool) as its fast path, and
+the same ``CheckOutcome`` (list of them, bool or witness) as its fast path, and
 each query raises the same errors.  Weights are read one value at a time
 through ``a(v)``, normalizers are the literal sums over the composition
 space, and process laws are summed from the joint's ``Fraction`` view, so no
@@ -185,6 +187,8 @@ def count_law(p, t: int) -> dict:
 
 def conditional_given_count(p, t: int, k: int) -> dict:
     """P{(J_0, ..., J_t) = x | N_t = k}: the prefix law filtered by sum."""
+    if k < 0:
+        raise ValueError(f"count must be >= 0, got {k}")
     cond = {x: pr for x, pr in prefix_law(p, t).items() if sum(x) == k}
     total = sum(cond.values(), start=ZERO)
     if total == 0:
@@ -227,6 +231,8 @@ def transition_probability(p, t: int, k: int, i: int) -> Fraction:
         raise ValueError(f"transition time {t} outside 0..{p.horizon - 1}")
     if i < 0:
         raise ValueError(f"jump amount must be >= 0, got {i}")
+    if k < 0:
+        raise ValueError(f"count must be >= 0, got {k}")
     if count_law(p, t).get(k, ZERO) == 0:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
     if i > p.weight.x_max or count_law(p, t + 1).get(k + i, ZERO) == 0:
@@ -303,3 +309,123 @@ def check_characterizations(p) -> list:
         CheckOutcome("interarrival-product-formula", True),
         CheckOutcome("arrival-product-formula", True),
     ]
+
+
+def markov_mismatch(p) -> str | None:
+    """Each step a(i) * R_{t+1}(k+i) / R_t(k) (``transition_probability``
+    above) against P{N_t = k, J_{t+1} = i} / P{N_t = k}, summed from the
+    joint, and each row of steps summed in Fractions against 1."""
+    for t in range(p.horizon):
+        cells = {}
+        for prefix, pr in prefix_law(p, t + 1).items():
+            key = (sum(prefix[:-1]), prefix[-1])
+            cells[key] = cells.get(key, ZERO) + pr
+        for k, mass in count_law(p, t).items():
+            if not mass:
+                continue
+            steps = []
+            for i in range(p.count_cap - k + 1):
+                step = transition_probability(p, t, k, i)
+                if step != cells.get((k, i), ZERO) / mass:
+                    return f"(t,k,i)=({t},{k},{i})"
+                steps.append(step)
+            row = sum(steps, start=ZERO)
+            if row != 1:
+                return f"row (t,k)=({t},{k}) sums to {row}"
+    return None
+
+
+def classic_uosp_value(kind: str, t: int, k: int, times) -> Fraction:
+    """The closed forms with their checks as first written: pairwise order
+    scans, the range, then an ``isinstance`` test for integers; ties are
+    counted with ``tuple.count``."""
+    times = tuple(times)
+    if len(times) != k:
+        raise ValueError(f"expected {k} arrival times, got {len(times)}")
+    if kind == "strict":
+        if any(a >= b for a, b in zip(times, times[1:])):
+            raise ValueError(f"times {times} are not strictly increasing")
+        if times and not (1 <= times[0] and times[-1] <= t):
+            raise ValueError(f"times {times} outside 1..{t}")
+    else:
+        if any(a > b for a, b in zip(times, times[1:])):
+            raise ValueError(f"times {times} are not nondecreasing")
+        if times and not (0 <= times[0] and times[-1] <= t):
+            raise ValueError(f"times {times} outside 0..{t}")
+    if not all(isinstance(h, int) for h in times):
+        raise ValueError(f"times {times} are not integers")
+    if kind == "strict":
+        return Fraction(1, math.comb(t, k))
+    if kind == "leq1":
+        coeff = math.factorial(k)
+        for h in range(t + 1):
+            coeff //= math.factorial(times.count(h))
+        return Fraction(coeff, (t + 1) ** k)
+    if kind == "leq2":
+        return Fraction(1, math.comb(t + k, k))
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def classic_mismatch(p, uosp_kind: str) -> str | None:
+    """Each conditional probability of a jump prefix given N_t = k, summed
+    from the joint, against ``classic_uosp_value`` above at its arrival
+    times: the prefixes with mass for unit jumps (``strict``, times shifted
+    into 1..t+1), every composition of k otherwise."""
+    for t in range(p.horizon + 1):
+        for k, mass in count_law(p, t).items():
+            if not mass:
+                continue
+            cond = conditional_given_count(p, t, k)
+            if uosp_kind == "strict":
+                cases, shift, last = cond.items(), 1, t + 1
+            else:
+                cases = (
+                    (x, cond.get(x, ZERO))
+                    for x in combinat.enumerate_compositions(t + 1, k)
+                )
+                shift, last = 0, t
+            for prefix, pr in cases:
+                times = [h + shift for h, j in enumerate(prefix) for _ in range(j)]
+                if pr != classic_uosp_value(uosp_kind, last, k, times):
+                    return f"(t,k)=({t},{k}) at {prefix}"
+    return None
+
+
+def _event_law(p, times: tuple) -> Fraction:
+    """P{(J_0, ..., J_t) = x} for the prefix x that the times pin, t the last."""
+    profile = tuple(times.count(h) for h in range(times[-1] + 1))
+    return prefix_law(p, times[-1]).get(profile, ZERO)
+
+
+def arrival_event_probability(p, arrival_times) -> Fraction:
+    """The event's prefix probability, with the checks as first written:
+    the minimum, a pairwise order scan, the horizon, then integers."""
+    times = tuple(arrival_times)
+    if not times:
+        raise ValueError("at least one arrival time is required")
+    if min(times) < 0:
+        raise ValueError(f"arrival times must be >= 0, got {times}")
+    if any(a > b for a, b in zip(times, times[1:])):
+        raise ValueError(f"arrival times {times} are not nondecreasing")
+    if times[-1] > p.horizon:
+        raise ValueError(f"arrival time {times[-1]} beyond horizon {p.horizon}")
+    if not all(isinstance(h, int) for h in times):
+        raise ValueError(f"arrival times must be integers, got {times}")
+    return _event_law(p, times)
+
+
+def interarrival_event_probability(p, gaps) -> Fraction:
+    """The prefix probability of the event whose times are the prefix sums
+    of the gaps, checked as ``arrival_event_probability`` above checks
+    times, with the order implied by gaps >= 0."""
+    gaps = tuple(gaps)
+    if not gaps:
+        raise ValueError("at least one inter-arrival gap is required")
+    if min(gaps) < 0:
+        raise ValueError(f"gaps must be >= 0, got {gaps}")
+    times = tuple(itertools.accumulate(gaps))
+    if times[-1] > p.horizon:
+        raise ValueError(f"arrival time {times[-1]} beyond horizon {p.horizon}")
+    if not all(isinstance(h, int) for h in times):
+        raise ValueError(f"arrival times must be integers, got {times}")
+    return _event_law(p, times)

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eomkit import combinat, process
+from eomkit import combinat, process, verify
 from eomkit.errors import BudgetExceededError, ConditioningError, EmptySupportError
 from eomkit.models import (
     WeightFunction,
@@ -135,6 +136,8 @@ def test_conditional_jumps(flat_process):
     assert cond.table == {(2, 0): F(1, 3), (1, 1): F(1, 3), (0, 2): F(1, 3)}
     with pytest.raises(ConditioningError):
         conditional_jumps_given_count(flat_process, 0, 3)
+    with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
+        conditional_jumps_given_count(flat_process, 0, -1)
 
 
 def test_conditionals_match_weight_models():
@@ -189,8 +192,6 @@ def test_arrival_probabilities(flat_process):
 
 def test_arrival_interarrival_agree():
     p = build_process(builtin_weight("pc:2", 4), 3, [F(1, 5)] * 5)
-    import itertools
-
     for chi in range(1, 4):
         for times in itertools.combinations_with_replacement(range(4), chi):
             gaps = [times[0]] + [b - a for a, b in zip(times, times[1:])]
@@ -203,8 +204,6 @@ def test_unit_jump_arrival_events_partition():
     # with capacity-one jumps there are no ties, so for each count the
     # arrival events with their no-extra-arrival clause tile {N_M >= count}
     p = build_process(builtin_weight("fd", 4), 3, [F(1, 5)] * 5)
-    import itertools
-
     final = count_distribution(p, p.horizon)
     for chi in range(1, 5):
         total = sum(
@@ -223,6 +222,8 @@ def test_transition_probabilities(flat_process):
     assert rows == 1
     with pytest.raises(ConditioningError):
         transition_probability(p, 0, 3, 0)
+    with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
+        transition_probability(p, 0, -1, 0)
     with pytest.raises(ValueError):
         transition_probability(p, 1, 0, 1)
 
@@ -279,14 +280,33 @@ def test_classic_uosp_values():
     assert classic_uosp_value("leq1", 2, 2, (0, 0)) == F(1, 9)
     assert classic_uosp_value("leq1", 2, 2, (0, 1)) == F(2, 9)
     assert classic_uosp_value("leq2", 2, 2, (0, 1)) == F(1, 6)
-    with pytest.raises(ValueError):
-        classic_uosp_value("strict", 4, 2, (3, 1))
-    with pytest.raises(ValueError):
-        classic_uosp_value("strict", 4, 2, (0, 1))
-    with pytest.raises(ValueError):
-        classic_uosp_value("leq1", 2, 2, (1,))
-    with pytest.raises(ValueError):
-        classic_uosp_value("flat", 2, 1, (0,))
+
+
+#: (kind, t, k, times, error text) of ``classic_uosp_value``: times breaking
+#: several rules get the text of the first in order (count, order, range,
+#: integers), and the kind is judged last
+CLASSIC_ERRORS = [
+    ("leq1", 2, 2, (1,), "expected 2 arrival times, got 1"),
+    ("strict", 4, 2, (3, 1), "times (3, 1) are not strictly increasing"),
+    ("strict", 4, 2, (0, 0), "times (0, 0) are not strictly increasing"),
+    ("strict", 4, 2, (0, 1), "times (0, 1) outside 1..4"),
+    ("strict", 4, 2, (1, 2.5), "times (1, 2.5) are not integers"),
+    ("leq1", 2, 2, (1, 0.5), "times (1, 0.5) are not nondecreasing"),
+    ("leq1", 2, 2, (0, 3.5), "times (0, 3.5) outside 0..2"),
+    ("leq1", 2, 2, (0, 0.5), "times (0, 0.5) are not integers"),
+    ("leq2", 2, 2, (0, F(1, 2)), "times (0, Fraction(1, 2)) are not integers"),
+    ("flat", 2, 2, (1, 0), "times (1, 0) are not nondecreasing"),
+    ("flat", 2, 2, (0, 0.5), "times (0, 0.5) are not integers"),
+    ("flat", 2, 1, (0,), "unknown kind 'flat'"),
+]
+
+
+@pytest.mark.parametrize("kind, t, k, times, text", CLASSIC_ERRORS)
+def test_classic_uosp_errors_come_in_order(kind, t, k, times, text):
+    for call in (classic_uosp_value, oracle.classic_uosp_value):
+        with pytest.raises(ValueError) as caught:
+            call(kind, t, k, times)
+        assert str(caught.value) == text
 
 
 def test_finite_process_validation():
@@ -693,9 +713,10 @@ def test_count_conditionals_match_filter_by_sum(p):
         for k in range(-1, p.count_cap + 2):
             try:
                 expected = oracle.conditional_given_count(p, t, k)
-            except ConditioningError as exc:
-                with pytest.raises(ConditioningError, match=str(exc)):
+            except (ValueError, ConditioningError) as exc:
+                with pytest.raises(type(exc)) as caught:
                     conditional_jumps_given_count(p, t, k)
+                assert str(caught.value) == str(exc)
                 continue
             first = conditional_jumps_given_count(p, t, k)
             assert first.table == expected
@@ -713,8 +734,9 @@ def test_count_conditionals_match_filter_by_sum(p):
 
 #: (event function, argument, error text) on ``flat_process`` (horizon 1):
 #: an argument breaking several rules gets the text of the first in order
-#: (negative, order, horizon); gaps add up to nondecreasing times >= 0, so
-#: only the horizon is left to the profile there
+#: (negative, order, horizon, integers); gaps add up to nondecreasing times
+#: >= 0, so only the horizon and integers are left there, both judged on
+#: those times
 ARRIVAL_ERRORS = [
     (arrival_event_probability, (-1, 3, 2), "arrival times must be >= 0, got (-1, 3, 2)"),
     (arrival_event_probability, (3, 2), "arrival times (3, 2) are not nondecreasing"),
@@ -723,6 +745,12 @@ ARRIVAL_ERRORS = [
     (interarrival_event_probability, (-1, 3, 2), "gaps must be >= 0, got (-1, 3, 2)"),
     (interarrival_event_probability, (0, 2), "arrival time 2 beyond horizon 1"),
     (interarrival_event_probability, (), "at least one inter-arrival gap is required"),
+    (arrival_event_probability, (0.5,), "arrival times must be integers, got (0.5,)"),
+    (arrival_event_probability, (0.5, 1), "arrival times must be integers, got (0.5, 1)"),
+    (arrival_event_probability, (0.5, 2), "arrival time 2 beyond horizon 1"),
+    (interarrival_event_probability, (0, 0.5), "arrival times must be integers, got (0, 0.5)"),
+    (interarrival_event_probability, (1, -0.5), "gaps must be >= 0, got (1, -0.5)"),
+    (interarrival_event_probability, (0.5, 0), "arrival times must be integers, got (0.5, 0.5)"),
 ]
 
 
@@ -731,3 +759,91 @@ def test_arrival_profile_errors_come_in_order(flat_process, call, arg, text):
     with pytest.raises(ValueError) as caught:
         call(flat_process, arg)
     assert str(caught.value) == text
+
+
+#: arrival times and gaps for the event functions: integers around 0..M and
+#: a few values that are not integers
+event_arguments = st.lists(
+    st.one_of(st.integers(-1, 5), st.sampled_from([0.5, 1.0, F(3, 2)])), max_size=4
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(built_processes(), event_arguments, event_arguments)
+def test_event_probabilities_match_fraction_oracle(p, times, gaps):
+    for call, arg in (
+        (arrival_event_probability, times),
+        (interarrival_event_probability, gaps),
+    ):
+        assert outcome_of(call, p, arg) == outcome_of(getattr(oracle, call.__name__), p, arg)
+
+
+@st.composite
+def classic_processes(draw):
+    """``build_process`` of a built-in weight of the classic suite and a
+    uniform terminal law, half the time perturbed by ``perturbed_process``."""
+    kind = draw(st.sampled_from(["fd", "mb", "be"]))
+    horizon = draw(st.integers(1, 3))
+    cap = horizon + 1 if kind == "fd" else draw(st.integers(1, 4))
+    p = build_process(builtin_weight(kind, cap), horizon, [F(1, cap + 1)] * (cap + 1))
+    if draw(st.booleans()):
+        return perturbed_process(p) or p
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(classic_processes(), built_processes()),
+    st.sampled_from(["strict", "leq1", "leq2"]),
+)
+def test_classic_recovery_matches_fraction_oracle(p, kind):
+    assert outcome_of(verify._classic_mismatch, p, kind) == outcome_of(
+        oracle.classic_mismatch, p, kind
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(classic_processes(), built_processes()))
+def test_markov_rows_match_fraction_oracle(p):
+    assert verify._markov_mismatch(p) == oracle.markov_mismatch(p)
+
+
+SPIED = ("structure_function", "interarrival_event_probability", "arrival_event_probability")
+
+
+def test_arrival_walk_reads_each_case_once(monkeypatch):
+    """Over ``theorem_suite(0, 2)``, each process's arrival walk calls each
+    event function once per event, in walk order, and ``structure_function``
+    at most once per (t, k)."""
+    walks = []  # (process, {name: [arguments after the process, per call]})
+
+    def spy(name):
+        real = getattr(process, name)
+
+        def counted(p, *args):
+            walks[-1][1][name].append(args)
+            return real(p, *args)
+
+        return counted
+
+    def characterizations(p):
+        walks.append((p, {name: [] for name in SPIED}))
+        return check_characterizations(p)
+
+    for name in SPIED:
+        monkeypatch.setattr(process, name, spy(name))
+    monkeypatch.setattr(verify, "check_characterizations", characterizations)
+    assert verify.theorem_suite(0, 2).passed
+    assert len(walks) == 27
+    for p, calls in walks:
+        events = [
+            times
+            for k in range(1, p.count_cap + 1)
+            for times in itertools.combinations_with_replacement(range(p.horizon + 1), k)
+        ]
+        assert calls["arrival_event_probability"] == [(times,) for times in events]
+        assert [
+            tuple(itertools.accumulate(gaps)) for (gaps,) in calls["interarrival_event_probability"]
+        ] == events
+        pairs = calls["structure_function"]
+        assert pairs and len(set(pairs)) == len(pairs)
