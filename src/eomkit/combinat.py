@@ -12,6 +12,9 @@ cell count ``n`` and a particle count ``r``:
 Compositions and ordered labels are in bijection (``phi``/``psi``); label
 vectors map onto compositions by counting occurrences (``tilde_phi``).
 Elements are plain int tuples so they can serve directly as table keys.
+
+Every public function that takes (n, r) checks them with ``check_space``
+before any other work.
 """
 
 import itertools
@@ -28,12 +31,27 @@ LabelVector = tuple[int, ...]
 ENUMERATION_BUDGET = 10**7
 
 
+def check_int(value, name: str, low: int) -> None:
+    """Raise ValueError unless ``value`` is an int (a bool is not) and at
+    least ``low``; the type is judged before the range."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def check_space(n, r) -> None:
+    """The check of a cell count ``n`` >= 1 and a particle count ``r`` >= 0,
+    in that order.  Valid counts pass with one test and no further call:
+    the table builders and the suites make thousands of these checks."""
+    if type(n) is not int or type(r) is not int or n < 1 or r < 0:
+        check_int(n, "cell count", 1)
+        check_int(r, "particle count", 0)
+
+
 def composition_count(n: int, r: int) -> int:
     """Number of length-``n`` compositions of ``r``: binom(n+r-1, n-1)."""
-    if n < 1:
-        raise ValueError(f"cell count must be >= 1, got {n}")
-    if r < 0:
-        raise ValueError(f"particle count must be >= 0, got {r}")
+    check_space(n, r)
     return math.comb(n + r - 1, n - 1)
 
 
@@ -88,10 +106,7 @@ def enumerate_compositions(n: int, r: int) -> list[Composition]:
 
 def enumerate_binary_compositions(n: int, r: int) -> list[Composition]:
     """All 0/1 compositions of ``r`` over ``n`` cells, lexicographic order."""
-    if n < 1:
-        raise ValueError(f"cell count must be >= 1, got {n}")
-    if r < 0:
-        raise ValueError(f"particle count must be >= 0, got {r}")
+    check_space(n, r)
     if r > n:
         raise EmptySupportError(
             f"no 0/1 composition places {r} particles in {n} cells"
@@ -107,8 +122,7 @@ def enumerate_binary_compositions(n: int, r: int) -> list[Composition]:
 
 def tilde_phi(y: LabelVector, n: int) -> Composition:
     """Occupancy counts of an arbitrary label vector over ``n`` cells."""
-    if n < 1:
-        raise ValueError(f"cell count must be >= 1, got {n}")
+    check_space(n, len(y))
     counts = [0] * n
     for label in y:
         if not 1 <= label <= n:
@@ -148,10 +162,7 @@ def multinomial(r: int, x: Composition) -> int:
 
 def enumerate_labels(r: int, n: int) -> list[LabelVector]:
     """All ``n**r`` label vectors in odometer order (last coordinate fastest)."""
-    if n < 1:
-        raise ValueError(f"cell count must be >= 1, got {n}")
-    if r < 0:
-        raise ValueError(f"particle count must be >= 0, got {r}")
+    check_space(n, r)
     total = n**r
     if total > ENUMERATION_BUDGET:
         raise BudgetExceededError(

@@ -107,11 +107,12 @@ class WeightFunction:
 
         Memoized per (n, r) on the weight: the process builder and checks
         read each table many times.  The memo is returned itself, so callers
-        must not mutate it.  ``r`` must lie in 0..x_max, and the composition
-        budget is charged before any composition is listed.  One-shot tables
-        (``weight_model``) use ``scaled_products`` instead, so that no second
-        copy outlives them.
+        must not mutate it.  (n, r) are checked before the memo is read, ``r``
+        must lie in 0..x_max, and the composition budget is charged before
+        any composition is listed.  One-shot tables (``weight_model``) use
+        ``scaled_products`` instead, so that no second copy outlives them.
         """
+        combinat.check_space(n, r)
         table = self._weighted.get((n, r))
         if table is None:
             if r > self.x_max:
@@ -135,8 +136,7 @@ def builtin_weight(kind: str, x_max: int) -> WeightFunction:
     ``fd``     1 if x <= 1 else 0   (cell capacity one)
     ``pc:s``   binom(s+x-1, x)      (pseudo-contagious, integer s >= 1)
     """
-    if x_max < 0:
-        raise ValueError(f"x_max must be >= 0, got {x_max}")
+    combinat.check_int(x_max, "x_max", 0)
     key = kind.strip().lower()
     if key == "mb":
         vals = [Fraction(1, math.factorial(x)) for x in range(x_max + 1)]
@@ -149,8 +149,7 @@ def builtin_weight(kind: str, x_max: int) -> WeightFunction:
             s = int(key[3:])
         except ValueError:
             raise ValueError(f"bad pseudo-contagious parameter in {kind!r}") from None
-        if s < 1:
-            raise ValueError(f"pseudo-contagious parameter must be >= 1, got {s}")
+        combinat.check_int(s, "pseudo-contagious parameter", 1)
         vals = [Fraction(math.comb(s + x - 1, x)) for x in range(x_max + 1)]
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
@@ -248,7 +247,10 @@ def checked_masses(table, shape_error, what: str, key_error=None) -> FractionTab
     The one place where a table is validated: the public constructors of
     ``ExactTable`` subclasses and ``FiniteProcess`` call it on every table
     they are given, so input from ``serialize``, the CLI and callers passes
-    through it once.  The builders' ``from_masses`` does not.
+    through it once.  The builders' ``from_masses`` does not.  Integer
+    arguments follow the same rule: a public function checks each one once,
+    before any cache (``combinat.check_space`` for (n, r)), and internal
+    callers read ``_power_row`` and ``process._counts`` unchecked.
 
     Entry by entry, ``shape_error(key)`` is reported first, then a negative
     probability, then ``key_error(key)`` if given; each check returns a
@@ -298,10 +300,7 @@ class ExactTable:
     table: FractionTable
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"cell count must be >= 1, got {self.n}")
-        if self.r < 0:
-            raise ValueError(f"particle count must be >= 0, got {self.r}")
+        combinat.check_space(self.n, self.r)
         length = self._key_length()
 
         def shape_error(key):
@@ -423,11 +422,10 @@ def scaled_normalizer(a: WeightFunction, n: int, r: int) -> int:
 
     The integer L**n * C_n(r), read from the row memo on ``a`` (see
     ``_power_row``), so each row is computed once per weight object.
+    Checks (n, r) and that the weight table reaches ``r``; internal callers
+    that already know both read ``_power_row(a, n)[r]`` instead.
     """
-    if n < 1:
-        raise ValueError(f"cell count must be >= 1, got {n}")
-    if r < 0:
-        raise ValueError(f"particle count must be >= 0, got {r}")
+    combinat.check_space(n, r)
     if a.x_max < r:
         raise ValueError(
             f"weight table covers 0..{a.x_max} but occupancies up to {r} are possible"

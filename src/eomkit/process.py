@@ -7,6 +7,12 @@ R_t(total) * prod_h a(j_h) at every time t, which makes the conditional law
 of the jumps given the count a product-form occupancy model; the checks in
 this module verify those characterizations and the equivalent
 arrival/inter-arrival formulas on arbitrary joints.
+
+Arguments are checked once, at the public edge and before any cache: a
+time against the horizon by ``_check_time``, a count by
+``combinat.check_int``, each rejecting a value that is not an int before
+its range is tested.  Internal callers pass trusted integers and read the
+count record ``_counts`` and the normalizer rows ``_power_row`` unchecked.
 """
 
 import itertools
@@ -17,12 +23,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import combinat
+from .combinat import check_int
 from .errors import ConditioningError, EmptySupportError
 from .models import (
     ZERO,
     FractionTable,
     OccupancyDistribution,
     WeightFunction,
+    _power_row,
     checked_masses,
     normalization_constant,
     sample_exact,
@@ -46,10 +54,9 @@ class FiniteProcess:
     to the largest total any path reaches, which is kept as ``count_cap``.
 
     The laws derived from the joint are computed once and cached on the
-    process for its lifetime: the prefix law per t (``marginal``), one count
-    record per t (see ``_counts``), which every count query reads, and the
-    structure values per (t, k) (``structure_function``).  The caches are
-    not constructor parameters and take no part in equality.
+    process for its lifetime: the prefix law per t (``marginal``) and one
+    count record per t (see ``_counts``), which every count query reads.
+    The caches are not constructor parameters and take no part in equality.
     """
 
     weight: WeightFunction
@@ -57,12 +64,10 @@ class FiniteProcess:
     joint: FractionTable
     _marginals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _structure: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     count_cap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        check_int(self.horizon, "horizon", 0)
 
         def path_error(path):
             if len(path) != self.horizon + 1 or min(path) < 0:
@@ -95,23 +100,29 @@ class FiniteProcess:
             joint=FractionTable.lowest(denominator, masses),
             _marginals={},
             _counts={},
-            _structure={},
             count_cap=max(map(sum, masses), default=0),
         )
         return p
 
     def marginal(self, t: int) -> FractionTable:
         """Exact law of the jump prefix (J_0, ..., J_t)."""
+        _check_time(t, self.horizon)
         table = self._marginals.get(t)
         if table is None:
-            if not 0 <= t <= self.horizon:
-                raise ValueError(f"time {t} outside 0..{self.horizon}")
             acc: dict[JumpPath, int] = {}
             for path, m in self.joint.masses.items():
                 key = path[: t + 1]
                 acc[key] = acc.get(key, 0) + m
             table = self._marginals[t] = FractionTable.lowest(self.joint.denominator, acc)
         return table
+
+
+def _check_time(t, last: int, what: str = "time") -> None:
+    """Raise ValueError unless ``t`` is an int (a bool is not) in 0..last."""
+    if type(t) is not int:
+        raise ValueError(f"{what} must be an integer, got {t!r}")
+    if not 0 <= t <= last:
+        raise ValueError(f"{what} {t} outside 0..{last}")
 
 
 def build_process(
@@ -129,8 +140,7 @@ def build_process(
     the joint is integer masses over D, the lcm of the denominators of the
     s_k: one Fraction per total, none per path.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    check_int(horizon, "horizon", 0)
     pi = [Fraction(p) for p in terminal_law]
     if any(p < 0 for p in pi):
         raise ValueError("terminal law has negative entries")
@@ -160,12 +170,11 @@ def build_process(
 
 def joint_jump_density(p: FiniteProcess, t: int, jumps) -> Fraction:
     """P{J_0 = jumps[0], ..., J_t = jumps[t]}."""
+    marginal = p.marginal(t)
     jumps = tuple(jumps)
     if len(jumps) != t + 1:
         raise ValueError(f"expected {t + 1} jump amounts, got {len(jumps)}")
-    if t > p.horizon:
-        raise ValueError(f"time {t} beyond horizon {p.horizon}")
-    return p.marginal(t).get(jumps, ZERO)
+    return marginal.get(jumps, ZERO)
 
 
 def _counts(
@@ -197,6 +206,7 @@ def count_distribution(p: FiniteProcess, t: int) -> dict[int, Fraction]:
 
     Read from the count record; each call returns a fresh dict.
     """
+    _check_time(t, p.horizon)
     den, masses, _ = _counts(p, t)
     return {k: Fraction(m, den) for k, m in enumerate(masses)}
 
@@ -210,26 +220,20 @@ def structure_function(p: FiniteProcess, t: int, k: int) -> Fraction:
     """P{N_t = k} divided by the normalization constant over t+1 cells.
 
     Undefined (raises) when the normalization constant vanishes, i.e. when no
-    positive-weight prefix reaches total ``k``.  Defined values are cached on
-    ``p`` per (t, k) for the lifetime of the process.  With the count record
-    and the scaled normalizer C'_{t+1}(k) = L**(t+1) * C_{t+1}(k) the value
-    is one Fraction of integers, M_t(k) * L**(t+1) over D_t * C'_{t+1}(k).
+    positive-weight prefix reaches total ``k``.  With the count record and
+    the scaled normalizer C'_{t+1}(k) = L**(t+1) * C_{t+1}(k) the value is
+    one Fraction of integers, M_t(k) * L**(t+1) over D_t * C'_{t+1}(k).
     """
-    if k < 0:
-        raise ValueError(f"count must be >= 0, got {k}")
-    value = p._structure.get((t, k))
-    if value is None:
-        # checked first: the normalizer would grow the weight's row memo to t + 1
-        if not 0 <= t <= p.horizon:
-            raise ValueError(f"time {t} outside 0..{p.horizon}")
-        a = p.weight
-        c = scaled_normalizer(a, t + 1, k)
-        if c == 0:
-            raise _undefined_structure(t, k)
-        den, masses, _ = _counts(p, t)
-        mass = masses[k] if k <= p.count_cap else 0
-        value = p._structure[(t, k)] = Fraction(mass * a.scale ** (t + 1), den * c)
-    return value
+    check_int(k, "count", 0)
+    # checked first: the normalizer would grow the weight's row memo to t + 1
+    _check_time(t, p.horizon)
+    a = p.weight
+    c = scaled_normalizer(a, t + 1, k)
+    if c == 0:
+        raise _undefined_structure(t, k)
+    den, masses, _ = _counts(p, t)
+    mass = masses[k] if k <= p.count_cap else 0
+    return Fraction(mass * a.scale ** (t + 1), den * c)
 
 
 def _undefined_structure(t: int, k: int) -> EmptySupportError:
@@ -246,9 +250,9 @@ def conditional_jumps_given_count(
     Built from a copy of the group of prefixes of total k in the count
     record (see ``_counts``), over the count mass M_t(k).
     """
+    _check_time(t, p.horizon)
+    check_int(k, "count", 0)
     _, masses, groups = _counts(p, t)
-    if k < 0:
-        raise ValueError(f"count must be >= 0, got {k}")
     group = groups.get(k)
     if group is None:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
@@ -272,11 +276,12 @@ def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
     a = p.weight
     for t in range(p.horizon + 1):
         _, masses, groups = _counts(p, t)
+        normalizers = _power_row(a, t + 1)
         for k, mass in enumerate(masses):
             if not mass:
                 continue
             group = groups[k]
-            c = scaled_normalizer(a, t + 1, k)
+            c = normalizers[k]
             if c == 0 or any(
                 group.get(x, 0) * c != mass * w
                 for x, w in a.weighted_compositions(t + 1, k).items()
@@ -319,30 +324,37 @@ def check_mixed_geometric_form(p: FiniteProcess) -> CheckOutcome:
     return CheckOutcome(name, True)
 
 
-def _arrival_profile(arrival_times, horizon: int) -> JumpPath:
-    """Jump prefix (j_0..j_t) pinned down by arrival times; t is the last one."""
-    times = tuple(arrival_times)
-    if not times:
-        raise ValueError("at least one arrival time is required")
-    ordered = sorted(times)
-    if ordered[0] < 0:
-        raise ValueError(f"arrival times must be >= 0, got {times}")
-    if times != tuple(ordered):
-        raise ValueError(f"arrival times {times} are not nondecreasing")
-    return _bounded_profile(times, horizon)
+def _event_probability(p: FiniteProcess, values, gaps: bool) -> Fraction:
+    """Density of the jump prefix (j_0..j_t) that arrival times pin, t the
+    last one; with ``gaps`` the times are the prefix sums of ``values``.
 
-
-def _bounded_profile(times: tuple, horizon: int) -> JumpPath:
-    """``_profile`` of nondecreasing times >= 0, the last one checked against
-    the horizon.  A time that is not an integer fails to index the jump
-    list, which is reported as a ``ValueError``.
+    The one validating event path.  Its checks come in the order: none
+    given, negative, order (times only: sums of gaps >= 0 are ordered),
+    horizon, integers, the last two judged on the times.  A time that is
+    not an integer fails to index the jump list, and one that cannot be
+    compared with an int fails before; either is reported as a ValueError.
     """
-    if times[-1] > horizon:
-        raise ValueError(f"arrival time {times[-1]} beyond horizon {horizon}")
+    times = values = tuple(values)
+    if not values:
+        what = "inter-arrival gap" if gaps else "arrival time"
+        raise ValueError(f"at least one {what} is required")
     try:
-        return _profile(times)
+        if gaps:
+            if min(values) < 0:
+                raise ValueError(f"gaps must be >= 0, got {values}")
+            times = tuple(itertools.accumulate(values))
+        else:
+            ordered = sorted(times)
+            if ordered[0] < 0:
+                raise ValueError(f"arrival times must be >= 0, got {times}")
+            if times != tuple(ordered):
+                raise ValueError(f"arrival times {times} are not nondecreasing")
+        if times[-1] > p.horizon:
+            raise ValueError(f"arrival time {times[-1]} beyond horizon {p.horizon}")
+        profile = _profile(times)
     except TypeError:
         raise ValueError(f"arrival times must be integers, got {times}") from None
+    return p.marginal(len(profile) - 1).get(profile, ZERO)
 
 
 def _profile(times) -> JumpPath:
@@ -358,27 +370,14 @@ def interarrival_event_probability(p: FiniteProcess, gaps) -> Fraction:
 
     The event pins the jump amounts up to the k-th arrival time, so it is
     evaluated as a prefix density; a zero gap is a tie (two arrivals at the
-    same time).  The times summed from non-negative gaps are nondecreasing
-    and non-negative, so they are checked only against the horizon and for
-    being integers (see ``_bounded_profile``).
+    same time).
     """
-    gaps = tuple(gaps)
-    if not gaps:
-        raise ValueError("at least one inter-arrival gap is required")
-    if min(gaps) < 0:
-        raise ValueError(f"gaps must be >= 0, got {gaps}")
-    times = tuple(itertools.accumulate(gaps))
-    return _prefix_density(p, _bounded_profile(times, p.horizon))
+    return _event_probability(p, gaps, gaps=True)
 
 
 def arrival_event_probability(p: FiniteProcess, arrival_times) -> Fraction:
     """P{T_1 = times[0], ..., T_x = times[-1], T_{x+1} > times[-1]}."""
-    return _prefix_density(p, _arrival_profile(arrival_times, p.horizon))
-
-
-def _prefix_density(p: FiniteProcess, profile: JumpPath) -> Fraction:
-    """``joint_jump_density`` of a prefix that ``_bounded_profile`` built."""
-    return p.marginal(len(profile) - 1).get(profile, ZERO)
+    return _event_probability(p, arrival_times, gaps=False)
 
 
 def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
@@ -411,9 +410,8 @@ def _arrival_walk(p: FiniteProcess) -> tuple[str | None, str | None]:
     integer pair (numerator, denominator) that a probability is
     cross-multiplied with; R_t(k) is read from ``structure_function`` at the
     first positive-weight prefix of each (t, k).  The walk generates valid
-    times, so it builds each prefix without the validation of
-    ``_arrival_profile`` and reads w from the weight's
-    ``weighted_compositions``.
+    times, so it builds each prefix with the unchecked ``_profile`` and
+    reads w from the weight's ``weighted_compositions``.
     """
     a, horizon = p.weight, p.horizon
     by_gaps = by_times = None
@@ -464,12 +462,9 @@ def transition_probability(p: FiniteProcess, t: int, k: int, i: int) -> Fraction
     D_{t+1} * C'_{t+2}(k+i) * M_t(k).  A zero normalizer raises as
     ``structure_function`` does, for the target count first.
     """
-    if not 0 <= t < p.horizon:
-        raise ValueError(f"transition time {t} outside 0..{p.horizon - 1}")
-    if i < 0:
-        raise ValueError(f"jump amount must be >= 0, got {i}")
-    if k < 0:
-        raise ValueError(f"count must be >= 0, got {k}")
+    _check_time(t, p.horizon - 1, "transition time")
+    check_int(i, "jump amount", 0)
+    check_int(k, "count", 0)
     cap = p.count_cap
     den, masses, _ = _counts(p, t)
     here = masses[k] if k <= cap else 0
@@ -481,11 +476,12 @@ def transition_probability(p: FiniteProcess, t: int, k: int, i: int) -> Fraction
     there = next_masses[k + i]
     if there == 0:
         return ZERO
+    # k + i <= cap <= x_max: the normalizer rows are read unchecked
     a = p.weight
-    c_there = scaled_normalizer(a, t + 2, k + i)
+    c_there = _power_row(a, t + 2)[k + i]
     if c_there == 0:
         raise _undefined_structure(t + 1, k + i)
-    c_here = scaled_normalizer(a, t + 1, k)
+    c_here = _power_row(a, t + 1)[k]
     if c_here == 0:
         raise _undefined_structure(t, k)
     return Fraction(
@@ -511,12 +507,13 @@ def check_structure_recursion(p: FiniteProcess) -> bool:
     prev_den, prev_masses, _ = _counts(p, 0)
     for t in range(1, p.horizon + 1):
         den, masses, _ = _counts(p, t)
+        here, there = _power_row(a, t), _power_row(a, t + 1)
         for k in range(cap + 1):
-            c_here = scaled_normalizer(a, t, k)
+            c_here = here[k]
             if c_here == 0:
                 continue
             terms = [
-                (a.scaled[l] * masses[k + l], scaled_normalizer(a, t + 1, k + l))
+                (a.scaled[l] * masses[k + l], there[k + l])
                 for l in support
                 if k + l <= cap
             ]
@@ -536,22 +533,25 @@ def classic_uosp_value(kind: str, t: int, k: int, times) -> Fraction:
     ``leq1``:   nondecreasing times in {0..t}; multinomial over ties times (t+1)**-k.
     ``leq2``:   nondecreasing times in {0..t}; probability 1/binom(t+k, k).
 
-    The times are checked for their count, their order, their range and
-    then for being integers, in that order.
+    After t and k, the times are checked for their count, their order,
+    their range and then for being integers, in that order; a time that
+    cannot be compared with an int is reported as not an integer.
     """
+    check_int(t, "time", 0)
+    check_int(k, "count", 0)
     times = tuple(times)
     if len(times) != k:
         raise ValueError(f"expected {k} arrival times, got {len(times)}")
     strict = kind == "strict"
-    # strictly increasing times are their sorted distinct values
-    if times != tuple(sorted(set(times) if strict else times)):
-        order = "strictly increasing" if strict else "nondecreasing"
-        raise ValueError(f"times {times} are not {order}")
     first = 1 if strict else 0
-    if times and not (first <= times[0] and times[-1] <= t):
-        raise ValueError(f"times {times} outside {first}..{t}")
-    ties = [0] * (t + 1)
     try:
+        # strictly increasing times are their sorted distinct values
+        if times != tuple(sorted(set(times) if strict else times)):
+            order = "strictly increasing" if strict else "nondecreasing"
+            raise ValueError(f"times {times} are not {order}")
+        if times and not (first <= times[0] and times[-1] <= t):
+            raise ValueError(f"times {times} outside {first}..{t}")
+        ties = [0] * (t + 1)
         for h in times:
             ties[h] += 1
     except TypeError:

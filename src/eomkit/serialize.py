@@ -18,17 +18,12 @@ from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
 from .models import (
-    LabelDistribution,
     OccupancyDistribution,
     WeightFunction,
     builtin_weight,
     masses_of,
 )
 from .process import FiniteProcess, build_process
-
-
-def fraction_to_str(q) -> str:
-    return str(Fraction(q))
 
 
 def fraction_from_str(s) -> Fraction:
@@ -43,7 +38,7 @@ def table_entries(table):
     int tuples, in sorted key order.
 
     Each probability is written from its integer mass (see ``masses_of``) in
-    lowest terms, as ``fraction_to_str`` would write it.
+    lowest terms, as ``str`` writes its ``Fraction``.
     """
     den, masses = masses_of(table)
     gcd = math.gcd
@@ -56,14 +51,6 @@ def table_entries(table):
 def table_doc(n: int, r: int, table: dict) -> dict:
     """Canonical document for any exact table keyed by int tuples."""
     return {"n": n, "r": r, "entries": list(table_entries(table))}
-
-
-def occupancy_to_doc(d: OccupancyDistribution) -> dict:
-    return table_doc(d.n, d.r, d.table)
-
-
-def labels_to_doc(ld: LabelDistribution) -> dict:
-    return table_doc(ld.n, ld.r, ld.table)
 
 
 def int_field(doc: dict, name: str) -> int:
@@ -99,13 +86,6 @@ def _entry_key(entry) -> tuple[int, ...]:
         f"distribution entry {entry!r} is not a list [x_1, ..., x_n, p] "
         "of integer counts and a probability"
     )
-
-
-def weight_to_doc(a: WeightFunction) -> dict:
-    doc = {"values": [fraction_to_str(v) for v in a.values]}
-    if a.kind:
-        doc["kind"] = a.kind
-    return doc
 
 
 def _values(values, what: str) -> tuple[Fraction, ...]:

@@ -26,9 +26,9 @@ from .models import (
     is_exchangeable,
     label_distribution,
     label_marginal,
-    normalization_constant,
     occupancy_from_labels,
     order_statistics_distribution,
+    scaled_normalizer,
     weight_model,
     weight_model_label_density,
 )
@@ -393,8 +393,8 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
                     try:
                         cond = condition_on_partial_sum(d, sub_n, s)
                     except ConditioningError:
-                        if normalization_constant(a, sub_n, s) != 0 and (
-                            normalization_constant(a, big_n - sub_n, r - s) != 0
+                        if scaled_normalizer(a, sub_n, s) and scaled_normalizer(
+                            a, big_n - sub_n, r - s
                         ):
                             return f"{kind}({big_n},{r}) cond({sub_n},{s}) empty"
                         continue

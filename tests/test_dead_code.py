@@ -1,0 +1,53 @@
+"""Every module-level function and class of the package is used: named
+somewhere in ``src/`` or ``bench/`` outside its own definition.  An export
+from ``eomkit/__init__.py`` counts as a use; the tests do not."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "eomkit"
+
+
+def _names(tree) -> Counter:
+    """Identifiers that ``tree`` refers to: names, attributes, imported
+    names, and the dotted parts of string constants that are not docstrings
+    (``bench/tracing.py`` names its traced functions in strings)."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rpartition(".")[2]] += 1
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_every_module_level_definition_is_used():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                # a use inside the definition itself (recursion) does not count
+                if used[node.name] - _names(node)[node.name] <= 0:
+                    unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, unused

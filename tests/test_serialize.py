@@ -18,15 +18,15 @@ RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
 
 def test_fraction_strings():
-    assert serialize.fraction_to_str(F(1, 3)) == "1/3"
-    assert serialize.fraction_to_str(F(2)) == "2"
+    entries = serialize.table_entries({(1,): F(2), (0,): F(1, 3), (2,): F(0)})
+    assert list(entries) == [[0, "1/3"], [1, "2"], [2, "0"]]
     assert serialize.fraction_from_str("7/2") == F(7, 2)
     assert serialize.fraction_from_str("0") == 0
 
 
 def test_occupancy_doc_round_trip():
     d = weight_model(builtin_weight("mb", 3), 2, 3)
-    doc = serialize.occupancy_to_doc(d)
+    doc = serialize.table_doc(d.n, d.r, d.table)
     assert doc["n"] == 2 and doc["r"] == 3
     assert doc["entries"] == sorted(doc["entries"])
     for entry in doc["entries"]:
@@ -37,7 +37,7 @@ def test_occupancy_doc_round_trip():
 
 def test_no_floats_anywhere():
     d = weight_model(builtin_weight("pc:3", 2), 3, 2)
-    text = serialize.to_json(serialize.occupancy_to_doc(d))
+    text = serialize.to_json(serialize.table_doc(d.n, d.r, d.table))
     assert "." not in text
     parsed = json.loads(text)
     assert all(isinstance(e[-1], str) for e in parsed["entries"])
@@ -45,7 +45,7 @@ def test_no_floats_anywhere():
 
 def test_label_doc():
     ld = label_distribution(weight_model(builtin_weight("be", 2), 2, 2))
-    doc = serialize.labels_to_doc(ld)
+    doc = serialize.table_doc(ld.n, ld.r, ld.table)
     assert [e[:-1] for e in doc["entries"]] == [[1, 1], [1, 2], [2, 1], [2, 2]]
 
 
@@ -69,7 +69,8 @@ def test_occupancy_doc_requires_fields():
 
 def test_weight_doc_and_spec():
     a = builtin_weight("mb", 2)
-    doc = serialize.weight_to_doc(a)
+    entries = serialize.table_entries({(x,): v for x, v in enumerate(a.values)})
+    doc = {"values": [value for _, value in entries], "kind": a.kind}
     assert doc == {"values": ["1", "1", "1/2"], "kind": "mb"}
     again = serialize.weight_from_spec(doc, x_max=2)
     assert again.values == a.values
