@@ -124,10 +124,13 @@ def tilde_phi(y: LabelVector, n: int) -> Composition:
     """Occupancy counts of an arbitrary label vector over ``n`` cells."""
     check_space(n, len(y))
     counts = [0] * n
-    for label in y:
-        if not 1 <= label <= n:
-            raise ValueError(f"label {label} outside 1..{n}")
-        counts[label - 1] += 1
+    try:
+        for label in y:
+            if not 1 <= label <= n:
+                raise ValueError(f"label {label} outside 1..{n}")
+            counts[label - 1] += 1
+    except TypeError:  # a label that is not an int
+        raise ValueError(f"label vector {tuple(y)} has labels that are not integers") from None
     return tuple(counts)
 
 
@@ -141,22 +144,28 @@ def phi(u: OrderedLabels, n: int) -> Composition:
 def psi(x: Composition) -> OrderedLabels:
     """Nondecreasing label vector of a composition: cell j repeated x_j times."""
     labels = []
-    for j, count in enumerate(x, start=1):
-        if count < 0:
-            raise ValueError(f"negative count {count} in composition {x}")
-        labels.extend([j] * count)
+    try:
+        for j, count in enumerate(x, start=1):
+            if count < 0:
+                raise ValueError(f"negative count {count} in composition {x}")
+            labels.extend([j] * count)
+    except TypeError:  # a count that is not an int
+        raise ValueError(f"composition {tuple(x)} has counts that are not integers") from None
     return tuple(labels)
 
 
 def multinomial(r: int, x: Composition) -> int:
     """r! / prod(x_j!) for a composition ``x`` of ``r``."""
-    if any(c < 0 for c in x):
-        raise ValueError(f"negative count in composition {x}")
-    if sum(x) != r:
-        raise ValueError(f"composition {x} sums to {sum(x)}, expected {r}")
-    out = math.factorial(r)
-    for c in x:
-        out //= math.factorial(c)
+    try:
+        if any(c < 0 for c in x):
+            raise ValueError(f"negative count in composition {x}")
+        if sum(x) != r:
+            raise ValueError(f"composition {x} sums to {sum(x)}, expected {r}")
+        out = math.factorial(r)
+        for c in x:
+            out //= math.factorial(c)
+    except TypeError:  # a count that is not an int
+        raise ValueError(f"multinomial({r!r}, {tuple(x)}) needs integer counts") from None
     return out
 
 

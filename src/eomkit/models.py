@@ -70,6 +70,8 @@ class WeightFunction:
         return len(self.values) - 1
 
     def __call__(self, x: int) -> Fraction:
+        if type(x) is not int:
+            raise ValueError(f"occupancy must be an integer, got {x!r}")
         if not 0 <= x <= self.x_max:
             raise ValueError(
                 f"weight undefined at occupancy {x} (table covers 0..{self.x_max})"
@@ -79,14 +81,18 @@ class WeightFunction:
     def product(self, x) -> Fraction:
         """prod_j a(x_j): the weight of an occupancy vector or jump path.
 
-        Each x_j is bounds-checked as by ``a(x_j)``; the value is the
-        integer ``scaled_product(x)`` over L**len(x), one Fraction.
+        Each x_j is checked as by ``a(x_j)``; the value is the integer
+        ``scaled_product(x)`` over L**len(x), one Fraction.
         """
         x = tuple(x)
-        if x and not (0 <= min(x) and max(x) <= self.x_max):
+        try:
+            if x and not (0 <= min(x) and max(x) <= self.x_max):
+                raise IndexError
+            return Fraction(self.scaled_product(x), self.scale ** len(x))
+        except (IndexError, TypeError):  # TypeError: an entry that is not an int
             for v in x:
-                self(v)  # raises at the first occupancy outside the table
-        return Fraction(self.scaled_product(x), self.scale ** len(x))
+                self(v)  # raises at the first entry that is not an occupancy in the table
+            raise
 
     def scaled_product(self, x) -> int:
         """prod_j L * a(x_j), unchecked: the entries must lie in 0..x_max.
@@ -361,6 +367,8 @@ class LabelDistribution(ExactTable):
         return self.r
 
     def _key_error(self, y: LabelVector) -> str | None:
+        if any(type(label) is not int for label in y):
+            return f"label vector {y} has labels that are not integers"
         if y and (min(y) < 1 or max(y) > self.n):
             return f"label vector {y} has labels outside 1..{self.n}"
         return None
@@ -537,6 +545,8 @@ def label_marginal(ld: LabelDistribution, index_set) -> LabelDistribution:
     idx = sorted(set(index_set))
     if not idx:
         raise ValueError("index set must be nonempty")
+    if any(type(i) is not int for i in idx):
+        raise ValueError(f"index set {idx} has entries that are not integers")
     if any(not 1 <= i <= ld.r for i in idx):
         raise ValueError(f"index set {idx} outside 1..{ld.r}")
     out: dict[LabelVector, int] = {}
@@ -553,16 +563,18 @@ def weight_model_label_density(
 
     Equals prod_l a(x_l) * x_l! / (r! * normalizer) with x the occupancy
     counts of ``y``; agrees with label_distribution(weight_model(a, n, r)).
+    Computed on integers: the scaled product of ``x`` over multinomial(r, x)
+    times the scaled normalizer, one Fraction.
     """
     if len(y) != r:
         raise ValueError(f"label vector {y} has length {len(y)}, expected {r}")
-    c = normalization_constant(a, n, r)
+    c = scaled_normalizer(a, n, r)
     if c == 0:
         raise EmptySupportError(
             f"weight table has zero total mass over {n} cells and {r} particles"
         )
     x = combinat.tilde_phi(y, n)
-    return a.product(x) / (combinat.multinomial(r, x) * c)
+    return Fraction(a.scaled_product(x), combinat.multinomial(r, x) * c)
 
 
 def conditional_from_iid(

@@ -7,16 +7,16 @@ acceptance tests.
 """
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
 
 from . import combinat
-from .errors import ConditioningError, EmptySupportError
+from .errors import BudgetExceededError, ConditioningError, EmptySupportError
 from .models import (
     ONE,
     ZERO,
-    ExactTable,
     FractionTable,
     MixingSpec,
     OccupancyDistribution,
@@ -84,93 +84,72 @@ def random_eom(rng: random.Random, n: int, r: int) -> OccupancyDistribution:
     return OccupancyDistribution.from_masses(n, r, sum(masses.values()) * lcm, table)
 
 
-def _grid(max_n: int, max_r: int, min_n: int = 1, min_r: int = 0):
-    return [
-        (n, r) for n in range(min_n, max_n + 1) for r in range(min_r, max_r + 1)
-    ]
+def _grid(max_n: int, max_r: int, min_n: int = 2, min_r: int = 1):
+    """The (n, r) points with n in min_n..max_n and r in min_r..max_r, n
+    major, made one at a time."""
+    return itertools.product(range(min_n, max_n + 1), range(min_r, max_r + 1))
 
 
-class _Contents:
-    """A table as a memo key: equal to another when the tables are equal.
+def _builtin_weights(n: int, r: int):
+    """(kind, a) of each built-in weight on 0..r with support at (n, r), in
+    ``BUILTIN_KINDS`` order."""
+    for kind in BUILTIN_KINDS:
+        a = builtin_weight(kind, r)
+        if scaled_normalizer(a, n, r):
+            yield kind, a
 
-    It refers to the table instead of copying its entries, and hashes them
-    once.
+
+def _cells(n: int, r: int) -> int:
+    """What the budget charges for an occupancy table: compositions x n."""
+    return combinat.composition_count(n, r) * n
+
+
+def _check_plan(suite: str, max_n: int, max_r: int, charge) -> int:
+    """The cells of the tables a model suite builds per grid model, summed
+    before it builds any table, in the budget's unit (see ``_cells``).
+
+    ``charge(n, r, m)`` is the work at the grid point (n, r), where ``m``
+    counts the built-in models with support there and the random models
+    placed there; each suite's docstring says which tables it charges.  The
+    tables that one check builds and drops for itself, and the checks with
+    fixed cells off the grid, are not charged.  The sum raises
+    BudgetExceededError as soon as it passes ``combinat.ENUMERATION_BUDGET``,
+    so a huge grid is refused before it is walked to the end; otherwise it
+    is returned.
     """
-
-    __slots__ = ("table", "_hash")
-
-    def __init__(self, table: ExactTable):
-        self.table = table
-        masses = table.table.masses
-        self._hash = hash((table.n, table.r, frozenset(masses.items())))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Contents) and self.table == other.table
-
-
-class _SuiteMemo:
-    """The derived tables of one suite run, each built once.
-
-    ``memo(build, *args)`` returns ``build(*args)``, calling it only for
-    arguments not seen before: tables count as the same argument when
-    their contents are equal, anything else (weights, counts) when it
-    compares equal.  The suites pass the names this module imports, looked
-    up at the call, so a replaced name builds every table.  A memo lives
-    in one suite call and is dropped when the suite returns.
-    """
-
-    def __init__(self):
-        self._built = {}
-
-    def __call__(self, build, *args):
-        key = (build, *(_Contents(a) if isinstance(a, ExactTable) else a for a in args))
-        if key not in self._built:
-            self._built[key] = build(*args)
-        return self._built[key]
-
-    def builtin(self, kind: str, n: int, r: int):
-        """(a, model) of the built-in weight ``kind`` on 0..r at (n, r); the
-        model is None where the weight has no support."""
-        key = ("builtin", kind, n, r)
-        if key not in self._built:
-            a = builtin_weight(kind, r)
-            try:
-                d = self(weight_model, a, n, r)
-            except EmptySupportError:
-                d = None
-            self._built[key] = a, d
-        return self._built[key]
-
-    def builtins(self, pairs):
-        """(kind, n, r, a, model) for each built-in weight with support at each (n, r)."""
-        for n, r in pairs:
-            for kind in BUILTIN_KINDS:
-                a, d = self.builtin(kind, n, r)
-                if d is not None:
-                    yield kind, n, r, a, d
-
-
-def _probability(d: ExactTable, key) -> Fraction:
-    """``d.probability(key)`` for a valid key, read from the masses: a table
-    kept in a suite memo then holds no ``Fraction`` view after the check."""
-    return Fraction(d.table.masses.get(key, 0), d.table.denominator)
-
-
-def _all_models(memo: _SuiteMemo, seed: int, max_n: int, max_r: int):
-    """Named built-in models on the grid, then 20 seeded random exchangeable
-    models cycling through the same grid."""
-    pairs = _grid(max_n, max_r, min_n=2, min_r=1)
-    if not pairs:
+    if max_n < 2 or max_r < 1:
         raise ValueError(
             f"model grid needs max_n >= 2 and max_r >= 1, got {max_n}, {max_r}"
         )
-    out = [(f"{kind}({n},{r})", d) for kind, n, r, _, d in memo.builtins(pairs)]
+    points = (max_n - 1) * max_r
+    total = 0
+    for index, (n, r) in enumerate(_grid(max_n, max_r)):
+        # random model i (0..19) is placed on grid point i % points
+        models = len(range(index, 20, points)) + len(list(_builtin_weights(n, r)))
+        total += charge(n, r, models)
+        if total > combinat.ENUMERATION_BUDGET:
+            raise BudgetExceededError(
+                f"{suite} suite at max_n={max_n}, max_r={max_r} needs at least "
+                f"{total} cells (budget {combinat.ENUMERATION_BUDGET})"
+            )
+    return total
+
+
+def _builtin_models(max_n: int, max_r: int) -> dict:
+    """{(n, r): [(kind, a, model), ...]} of the built-in weights with support
+    at each grid point, in grid and ``BUILTIN_KINDS`` order."""
+    return {
+        (n, r): [(kind, a, weight_model(a, n, r)) for kind, a in _builtin_weights(n, r)]
+        for n, r in _grid(max_n, max_r)
+    }
+
+
+def _all_models(builtins: dict, seed: int):
+    """Named built-in models on the grid, then 20 seeded random exchangeable
+    models cycling through the same grid."""
+    out = [(f"{kind}({n},{r})", d) for (n, r), cell in builtins.items() for kind, _, d in cell]
     rng = random.Random(seed)
-    for i in range(20):
-        n, r = pairs[i % len(pairs)]
+    for i, (n, r) in zip(range(20), itertools.cycle(builtins)):
         out.append((f"random-eom-{i}({n},{r})", random_eom(rng, n, r)))
     return out
 
@@ -186,14 +165,39 @@ def _run(report: SuiteReport, checks) -> SuiteReport:
 def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
     """Model-layer checks: marginals, label laws, order statistics, sufficiency.
 
-    Each built-in model and each model's label law is built once per call
-    (see ``_SuiteMemo``) and read by every check that needs it.
+    The suite first plans its work (``_check_plan``): each model on the grid
+    at compositions x n cells, its label law at n**r cells, and the 20
+    random weight models per grid point of ``weight-model-exchangeable``.
+    Each model is built once.  The five checks that read label laws run one
+    grid cell at a time: each built-in model's label law is built once, read
+    by each of them and dropped with its cell, and the 20 random models
+    follow one at a time.  They visit the models in the order of the model
+    list, and each check keeps its first witness.  The other checks run one
+    after another over the whole grid.
     """
-    memo = _SuiteMemo()
-    models = _all_models(memo, seed, max_n, max_r)
-    pairs = _grid(max_n, max_r, min_n=2, min_r=1)
+    _check_plan("eom", max_n, max_r, lambda n, r, m: (m + 20) * _cells(n, r) + m * n**r)
+    builtins = _builtin_models(max_n, max_r)
+    models = _all_models(builtins, seed)
     rng = random.Random(seed + 1)
     random_weights = [random_weight_function(rng, max_r) for _ in range(20)]
+    found = dict.fromkeys(
+        (
+            "model-normalization",
+            "weight-model-exchangeable",
+            "uniform-single-marginals",
+            "label-law-closed-forms",
+            "order-statistics-match",
+            "uniform-transfer",
+            "label-occupancy-roundtrip",
+            "weight-label-density",
+            "iid-conditional-sufficiency",
+        )
+    )
+
+    def run(check, body, *args):
+        """Run ``body`` unless ``check`` has failed already: keep its first witness."""
+        if found[check] is None:
+            found[check] = body(*args)
 
     # builders store their tables unchecked (``from_masses``), so this and
     # the transforms suite's mass-conservation are where sums are tested
@@ -204,8 +208,8 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
         return None
 
     def weight_model_exchangeable():
-        for n, r in pairs:
-            for kind, _, _, _, d in memo.builtins([(n, r)]):
+        for (n, r), cell in builtins.items():
+            for kind, _, d in cell:
                 if not is_exchangeable(d):
                     return f"{kind}({n},{r})"
             for i, a in enumerate(random_weights):
@@ -213,53 +217,40 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                     return f"random-weight-{i}({n},{r})"
         return None
 
-    def uniform_single_marginals():
-        for name, d in models:
-            ld = memo(label_distribution, d)
-            for i in range(1, d.r + 1):
-                marg = label_marginal(ld, {i})
-                for label in range(1, d.n + 1):
-                    if marg.probability((label,)) != Fraction(1, d.n):
-                        return f"{name} coordinate {i} label {label}"
+    def uniform_single_marginals(name, d, ld):
+        for i in range(1, d.r + 1):
+            marg = label_marginal(ld, {i})
+            for label in range(1, d.n + 1):
+                if marg.probability((label,)) != Fraction(1, d.n):
+                    return f"{name} coordinate {i} label {label}"
         return None
 
-    def label_law_closed_forms():
-        for n, r in pairs:
-            mb = memo(label_distribution, memo.builtin("mb", n, r)[1])
-            be = memo(label_distribution, memo.builtin("be", n, r)[1])
-            fd = None
-            if r <= n:
-                fd = memo(label_distribution, memo.builtin("fd", n, r)[1])
-            for y in combinat.enumerate_labels(r, n):
-                counts = combinat.tilde_phi(y, n)
-                tie_prod = math.prod(math.factorial(c) for c in counts)
-                if _probability(mb, y) != Fraction(1, n**r):
-                    return f"mb({n},{r}) at {y}"
-                # ascending factorial n (n+1) ... (n+r-1)
-                if _probability(be, y) != Fraction(tie_prod, math.perm(n + r - 1, r)):
-                    return f"be({n},{r}) at {y}"
-                if fd is not None:
-                    expect = (
-                        Fraction(tie_prod, math.perm(n, r)) if len(set(y)) == r else ZERO
-                    )
-                    if _probability(fd, y) != expect:
-                        return f"fd({n},{r}) at {y}"
+    def label_law_closed_forms(n, r, laws):
+        size, rising, falling = n**r, math.perm(n + r - 1, r), math.perm(n, r)
+        for y in combinat.enumerate_labels(r, n):
+            tie_prod = math.prod(math.factorial(c) for c in combinat.tilde_phi(y, n))
+            # (p, q) of the closed form p / q of each law at y: rising is the
+            # ascending factorial n (n+1) ... (n+r-1), and fd puts 1 / falling
+            # on each y of r distinct labels
+            closed = {"mb": (1, size), "be": (tie_prod, rising), "fd": (len(set(y)) == r, falling)}
+            for kind, ld in laws.items():
+                p, q = closed[kind]
+                if ld.table.masses.get(y, 0) * q != p * ld.table.denominator:
+                    return f"{kind}({n},{r}) at {y}"
         return None
 
-    def order_statistics_match():
-        for name, d in models:
-            direct = order_statistics_distribution(d)
-            labels = memo(label_distribution, d).table
-            brute: dict[tuple, int] = {}
-            for y, m in labels.masses.items():
-                key = tuple(sorted(y))
-                brute[key] = brute.get(key, 0) + m
-            if direct != FractionTable.lowest(labels.denominator, brute):
-                return name
+    def order_statistics_match(name, d, ld):
+        direct = order_statistics_distribution(d)
+        brute: dict[tuple, int] = {}
+        for y, m in ld.table.masses.items():
+            key = tuple(sorted(y))
+            brute[key] = brute.get(key, 0) + m
+        if direct != FractionTable.lowest(ld.table.denominator, brute):
+            return name
         return None
 
     def uniform_transfer():
-        for n, r in pairs:
+        for n, r in builtins:
             space = combinat.enumerate_compositions(n, r)
             flat = Fraction(1, len(space))
             candidates = [d for _, d in models if (d.n, d.r) == (n, r)]
@@ -275,21 +266,17 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                 return f"no uniform instance at ({n},{r})"
         return None
 
-    def label_occupancy_roundtrip():
-        for name, d in models:
-            ld = memo(label_distribution, d)
-            back = occupancy_from_labels(ld)
-            # the label law of the rebuilt model is built afresh: that is the check
-            if back != d or label_distribution(back) != ld:
-                return name
+    def label_occupancy_roundtrip(name, d, ld):
+        back = occupancy_from_labels(ld)
+        # the label law of the rebuilt model is built afresh: that is the check
+        if back != d or label_distribution(back) != ld:
+            return name
         return None
 
-    def weight_label_density():
-        for kind, n, r, a, d in memo.builtins(_grid(min(max_n, 3), max_r, min_n=2, min_r=1)):
-            ld = memo(label_distribution, d)
-            for y in combinat.enumerate_labels(r, n):
-                if weight_model_label_density(a, n, r, y) != _probability(ld, y):
-                    return f"{kind}({n},{r}) at {y}"
+    def weight_label_density(name, a, ld):
+        for y in combinat.enumerate_labels(ld.r, ld.n):
+            if weight_model_label_density(a, ld.n, ld.r, y) != ld.probability(y):
+                return f"{name} at {y}"
         return None
 
     def iid_conditional_sufficiency():
@@ -324,27 +311,45 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                 ("pc:2", negbin),
             ]
             for kind, q in targets:
-                expected = memo.builtin(kind, n, r)[1]
-                if expected is None:
+                try:
+                    expected = weight_model(builtin_weight(kind, r), n, r)
+                except EmptySupportError:
                     continue
                 results = [conditional_from_iid(q, n, r, mix) for mix in mixes]
                 if any(res != expected for res in results):
                     return f"{kind}({n},{r})"
         return None
 
-    return _run(
-        SuiteReport("eom"),
-        [
-            ("model-normalization", model_normalization),
-            ("weight-model-exchangeable", weight_model_exchangeable),
-            ("uniform-single-marginals", uniform_single_marginals),
-            ("label-law-closed-forms", label_law_closed_forms),
-            ("order-statistics-match", order_statistics_match),
-            ("uniform-transfer", uniform_transfer),
-            ("label-occupancy-roundtrip", label_occupancy_roundtrip),
-            ("weight-label-density", weight_label_density),
-            ("iid-conditional-sufficiency", iid_conditional_sufficiency),
-        ],
+    def label_checks(name, d, a=None):
+        """Build the label law of the model ``d`` and run each per-model
+        label check on it; ``a`` is the weight of a built-in model."""
+        ld = label_distribution(d)
+        run("uniform-single-marginals", uniform_single_marginals, name, d, ld)
+        run("order-statistics-match", order_statistics_match, name, d, ld)
+        run("label-occupancy-roundtrip", label_occupancy_roundtrip, name, d, ld)
+        if a is not None and d.n <= 3:
+            run("weight-label-density", weight_label_density, name, a, ld)
+        return ld
+
+    run("model-normalization", model_normalization)
+    run("weight-model-exchangeable", weight_model_exchangeable)
+    for (n, r), cell in builtins.items():
+        # mb, be and fd lead BUILTIN_KINDS: their laws are held together for
+        # the closed forms, then dropped before pc:2 and pc:3 are visited
+        laws = {
+            k: label_checks(f"{k}({n},{r})", d, a) for k, a, d in cell if k in ("mb", "be", "fd")
+        }
+        run("label-law-closed-forms", label_law_closed_forms, n, r, laws)
+        del laws
+        for kind, a, d in cell:
+            if kind not in ("mb", "be", "fd"):
+                label_checks(f"{kind}({n},{r})", d, a)
+    for name, d in models[-20:]:  # the random models end the list
+        label_checks(name, d)
+    run("uniform-transfer", uniform_transfer)
+    run("iid-conditional-sufficiency", iid_conditional_sufficiency)
+    return SuiteReport(
+        "eom", [CheckOutcome(name, w is None, w) for name, w in found.items()]
     )
 
 
@@ -354,23 +359,33 @@ ADHOC_WEIGHT = WeightFunction((1, 1, 5, 1), kind="adhoc")
 def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
     """Transform-layer checks: closure properties and the product-form boundary.
 
-    Each built-in model, each model's drop and erase image and label law,
-    each drop-closure outcome and each conditioned target model is built
-    once per call (see ``_SuiteMemo``) and read by every check that needs it.
+    The suite first plans its work (``_check_plan``): each model on the
+    grid, its drop image and its erase image, at compositions x n cells
+    each.  Each model and each model's drop image and erase image is built
+    once, in lists aligned with the model list, and each built-in model's
+    ``check_drop_closure`` outcome once, in a list aligned with the
+    built-ins.  ``conditioning-preserves-weight-model`` builds each
+    conditioned target once, in a dict of its own.  The checks with fixed
+    cells off the grid build their few small models themselves.
     """
-    memo = _SuiteMemo()
-    models = _all_models(memo, seed, max_n, max_r)
-    pairs = _grid(max_n, max_r, min_n=2, min_r=1)
+    _check_plan(
+        "transforms",
+        max_n,
+        max_r,
+        lambda n, r, m: m * (_cells(n, r) + _cells(n, r - 1) + _cells(n - 1, r)),
+    )
+    builtins = _builtin_models(max_n, max_r)
+    models = _all_models(builtins, seed)
+    drops = [drop_particle(d) for _, d in models]
+    erases = [erase_cell(d) for _, d in models]
+    # one entry per built-in model; they lead the model list, so zip pairs
+    # each entry with its drop image
+    entries = [(kind, n, r, a, d) for (n, r), cell in builtins.items() for kind, a, d in cell]
+    closures = [check_drop_closure(a, n, r) for _, n, r, a, _ in entries]
 
-    def drop_keeps_exchangeable():
-        for name, d in models:
-            if d.r >= 1 and not is_exchangeable(memo(drop_particle, d)):
-                return name
-        return None
-
-    def erase_keeps_exchangeable():
-        for name, d in models:
-            if d.n >= 2 and not is_exchangeable(memo(erase_cell, d)):
+    def keeps_exchangeable(images):
+        for (name, _), image in zip(models, images):
+            if not is_exchangeable(image):
                 return name
         return None
 
@@ -387,7 +402,9 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         return None
 
     def conditioning_preserves_weight_model():
-        for kind, big_n, r, a, d in memo.builtins(pairs):
+        # the target that keeps all r particles is the built-in model at (sub_n, r)
+        targets = {(kind, r, n, r): d for kind, n, r, _, d in entries}
+        for kind, big_n, r, a, d in entries:
             for sub_n in range(1, big_n):
                 for s in range(r + 1):
                     try:
@@ -398,15 +415,16 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
                         ):
                             return f"{kind}({big_n},{r}) cond({sub_n},{s}) empty"
                         continue
-                    if cond != memo(weight_model, a, sub_n, s):
+                    if (kind, r, sub_n, s) not in targets:
+                        targets[kind, r, sub_n, s] = weight_model(a, sub_n, s)
+                    if cond != targets[kind, r, sub_n, s]:
                         return f"{kind}({big_n},{r}) cond({sub_n},{s})"
         return None
 
     # a built-in weight with support at (n, r) has support at (n, r - 1)
     # too, so check_drop_closure raises on none of these
     def drop_closure_builtins():
-        for kind, n, r, a, _ in memo.builtins(pairs):
-            result = memo(check_drop_closure, a, n, r)
+        for (kind, n, r, _, _), result in zip(entries, closures):
             if not result.passed:
                 return f"{kind}({n},{r}) witness {result.witness}"
         return None
@@ -418,10 +436,8 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         return None
 
     def drop_matches_weight_model():
-        for kind, n, r, a, d in memo.builtins(pairs):
-            if not memo(check_drop_closure, a, n, r).passed:
-                continue
-            if memo(drop_particle, d) != memo(weight_model, a, n, r - 1):
+        for (kind, n, r, a, _), result, image in zip(entries, closures, drops):
+            if result.passed and image != weight_model(a, n, r - 1):
                 return f"{kind}({n},{r})"
         return None
 
@@ -433,29 +449,23 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         return None
 
     def dropped_label_marginal():
-        for name, d in models:
+        for (name, d), image in zip(models, drops):
             if d.n > 3 or d.r < 2 or d.r > 4:
                 continue
-            left = memo(label_distribution, memo(drop_particle, d))
-            right = label_marginal(memo(label_distribution, d), range(1, d.r))
+            left = label_distribution(image)
+            right = label_marginal(label_distribution(d), range(1, d.r))
             if left != right:
                 return name
         return None
 
     def mass_conservation():
-        for name, d in models:
-            outputs = []
-            if d.r >= 1:
-                outputs.append(memo(drop_particle, d))
-            if d.n >= 2:
-                outputs.append(memo(erase_cell, d))
-            for out in outputs:
-                if sum(out.table.masses.values()) != out.table.denominator:
-                    return name
+        for (name, _), *images in zip(models, drops, erases):
+            if any(sum(out.table.masses.values()) != out.table.denominator for out in images):
+                return name
         return None
 
     def product_form_detector_positive():
-        be = memo.builtin("be", 3, 2)[1]
+        be = weight_model(builtin_weight("be", 2), 3, 2)
         recovered = product_form_weights(be)
         if recovered is None:
             return "detector missed the uniform model at (3,2)"
@@ -467,22 +477,19 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         # one image outside the product form decides the check
         for n, r in _grid(5, 5, min_n=3, min_r=3):
             adhoc = WeightFunction(tuple([ONE] * 2 + [Fraction(5)] + [ONE] * (r - 2)))
-            bases = [
-                memo.builtin("be", n, r)[1],
-                memo.builtin("pc:2", n, r)[1],
-                memo(weight_model, adhoc, n, r),
-            ]
+            weights = (builtin_weight("be", r), builtin_weight("pc:2", r), adhoc)
+            bases = [weight_model(a, n, r) for a in weights]
             for d in bases:
                 for op in (drop_particle, erase_cell):
-                    if product_form_weights(memo(op, d)) is None:
+                    if product_form_weights(op(d)) is None:
                         return None
         return "every searched transform image stayed product-form"
 
     return _run(
         SuiteReport("transforms"),
         [
-            ("drop-keeps-exchangeable", drop_keeps_exchangeable),
-            ("erase-keeps-exchangeable", erase_keeps_exchangeable),
+            ("drop-keeps-exchangeable", functools.partial(keeps_exchangeable, drops)),
+            ("erase-keeps-exchangeable", functools.partial(keeps_exchangeable, erases)),
             ("conditioning-keeps-exchangeable", conditioning_keeps_exchangeable),
             ("conditioning-preserves-weight-model", conditioning_preserves_weight_model),
             ("drop-closure-builtins", drop_closure_builtins),

@@ -6,9 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from eomkit.combinat import enumerate_labels
+from eomkit.combinat import enumerate_labels, multinomial, phi, psi, tilde_phi
 from eomkit.errors import EmptySupportError
-from eomkit.models import builtin_weight, normalization_constant, weight_model
+from eomkit.models import (
+    LabelDistribution,
+    builtin_weight,
+    label_marginal,
+    normalization_constant,
+    weight_model,
+    weight_model_label_density,
+)
 from eomkit.process import (
     arrival_event_probability,
     build_process,
@@ -29,6 +36,9 @@ def flat_process():
 
 def marginal(p, t):
     return p.marginal(t)
+
+
+LABELS = LabelDistribution(2, 2, {(1, 2): F(1, 2), (2, 1): F(1, 2)})
 
 
 #: (call, arguments after the process, error text)
@@ -62,6 +72,19 @@ NO_PROCESS = [
     (build_process, (builtin_weight("be", 2), 1.5, [1]), "horizon must be an integer, got 1.5"),
     (builtin_weight, ("be", 1.5), "x_max must be an integer, got 1.5"),
     (enumerate_labels, (2, 1.5), "cell count must be an integer, got 1.5"),
+    (builtin_weight("be", 3), (0.5,), "occupancy must be an integer, got 0.5"),
+    (builtin_weight("be", 3).product, ((0.5,),), "occupancy must be an integer, got 0.5"),
+    (label_marginal, (LABELS, [1.5]), "index set [1.5] has entries that are not integers"),
+    (multinomial, (2.0, (1, 1)), "multinomial(2.0, (1, 1)) needs integer counts"),
+    (tilde_phi, ((1.0,), 2), "label vector (1.0,) has labels that are not integers"),
+    (phi, ((1.0,), 2), "label vector (1.0,) has labels that are not integers"),
+    (psi, ((1.0, 1),), "composition (1.0, 1) has counts that are not integers"),
+    (
+        weight_model_label_density,
+        (builtin_weight("be", 2), 2, 2, (1.5, 1)),
+        "label vector (1.5, 1) has labels that are not integers",
+    ),
+    (LABELS.probability, ((1.5, 1),), "(1.5, 1) is not a label vector for n=2, r=2"),
 ]
 
 

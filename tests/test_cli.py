@@ -267,6 +267,22 @@ def test_verify_empty_model_grid_exits_2(suite):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "suite, bound, total",
+    [("eom", 8, 11133102), ("transforms", 10, 11894786)],
+)
+def test_verify_over_the_budget_exits_2_at_once(suite, bound, total):
+    start = time.perf_counter()
+    proc = run_cli("verify", "--suite", suite, "--max-n", str(bound), "--max-r", str(bound))
+    assert time.perf_counter() - start < 5  # the whole suite takes minutes
+    assert_one_line_error(
+        proc,
+        f"{suite} suite at max_n={bound}, max_r={bound} needs at least {total} cells "
+        "(budget 10000000)",
+    )
+    assert proc.stdout == ""
+
+
 def test_sample_malformed_weight_spec_exits_2(tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps({"n": 2, "r": 1, "weight": 5}))

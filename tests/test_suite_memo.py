@@ -1,56 +1,168 @@
-"""The ``eom`` and ``transforms`` suites build each derived table once.
+"""The ``eom`` and ``transforms`` suites build each model's tables once, keep
+an ``eom`` label law for one grid cell, and plan their work before they
+build anything.
 
-A spy on the names ``eomkit.verify`` imports counts the calls per distinct
-input over one whole suite run.  Tables count as the same input when their
-contents are equal, weights when their values and kind are.  The one build
-allowed to repeat an input is the label law of the model that the
-round-trip check rebuilds from a label law: building it afresh is that
-check.
+Spies on the names ``eomkit.verify`` imports count the calls per model
+object over one whole suite run.  Each spy keeps the arguments it saw
+alive, so no object id is reused.  Models with equal contents are
+different inputs: the suites keep no table by its contents.
 """
 
+import re
+import sys
+import weakref
 from collections import Counter
 
 import pytest
 
 from eomkit import verify
-from eomkit.models import ExactTable, builtin_weight
+from eomkit.combinat import composition_count
+from eomkit.errors import BudgetExceededError
+from eomkit.models import builtin_weight
 
-SHARED = ("weight_model", "label_distribution", "drop_particle", "erase_cell", "check_drop_closure")
+
+def spy(monkeypatch, names, record):
+    """Replace each name in ``verify`` by a wrapper that calls
+    ``record(name, args, checks)`` before the real builder, with
+    ``checks`` the names of the functions on the call stack."""
+    for name in names:
+        real = getattr(verify, name)
+
+        def build(*args, _name=name, _real=real):
+            frame, checks = sys._getframe(1), set()
+            while frame is not None:
+                checks.add(frame.f_code.co_name)
+                frame = frame.f_back
+            record(_name, args, checks)
+            return _real(*args)
+
+        monkeypatch.setattr(verify, name, build)
 
 
-def input_key(arg):
-    if isinstance(arg, ExactTable):
-        return type(arg).__name__, arg.n, arg.r, tuple(sorted(arg.table.masses.items()))
-    return repr(arg)
+BUILT_ONCE = {
+    verify.eom_suite: ("label_distribution",),
+    verify.transforms_suite: (
+        "label_distribution",
+        "drop_particle",
+        "erase_cell",
+        "check_drop_closure",
+        "weight_model",
+    ),
+}
 
 
 @pytest.mark.parametrize("suite", [verify.eom_suite, verify.transforms_suite])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_each_derived_table_is_built_once_per_suite_run(suite, seed, monkeypatch):
     calls = Counter()
-    rebuilt = []  # models made by occupancy_from_labels, kept alive for `is`
+    kept = []
 
-    def spy(name, real):
-        def build(*args):
-            if not (name == "label_distribution" and any(args[0] is d for d in rebuilt)):
-                calls[(name, tuple(map(input_key, args)))] += 1
-            return real(*args)
+    def record(name, args, checks):
+        kept.append(args)
+        if name == "weight_model":
+            # only the conditioned targets are keyed: (kind, r, sub_n, s)
+            if "conditioning_preserves_weight_model" not in checks:
+                return
+            a, sub_n, s = args
+            key = (a.kind, a.x_max, sub_n, s)
+        elif name == "check_drop_closure":
+            a, n, r = args
+            key = (id(a), n, r)
+        else:
+            key = id(args[0])
+        calls[(name, key)] += 1
 
-        return build
-
-    for name in SHARED:
-        monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
-    real_back = verify.occupancy_from_labels
-
-    def back(ld):
-        rebuilt.append(real_back(ld))
-        return rebuilt[-1]
-
-    monkeypatch.setattr(verify, "occupancy_from_labels", back)
+    spy(monkeypatch, BUILT_ONCE[suite], record)
     assert suite(seed, 4, 4).passed
     assert [key for key, n in calls.items() if n > 1] == []
-    built = {name for name, _ in calls}
-    assert built == (set(SHARED) if suite is verify.transforms_suite else set(SHARED[:2]))
+    assert {name for name, _ in calls} == set(BUILT_ONCE[suite])
+
+
+def test_an_eom_label_law_lives_for_one_grid_cell(monkeypatch):
+    real = verify.label_distribution
+    laws = []  # (cell, weak reference) of every label law built
+    visited = []
+
+    def build(d):
+        cell = (d.n, d.r)
+        if visited and visited[-1] != cell:
+            assert [c for c, law in laws if law() is not None] == [], cell
+        visited.append(cell)
+        ld = real(d)
+        laws.append((cell, weakref.ref(ld)))
+        return ld
+
+    monkeypatch.setattr(verify, "label_distribution", build)
+    assert verify.eom_suite(0, 4, 4).passed
+    assert len(set(visited)) == 12
+
+
+def cells(n, r):
+    return composition_count(n, r) * n
+
+
+#: the budget charge of each spied builder, from its arguments
+CHARGES = {
+    "weight_model": lambda a, n, r: cells(n, r),
+    "random_eom": lambda rng, n, r: cells(n, r),
+    "label_distribution": lambda d: d.n**d.r,
+    "drop_particle": lambda d: cells(d.n, d.r - 1),
+    "erase_cell": lambda d: cells(d.n - 1, d.r),
+}
+
+#: the checks whose builds the plan leaves out: the fixed cells off the
+#: grid, the round trip's rebuilt label law (a second build of a planned
+#: one), and the tables a transforms check builds and drops for itself
+UNPLANNED = {
+    verify.eom_suite: {"iid_conditional_sufficiency", "label_occupancy_roundtrip"},
+    verify.transforms_suite: {
+        "conditioning_preserves_weight_model",
+        "drop_matches_weight_model",
+        "drop_breaks_weight_model",
+        "dropped_label_marginal",
+        "product_form_detector_positive",
+        "strict_containment",
+    },
+}
+
+
+@pytest.mark.parametrize("suite", [verify.eom_suite, verify.transforms_suite])
+def test_the_plan_is_the_sum_of_the_builders_charges(suite, monkeypatch):
+    charged = []
+    planned = []
+    real_plan = verify._check_plan
+
+    def plan(*args):
+        planned.append(real_plan(*args))
+        return planned[-1]
+
+    def record(name, args, checks):
+        if not checks & UNPLANNED[suite]:
+            charged.append(CHARGES[name](*args))
+
+    monkeypatch.setattr(verify, "_check_plan", plan)
+    spy(monkeypatch, CHARGES, record)
+    assert suite(0, 4, 4).passed
+    assert planned == [sum(charged)]
+
+
+@pytest.mark.parametrize(
+    "suite, max_n, max_r",
+    [(verify.eom_suite, 8, 8), (verify.eom_suite, 3, 14), (verify.transforms_suite, 10, 10)],
+)
+def test_a_suite_over_the_budget_is_refused_before_it_builds(suite, max_n, max_r, monkeypatch):
+    def record(name, args, checks):
+        raise AssertionError(f"{name} called before the refusal")
+
+    spy(monkeypatch, ("weight_model", "random_eom"), record)
+    with pytest.raises(BudgetExceededError) as refused:
+        suite(0, max_n, max_r)
+    name = suite.__name__.removesuffix("_suite")
+    assert re.fullmatch(
+        rf"{name} suite at max_n={max_n}, max_r={max_r} needs at least \d+ cells "
+        r"\(budget 10000000\)",
+        str(refused.value),
+    )
 
 
 def test_strict_containment_fails_when_every_image_is_product_form(monkeypatch):
