@@ -55,6 +55,21 @@ def composition_count(n: int, r: int) -> int:
     return math.comb(n + r - 1, n - 1)
 
 
+def orbit_count(n: int, r: int) -> int:
+    """Number of partitions of ``r`` into at most ``n`` parts: the orbits of
+    the length-``n`` compositions of ``r`` under permuting the cells.
+
+    Counted as the partitions of ``r`` into parts of size at most ``n``
+    (the conjugate partitions), adding one part size at a time.
+    """
+    check_space(n, r)
+    counts = [1] + [0] * r
+    for part in range(1, min(n, r) + 1):
+        for total in range(part, r + 1):
+            counts[total] += counts[total - part]
+    return counts[r]
+
+
 def check_budget(space: str, count: int, cells: int) -> None:
     """Raise BudgetExceededError when ``count`` elements of ``cells`` cells
     each hold more than ENUMERATION_BUDGET cells in all.

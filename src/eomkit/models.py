@@ -589,30 +589,31 @@ def conditional_from_iid(
     never depends on the mixture, because the total is sufficient for the
     mixing rate; that cancellation is left to the normalization.
 
-    The masses are integers: atom m's tilted law on 0..r is put over one
-    denominator D_m, its share weight_m / D_m**n over one denominator E
-    common to the atoms, and a vector's mass is the integer
-    sum_m E * weight_m / D_m**n * prod_j D_m * q(x_j) * rate_m**x_j.
+    The masses are integers, and no ``Fraction`` is computed: q(0..r) is
+    put over its lcm B as V_z = B * q(z), and an atom with rate p / s tilts
+    it to the integers V_z * p**z * s**(r - z) over B * s**r.  Its share
+    weight_m / (B * s**r)**n is the integer coefficient c_m over one
+    denominator common to the atoms, B**n left out since every atom has it,
+    and a vector's mass is sum_m c_m * prod_j V_{x_j} * p**x_j * s**(r - x_j).
     """
     combinat.check_composition_budget(n, r)
     weights = tuple(Fraction(v) for v in q)
-    if any(v < 0 for v in weights):
+    if any(v.numerator < 0 for v in weights):
         raise ValueError("weights must be nonnegative")
     if len(weights) - 1 < r:
         raise ValueError(
             f"weight table covers 0..{len(weights) - 1} but must reach {r}"
         )
+    scale = math.lcm(*(v.denominator for v in weights[: r + 1]))
+    values = [v.numerator * (scale // v.denominator) for v in weights[: r + 1]]
     atoms = ((ONE, ONE),) if mix is None else mix.atoms  # unmixed: one atom at rate 1
-    laws, shares = [], []
-    for rho, m in atoms:
-        law = [v * rho**z for z, v in enumerate(weights[: r + 1])]
-        den = math.lcm(*(t.denominator for t in law))
-        laws.append([t.numerator * (den // t.denominator) for t in law])
-        shares.append(m / den**n)
-    common = math.lcm(*(c.denominator for c in shares))
-    tilted = [
-        (c.numerator * (common // c.denominator), law) for c, law in zip(shares, laws)
-    ]
+    shares = [(m.numerator, m.denominator * rho.denominator ** (r * n)) for rho, m in atoms]
+    common = math.lcm(*(den for _, den in shares))
+    tilted = []
+    for (num, den), (rho, _) in zip(shares, atoms):
+        p, s = rho.numerator, rho.denominator
+        law = [v * p**z * s ** (r - z) for z, v in enumerate(values)]
+        tilted.append((num * (common // den), law))
     masses: dict[Composition, int] = {}
     for x in combinat.enumerate_compositions(n, r):
         w = sum(c * math.prod(map(law.__getitem__, x)) for c, law in tilted)

@@ -26,6 +26,7 @@ from .models import (
     is_exchangeable,
     label_distribution,
     label_marginal,
+    masses_of,
     occupancy_from_labels,
     order_statistics_distribution,
     scaled_normalizer,
@@ -90,26 +91,21 @@ def _grid(max_n: int, max_r: int, min_n: int = 2, min_r: int = 1):
     return itertools.product(range(min_n, max_n + 1), range(min_r, max_r + 1))
 
 
-def _builtin_weights(n: int, r: int):
-    """(kind, a) of each built-in weight on 0..r with support at (n, r), in
-    ``BUILTIN_KINDS`` order."""
-    for kind in BUILTIN_KINDS:
-        a = builtin_weight(kind, r)
-        if scaled_normalizer(a, n, r):
-            yield kind, a
-
-
 def _cells(n: int, r: int) -> int:
     """What the budget charges for an occupancy table: compositions x n."""
     return combinat.composition_count(n, r) * n
 
 
-def _check_plan(suite: str, max_n: int, max_r: int, charge) -> int:
+def _check_plan(suite: str, weights: dict, max_n: int, max_r: int, charge) -> int:
     """The cells of the tables a model suite builds per grid model, summed
     before it builds any table, in the budget's unit (see ``_cells``).
 
-    ``charge(n, r, m)`` is the work at the grid point (n, r), where ``m``
-    counts the built-in models with support there and the random models
+    The grid is walked once, and ``weights`` is filled as it goes with
+    ``{(n, r): [(kind, a), ...]}``, the built-in weights on 0..r with
+    support at each point in ``BUILTIN_KINDS`` order, one weight object per
+    kind and r; the suite's models are built from it (``_builtin_models``).
+    ``charge(n, r, cell, randoms)`` is the work at the point (n, r), with
+    ``cell`` its (kind, a) list and ``randoms`` the number of random models
     placed there; each suite's docstring says which tables it charges.  The
     tables that one check builds and drops for itself, and the checks with
     fixed cells off the grid, are not charged.  The sum raises
@@ -122,11 +118,14 @@ def _check_plan(suite: str, max_n: int, max_r: int, charge) -> int:
             f"model grid needs max_n >= 2 and max_r >= 1, got {max_n}, {max_r}"
         )
     points = (max_n - 1) * max_r
+    kinds = {}  # r -> [(kind, a), ...] of every built-in kind
     total = 0
     for index, (n, r) in enumerate(_grid(max_n, max_r)):
+        if r not in kinds:
+            kinds[r] = [(kind, builtin_weight(kind, r)) for kind in BUILTIN_KINDS]
+        cell = weights[n, r] = [(kind, a) for kind, a in kinds[r] if scaled_normalizer(a, n, r)]
         # random model i (0..19) is placed on grid point i % points
-        models = len(range(index, 20, points)) + len(list(_builtin_weights(n, r)))
-        total += charge(n, r, models)
+        total += charge(n, r, cell, len(range(index, 20, points)))
         if total > combinat.ENUMERATION_BUDGET:
             raise BudgetExceededError(
                 f"{suite} suite at max_n={max_n}, max_r={max_r} needs at least "
@@ -135,12 +134,12 @@ def _check_plan(suite: str, max_n: int, max_r: int, charge) -> int:
     return total
 
 
-def _builtin_models(max_n: int, max_r: int) -> dict:
-    """{(n, r): [(kind, a, model), ...]} of the built-in weights with support
-    at each grid point, in grid and ``BUILTIN_KINDS`` order."""
+def _builtin_models(weights: dict) -> dict:
+    """{(n, r): [(kind, a, model), ...]} of the planned built-in weights (see
+    ``_check_plan``), in grid and ``BUILTIN_KINDS`` order."""
     return {
-        (n, r): [(kind, a, weight_model(a, n, r)) for kind, a in _builtin_weights(n, r)]
-        for n, r in _grid(max_n, max_r)
+        point: [(kind, a, weight_model(a, *point)) for kind, a in cell]
+        for point, cell in weights.items()
     }
 
 
@@ -173,10 +172,19 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
     by each of them and dropped with its cell, and the 20 random models
     follow one at a time.  They visit the models in the order of the model
     list, and each check keeps its first witness.  The other checks run one
-    after another over the whole grid.
+    after another over the whole grid.  Every check decides on the integer
+    masses of the tables; none reads their ``Fraction`` view.
     """
-    _check_plan("eom", max_n, max_r, lambda n, r, m: (m + 20) * _cells(n, r) + m * n**r)
-    builtins = _builtin_models(max_n, max_r)
+    weights = {}
+    _check_plan(
+        "eom",
+        weights,
+        max_n,
+        max_r,
+        lambda n, r, cell, randoms: (len(cell) + randoms) * (_cells(n, r) + n**r)
+        + 20 * _cells(n, r),
+    )
+    builtins = _builtin_models(weights)
     models = _all_models(builtins, seed)
     rng = random.Random(seed + 1)
     random_weights = [random_weight_function(rng, max_r) for _ in range(20)]
@@ -217,11 +225,13 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                     return f"random-weight-{i}({n},{r})"
         return None
 
+    # the per-model checks decide on the integer masses of the label laws:
+    # a probability m / D is 1 / n exactly when m * n == D
     def uniform_single_marginals(name, d, ld):
         for i in range(1, d.r + 1):
-            marg = label_marginal(ld, {i})
+            marg = label_marginal(ld, {i}).table
             for label in range(1, d.n + 1):
-                if marg.probability((label,)) != Fraction(1, d.n):
+                if marg.masses.get((label,), 0) * d.n != marg.denominator:
                     return f"{name} coordinate {i} label {label}"
         return None
 
@@ -250,32 +260,36 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
         return None
 
     def uniform_transfer():
+        # a model is uniform when each of the |space| compositions has a
+        # mass m with m * |space| == D; its order statistics are uniform
+        # when they cover the space with equal masses
         for n, r in builtins:
-            space = combinat.enumerate_compositions(n, r)
-            flat = Fraction(1, len(space))
+            size = combinat.composition_count(n, r)
             candidates = [d for _, d in models if (d.n, d.r) == (n, r)]
+            uniform = []
             for d in candidates:
-                uniform_a = all(d.probability(x) == flat for x in space)
-                order = order_statistics_distribution(d)
-                uniform_b = len(order) == len(space) and len(set(order.values())) == 1
+                den, masses = d.table.denominator, d.table.masses
+                uniform_a = len(masses) == size and all(m * size == den for m in masses.values())
+                _, order = masses_of(order_statistics_distribution(d))
+                uniform_b = len(order) == size and len(set(order.values())) == 1
                 if uniform_a != uniform_b:
                     return f"({n},{r})"
-            if not any(
-                all(d.probability(x) == flat for x in space) for d in candidates
-            ):
+                uniform.append(uniform_a)
+            if not any(uniform):
                 return f"no uniform instance at ({n},{r})"
         return None
 
     def label_occupancy_roundtrip(name, d, ld):
-        back = occupancy_from_labels(ld)
-        # the label law of the rebuilt model is built afresh: that is the check
-        if back != d or label_distribution(back) != ld:
+        # once the rebuilt model is d, its label law is ld: nothing more to test
+        if occupancy_from_labels(ld) != d:
             return name
         return None
 
     def weight_label_density(name, a, ld):
+        den, masses = ld.table.denominator, ld.table.masses
         for y in combinat.enumerate_labels(ld.r, ld.n):
-            if weight_model_label_density(a, ld.n, ld.r, y) != ld.probability(y):
+            v = weight_model_label_density(a, ld.n, ld.r, y)
+            if masses.get(y, 0) * v.denominator != v.numerator * den:
                 return f"{name} at {y}"
         return None
 
@@ -359,22 +373,40 @@ ADHOC_WEIGHT = WeightFunction((1, 1, 5, 1), kind="adhoc")
 def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
     """Transform-layer checks: closure properties and the product-form boundary.
 
-    The suite first plans its work (``_check_plan``): each model on the
-    grid, its drop image and its erase image, at compositions x n cells
-    each.  Each model and each model's drop image and erase image is built
-    once, in lists aligned with the model list, and each built-in model's
+    The suite first plans its work (``_check_plan``), at compositions x n
+    cells per table: each model on the grid, its drop image, its erase image
+    and its conditioned tables, and per built-in model its conditioned
+    tables once more, its ``check_drop_closure`` enumeration, its
+    drop-matches target and the conditioned targets it adds.  Each model
+    and each model's drop image and erase image is built once, in lists
+    aligned with the model list, and each built-in model's
     ``check_drop_closure`` outcome once, in a list aligned with the
     built-ins.  ``conditioning-preserves-weight-model`` builds each
     conditioned target once, in a dict of its own.  The checks with fixed
     cells off the grid build their few small models themselves.
     """
-    _check_plan(
-        "transforms",
-        max_n,
-        max_r,
-        lambda n, r, m: m * (_cells(n, r) + _cells(n, r - 1) + _cells(n - 1, r)),
-    )
-    builtins = _builtin_models(max_n, max_r)
+    weights = {}
+    targets = set()  # the conditioned targets charged so far, keyed as built
+
+    def charge(n, r, cell, randoms):
+        conditioned = sum(_cells(sub_n, s) for sub_n in range(1, n) for s in range(r + 1))
+        total = (len(cell) + randoms) * (
+            _cells(n, r) + _cells(n, r - 1) + _cells(n - 1, r) + conditioned
+        )
+        total += len(cell) * (conditioned + 2 * _cells(n, r - 1))
+        for kind, a in cell:
+            for sub_n, s in _grid(n - 1, r, min_n=1, min_r=0):
+                # the event has mass when both normalizers do; keeping all r
+                # particles in sub_n >= 2 cells gives the grid's own model
+                if (sub_n > 1 and s == r) or (kind, r, sub_n, s) in targets:
+                    continue
+                if scaled_normalizer(a, sub_n, s) and scaled_normalizer(a, n - sub_n, r - s):
+                    targets.add((kind, r, sub_n, s))
+                    total += _cells(sub_n, s)
+        return total
+
+    _check_plan("transforms", weights, max_n, max_r, charge)
+    builtins = _builtin_models(weights)
     models = _all_models(builtins, seed)
     drops = [drop_particle(d) for _, d in models]
     erases = [erase_cell(d) for _, d in models]
@@ -474,13 +506,24 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         return None
 
     def strict_containment():
-        # one image outside the product form decides the check
+        """Search 3..5 x 3..5 for a drop or erase image outside the product
+        form; one decides the check.  Product form constrains an image on m
+        cells with k particles only where ``orbit_count(m, k) > k``: below
+        that its k - 1 free weight ratios fit any law with one value per
+        orbit.  So only those images, and their bases, are built."""
         for n, r in _grid(5, 5, min_n=3, min_r=3):
+            ops = [
+                op
+                for op, (m, k) in ((drop_particle, (n, r - 1)), (erase_cell, (n - 1, r)))
+                if combinat.orbit_count(m, k) > k
+            ]
+            if not ops:
+                continue
             adhoc = WeightFunction(tuple([ONE] * 2 + [Fraction(5)] + [ONE] * (r - 2)))
             weights = (builtin_weight("be", r), builtin_weight("pc:2", r), adhoc)
             bases = [weight_model(a, n, r) for a in weights]
             for d in bases:
-                for op in (drop_particle, erase_cell):
+                for op in ops:
                     if product_form_weights(op(d)) is None:
                         return None
         return "every searched transform image stayed product-form"

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from eomkit.combinat import enumerate_labels, multinomial, phi, psi, tilde_phi
+from eomkit.combinat import (
+    enumerate_labels,
+    multinomial,
+    orbit_count,
+    phi,
+    psi,
+    tilde_phi,
+)
 from eomkit.errors import EmptySupportError
 from eomkit.models import (
     LabelDistribution,
@@ -85,6 +92,9 @@ NO_PROCESS = [
         "label vector (1.5, 1) has labels that are not integers",
     ),
     (LABELS.probability, ((1.5, 1),), "(1.5, 1) is not a label vector for n=2, r=2"),
+    (orbit_count, (1.5, 2), "cell count must be an integer, got 1.5"),
+    (orbit_count, (2, 2.0), "particle count must be an integer, got 2.0"),
+    (orbit_count, (2, True), "particle count must be an integer, got True"),
 ]
 
 

@@ -162,6 +162,13 @@ def test_budget_counts_cells_not_compositions():
     assert combinat.enumerate_compositions(1200, 0) == [(0,) * 1200]
 
 
+def test_orbit_count_counts_the_sorted_compositions():
+    for n in range(1, 7):
+        for r in range(9):
+            orbits = {tuple(sorted(x)) for x in combinat.enumerate_compositions(n, r)}
+            assert combinat.orbit_count(n, r) == len(orbits), (n, r)
+
+
 def test_distinct_permutation_count():
     for seq in [(0, 0, 2), (1, 1, 1), (3, 1, 2, 1), ()]:
         assert combinat.distinct_permutation_count(seq) == len(set(permutations(seq)))
@@ -175,6 +182,10 @@ def test_argument_validation():
         combinat.composition_count(2, -1)
     with pytest.raises(ValueError):
         combinat.enumerate_labels(2, 0)
+    with pytest.raises(ValueError, match="^cell count must be >= 1, got 0$"):
+        combinat.orbit_count(0, 2)
+    with pytest.raises(ValueError, match="^particle count must be >= 0, got -1$"):
+        combinat.orbit_count(2, -1)
 
 
 @given(st.lists(st.integers(0, 3), max_size=7))

@@ -16,9 +16,10 @@ from collections import Counter
 import pytest
 
 from eomkit import verify
-from eomkit.combinat import composition_count
+from eomkit.combinat import composition_count, orbit_count
 from eomkit.errors import BudgetExceededError
-from eomkit.models import builtin_weight
+from eomkit.models import FractionTable, WeightFunction, builtin_weight, weight_model
+from eomkit.transforms import drop_particle, erase_cell, product_form_weights
 
 
 def spy(monkeypatch, names, record):
@@ -108,16 +109,16 @@ CHARGES = {
     "label_distribution": lambda d: d.n**d.r,
     "drop_particle": lambda d: cells(d.n, d.r - 1),
     "erase_cell": lambda d: cells(d.n - 1, d.r),
+    "condition_on_partial_sum": lambda d, n, s: cells(n, s),
+    "check_drop_closure": lambda a, n, r: cells(n, r - 1),
 }
 
 #: the checks whose builds the plan leaves out: the fixed cells off the
-#: grid, the round trip's rebuilt label law (a second build of a planned
-#: one), and the tables a transforms check builds and drops for itself
+#: grid, and the label laws ``dropped-label-marginal`` builds and drops
 UNPLANNED = {
-    verify.eom_suite: {"iid_conditional_sufficiency", "label_occupancy_roundtrip"},
+    verify.eom_suite: {"iid_conditional_sufficiency"},
     verify.transforms_suite: {
-        "conditioning_preserves_weight_model",
-        "drop_matches_weight_model",
+        "drop_closure_counterexample",
         "drop_breaks_weight_model",
         "dropped_label_marginal",
         "product_form_detector_positive",
@@ -179,7 +180,43 @@ def test_strict_containment_fails_when_every_image_is_product_form(monkeypatch):
         False,
         "every searched transform image stayed product-form",
     )
-    # the detector's be(3,2), then a drop and an erase image of three bases
-    # at each (n, r) in 3..5 x 3..5: the search ends only when none is rejected
-    assert len(seen) == 1 + 9 * 3 * 2
+    # the detector's be(3,2), then the images of three bases where product
+    # form constrains: the drops at (4, 5) and (5, 5) and the erasures at
+    # (5, 4) and (5, 5); the search ends only when none is rejected
+    assert len(seen) == 1 + 12
     assert outcomes["product-form-detector-positive"].passed
+
+
+def test_every_image_strict_containment_skips_is_product_form():
+    # the search's bases at each (n, r) in 3..5 x 3..5; an image on m cells
+    # with k particles is skipped unless its orbits outnumber its particles
+    skipped = tested = 0
+    for n, r in verify._grid(5, 5, min_n=3, min_r=3):
+        adhoc = WeightFunction((1, 1, 5) + (1,) * (r - 2))
+        for a in (builtin_weight("be", r), builtin_weight("pc:2", r), adhoc):
+            d = weight_model(a, n, r)
+            for image in (drop_particle(d), erase_cell(d)):
+                if orbit_count(image.n, image.r) > image.r:
+                    tested += 1
+                    continue
+                skipped += 1
+                assert product_form_weights(image) is not None, (a.values, n, r)
+    assert (skipped, tested) == (42, 12)
+
+
+def test_the_small_suites_build_only_what_they_decide(monkeypatch):
+    calls = Counter()
+    spy(monkeypatch, ("product_form_weights", "label_distribution"),
+        lambda name, args, checks: calls.update([name]))
+    assert verify.transforms_suite(0, 2, 2).passed
+    # the detector's be(3,2), then the three drop images at (4, 5)
+    assert calls["product_form_weights"] == 4
+
+    def no_view(table):
+        raise AssertionError("a Fraction view was read")
+
+    calls.clear()
+    monkeypatch.setattr(FractionTable, "fractions", no_view)
+    assert verify.eom_suite(0, 2, 2).passed
+    # the five built-in models at (2, 1) and at (2, 2), and the 20 random ones
+    assert calls["label_distribution"] == 5 + 5 + 20
