@@ -98,11 +98,14 @@ def _decode(code: int, radix: int, length: int) -> Composition:
 def condition_on_partial_sum(
     d: OccupancyDistribution, n: int, s: int
 ) -> OccupancyDistribution:
-    """Law of the first ``n`` cells given that they hold ``s`` particles."""
-    if not 1 <= n < d.n:
-        raise ValueError(f"partial cell count must be in 1..{d.n - 1}, got {n}")
-    if not 0 <= s <= d.r:
-        raise ValueError(f"partial particle count must be in 0..{d.r}, got {s}")
+    """Law of the first ``n`` cells given that they hold ``s`` particles;
+    each count's type is judged (``check_int``) before its range."""
+    counts = ((n, "partial cell count", 1, d.n - 1), (s, "partial particle count", 0, d.r))
+    for value, name, low, high in counts:
+        if type(value) is not int:
+            combinat.check_int(value, name, low)
+        if not low <= value <= high:
+            raise ValueError(f"{name} must be in {low}..{high}, got {value}")
     acc: dict[Composition, int] = {}
     for x, m in d.table.masses.items():
         head = x[:n]

@@ -96,16 +96,20 @@ def _cells(n: int, r: int) -> int:
     return combinat.composition_count(n, r) * n
 
 
-def _check_plan(suite: str, weights: dict, max_n: int, max_r: int, charge) -> int:
-    """The cells of the tables a model suite builds per grid model, summed
-    before it builds any table, in the budget's unit (see ``_cells``).
+def _kinds(n: int, r: int) -> list[str]:
+    """The built-in kinds with support at (n, r), in ``BUILTIN_KINDS`` order:
+    fd weighs only the occupancies 0 and 1, so it needs r <= n; the other
+    kinds weigh every occupancy."""
+    return [kind for kind in BUILTIN_KINDS if kind != "fd" or r <= n]
 
-    The grid is walked once, and ``weights`` is filled as it goes with
-    ``{(n, r): [(kind, a), ...]}``, the built-in weights on 0..r with
-    support at each point in ``BUILTIN_KINDS`` order, one weight object per
-    kind and r; the suite's models are built from it (``_builtin_models``).
-    ``charge(n, r, cell, randoms)`` is the work at the point (n, r), with
-    ``cell`` its (kind, a) list and ``randoms`` the number of random models
+
+def _check_plan(suite: str, max_n: int, max_r: int, charge) -> int:
+    """The cells of the tables a model suite builds, summed before it builds
+    any table or weight, in the budget's unit (see ``_cells``).
+
+    The grid is walked once.  ``charge(n, r, builtins, randoms)`` is the
+    work at the point (n, r), with ``builtins`` the number of built-in
+    models there (``_kinds``) and ``randoms`` the number of random models
     placed there; each suite's docstring says which tables it charges.  The
     tables that one check builds and drops for itself, and the checks with
     fixed cells off the grid, are not charged.  The sum raises
@@ -118,14 +122,10 @@ def _check_plan(suite: str, weights: dict, max_n: int, max_r: int, charge) -> in
             f"model grid needs max_n >= 2 and max_r >= 1, got {max_n}, {max_r}"
         )
     points = (max_n - 1) * max_r
-    kinds = {}  # r -> [(kind, a), ...] of every built-in kind
     total = 0
     for index, (n, r) in enumerate(_grid(max_n, max_r)):
-        if r not in kinds:
-            kinds[r] = [(kind, builtin_weight(kind, r)) for kind in BUILTIN_KINDS]
-        cell = weights[n, r] = [(kind, a) for kind, a in kinds[r] if scaled_normalizer(a, n, r)]
         # random model i (0..19) is placed on grid point i % points
-        total += charge(n, r, cell, len(range(index, 20, points)))
+        total += charge(n, r, len(_kinds(n, r)), len(range(index, 20, points)))
         if total > combinat.ENUMERATION_BUDGET:
             raise BudgetExceededError(
                 f"{suite} suite at max_n={max_n}, max_r={max_r} needs at least "
@@ -134,21 +134,25 @@ def _check_plan(suite: str, weights: dict, max_n: int, max_r: int, charge) -> in
     return total
 
 
-def _builtin_models(weights: dict) -> dict:
-    """{(n, r): [(kind, a, model), ...]} of the planned built-in weights (see
-    ``_check_plan``), in grid and ``BUILTIN_KINDS`` order."""
-    return {
-        point: [(kind, a, weight_model(a, *point)) for kind, a in cell]
-        for point, cell in weights.items()
+def _grid_models(max_n: int, max_r: int) -> tuple[dict, dict]:
+    """``({kind: weight}, {(kind, n, r): model})``: one built-in weight per
+    kind on 0..max_r, which a model at (n, r) reads only on 0..r, and its
+    model at each grid point with support, in grid and kind order."""
+    weights = {kind: builtin_weight(kind, max_r) for kind in BUILTIN_KINDS}
+    models = {
+        (kind, n, r): weight_model(weights[kind], n, r)
+        for n, r in _grid(max_n, max_r)
+        for kind in _kinds(n, r)
     }
+    return weights, models
 
 
-def _all_models(builtins: dict, seed: int):
+def _all_models(models: dict, seed: int, max_n: int, max_r: int):
     """Named built-in models on the grid, then 20 seeded random exchangeable
     models cycling through the same grid."""
-    out = [(f"{kind}({n},{r})", d) for (n, r), cell in builtins.items() for kind, _, d in cell]
+    out = [(f"{kind}({n},{r})", d) for (kind, n, r), d in models.items()]
     rng = random.Random(seed)
-    for i, (n, r) in zip(range(20), itertools.cycle(builtins)):
+    for i, (n, r) in zip(range(20), itertools.cycle(_grid(max_n, max_r))):
         out.append((f"random-eom-{i}({n},{r})", random_eom(rng, n, r)))
     return out
 
@@ -167,7 +171,7 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
     The suite first plans its work (``_check_plan``): each model on the grid
     at compositions x n cells, its label law at n**r cells, and the 20
     random weight models per grid point of ``weight-model-exchangeable``.
-    Each model is built once.  The five checks that read label laws run one
+    Each model is built once (``_grid_models``).  The five checks that read label laws run one
     grid cell at a time: each built-in model's label law is built once, read
     by each of them and dropped with its cell, and the 20 random models
     follow one at a time.  They visit the models in the order of the model
@@ -175,17 +179,15 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
     after another over the whole grid.  Every check decides on the integer
     masses of the tables; none reads their ``Fraction`` view.
     """
-    weights = {}
     _check_plan(
         "eom",
-        weights,
         max_n,
         max_r,
-        lambda n, r, cell, randoms: (len(cell) + randoms) * (_cells(n, r) + n**r)
+        lambda n, r, builtins, randoms: (builtins + randoms) * (_cells(n, r) + n**r)
         + 20 * _cells(n, r),
     )
-    builtins = _builtin_models(weights)
-    models = _all_models(builtins, seed)
+    weights, grid = _grid_models(max_n, max_r)
+    models = _all_models(grid, seed, max_n, max_r)
     rng = random.Random(seed + 1)
     random_weights = [random_weight_function(rng, max_r) for _ in range(20)]
     found = dict.fromkeys(
@@ -216,9 +218,9 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
         return None
 
     def weight_model_exchangeable():
-        for (n, r), cell in builtins.items():
-            for kind, _, d in cell:
-                if not is_exchangeable(d):
+        for n, r in _grid(max_n, max_r):
+            for kind in _kinds(n, r):
+                if not is_exchangeable(grid[kind, n, r]):
                     return f"{kind}({n},{r})"
             for i, a in enumerate(random_weights):
                 if not is_exchangeable(weight_model(a, n, r)):
@@ -263,7 +265,7 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
         # a model is uniform when each of the |space| compositions has a
         # mass m with m * |space| == D; its order statistics are uniform
         # when they cover the space with equal masses
-        for n, r in builtins:
+        for n, r in _grid(max_n, max_r):
             size = combinat.composition_count(n, r)
             candidates = [d for _, d in models if (d.n, d.r) == (n, r)]
             uniform = []
@@ -345,19 +347,22 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
             run("weight-label-density", weight_label_density, name, a, ld)
         return ld
 
+    def grid_label_checks(kind, n, r):
+        return label_checks(f"{kind}({n},{r})", grid[kind, n, r], weights[kind])
+
     run("model-normalization", model_normalization)
     run("weight-model-exchangeable", weight_model_exchangeable)
-    for (n, r), cell in builtins.items():
+    for n, r in _grid(max_n, max_r):
         # mb, be and fd lead BUILTIN_KINDS: their laws are held together for
         # the closed forms, then dropped before pc:2 and pc:3 are visited
-        laws = {
-            k: label_checks(f"{k}({n},{r})", d, a) for k, a, d in cell if k in ("mb", "be", "fd")
-        }
+        kinds = _kinds(n, r)
+        closed = ("mb", "be", "fd")
+        laws = {kind: grid_label_checks(kind, n, r) for kind in kinds if kind in closed}
         run("label-law-closed-forms", label_law_closed_forms, n, r, laws)
         del laws
-        for kind, a, d in cell:
-            if kind not in ("mb", "be", "fd"):
-                label_checks(f"{kind}({n},{r})", d, a)
+        for kind in kinds:
+            if kind not in closed:
+                grid_label_checks(kind, n, r)
     for name, d in models[-20:]:  # the random models end the list
         label_checks(name, d)
     run("uniform-transfer", uniform_transfer)
@@ -375,45 +380,29 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
 
     The suite first plans its work (``_check_plan``), at compositions x n
     cells per table: each model on the grid, its drop image, its erase image
-    and its conditioned tables, and per built-in model its conditioned
-    tables once more, its ``check_drop_closure`` enumeration, its
-    drop-matches target and the conditioned targets it adds.  Each model
-    and each model's drop image and erase image is built once, in lists
-    aligned with the model list, and each built-in model's
-    ``check_drop_closure`` outcome once, in a list aligned with the
-    built-ins.  ``conditioning-preserves-weight-model`` builds each
-    conditioned target once, in a dict of its own.  The checks with fixed
-    cells off the grid build their few small models themselves.
+    and its conditioned tables, and per built-in model its
+    ``check_drop_closure`` enumeration.  Each is built once: the images in
+    lists aligned with the model list, the ``check_drop_closure`` outcomes
+    in a dict keyed as the built-in models, and the conditioned tables in
+    the one walk of the two conditioning checks.  A built-in model's drop
+    image and conditioned tables are compared with the grid models they
+    must equal, so no target is built.  The checks with fixed cells off the
+    grid build their few small models themselves.
     """
-    weights = {}
-    targets = set()  # the conditioned targets charged so far, keyed as built
 
-    def charge(n, r, cell, randoms):
-        conditioned = sum(_cells(sub_n, s) for sub_n in range(1, n) for s in range(r + 1))
-        total = (len(cell) + randoms) * (
-            _cells(n, r) + _cells(n, r - 1) + _cells(n - 1, r) + conditioned
-        )
-        total += len(cell) * (conditioned + 2 * _cells(n, r - 1))
-        for kind, a in cell:
-            for sub_n, s in _grid(n - 1, r, min_n=1, min_r=0):
-                # the event has mass when both normalizers do; keeping all r
-                # particles in sub_n >= 2 cells gives the grid's own model
-                if (sub_n > 1 and s == r) or (kind, r, sub_n, s) in targets:
-                    continue
-                if scaled_normalizer(a, sub_n, s) and scaled_normalizer(a, n - sub_n, r - s):
-                    targets.add((kind, r, sub_n, s))
-                    total += _cells(sub_n, s)
-        return total
+    def charge(n, r, builtins, randoms):
+        conditioned = sum(_cells(sub_n, s) for sub_n, s in _grid(n - 1, r, min_n=1, min_r=0))
+        tables = _cells(n, r) + _cells(n, r - 1) + _cells(n - 1, r) + conditioned
+        return (builtins + randoms) * tables + builtins * _cells(n, r - 1)
 
-    _check_plan("transforms", weights, max_n, max_r, charge)
-    builtins = _builtin_models(weights)
-    models = _all_models(builtins, seed)
+    _check_plan("transforms", max_n, max_r, charge)
+    weights, grid = _grid_models(max_n, max_r)
+    models = _all_models(grid, seed, max_n, max_r)
     drops = [drop_particle(d) for _, d in models]
     erases = [erase_cell(d) for _, d in models]
-    # one entry per built-in model; they lead the model list, so zip pairs
-    # each entry with its drop image
-    entries = [(kind, n, r, a, d) for (n, r), cell in builtins.items() for kind, a, d in cell]
-    closures = [check_drop_closure(a, n, r) for _, n, r, a, _ in entries]
+    # the built-in models lead the model list, so zip pairs each of their
+    # keys with its drop image
+    closures = {(kind, n, r): check_drop_closure(weights[kind], n, r) for kind, n, r in grid}
 
     def keeps_exchangeable(images):
         for (name, _), image in zip(models, images):
@@ -421,42 +410,42 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
                 return name
         return None
 
-    def conditioning_keeps_exchangeable():
-        for name, d in models:
-            for sub_n in range(1, d.n):
-                for s in range(d.r + 1):
-                    try:
-                        cond = condition_on_partial_sum(d, sub_n, s)
-                    except ConditioningError:
-                        continue
-                    if not is_exchangeable(cond):
-                        return f"{name} cond({sub_n},{s})"
-        return None
-
-    def conditioning_preserves_weight_model():
-        # the target that keeps all r particles is the built-in model at (sub_n, r)
-        targets = {(kind, r, n, r): d for kind, n, r, _, d in entries}
-        for kind, big_n, r, a, d in entries:
-            for sub_n in range(1, big_n):
-                for s in range(r + 1):
-                    try:
-                        cond = condition_on_partial_sum(d, sub_n, s)
-                    except ConditioningError:
-                        if scaled_normalizer(a, sub_n, s) and scaled_normalizer(
-                            a, big_n - sub_n, r - s
-                        ):
-                            return f"{kind}({big_n},{r}) cond({sub_n},{s}) empty"
-                        continue
-                    if (kind, r, sub_n, s) not in targets:
-                        targets[kind, r, sub_n, s] = weight_model(a, sub_n, s)
-                    if cond != targets[kind, r, sub_n, s]:
-                        return f"{kind}({big_n},{r}) cond({sub_n},{s})"
-        return None
+    @functools.cache
+    def conditioning():
+        """The first witnesses of ``conditioning-keeps-exchangeable``, over
+        every model, and ``conditioning-preserves-weight-model``, over the
+        built-in models, from one walk in model order.  Each conditioned
+        table is read by both and dropped with its (sub_n, s).  Where
+        sub_n = 1 or s = 0 the space holds one composition, so the table
+        and its target are both mass 1 on it: they are not compared.
+        Elsewhere the target, the built-in model at (sub_n, s), is on the
+        grid."""
+        keeps = preserves = None
+        for (name, d), key in itertools.zip_longest(models, grid):
+            if keeps is not None and (preserves is not None or key is None):
+                break
+            for sub_n, s in _grid(d.n - 1, d.r, min_n=1, min_r=0):
+                try:
+                    cond = condition_on_partial_sum(d, sub_n, s)
+                except ConditioningError:
+                    cond = None
+                if keeps is None and cond is not None and not is_exchangeable(cond):
+                    keeps = f"{name} cond({sub_n},{s})"
+                if preserves is not None or key is None:
+                    continue
+                kind, n, r = key
+                if cond is None:
+                    a = weights[kind]
+                    if scaled_normalizer(a, sub_n, s) and scaled_normalizer(a, n - sub_n, r - s):
+                        preserves = f"{name} cond({sub_n},{s}) empty"
+                elif sub_n > 1 and s > 0 and cond != grid.get((kind, sub_n, s)):
+                    preserves = f"{name} cond({sub_n},{s})"
+        return keeps, preserves
 
     # a built-in weight with support at (n, r) has support at (n, r - 1)
     # too, so check_drop_closure raises on none of these
     def drop_closure_builtins():
-        for (kind, n, r, _, _), result in zip(entries, closures):
+        for (kind, n, r), result in closures.items():
             if not result.passed:
                 return f"{kind}({n},{r}) witness {result.witness}"
         return None
@@ -468,8 +457,10 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         return None
 
     def drop_matches_weight_model():
-        for (kind, n, r, a, _), result, image in zip(entries, closures, drops):
-            if result.passed and image != weight_model(a, n, r - 1):
+        # at r = 1 the image and its target are both mass 1 on the one
+        # composition of no particles: they are not compared
+        for ((kind, n, r), result), image in zip(closures.items(), drops):
+            if r > 1 and result.passed and image != grid[kind, n, r - 1]:
                 return f"{kind}({n},{r})"
         return None
 
@@ -533,8 +524,8 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
         [
             ("drop-keeps-exchangeable", functools.partial(keeps_exchangeable, drops)),
             ("erase-keeps-exchangeable", functools.partial(keeps_exchangeable, erases)),
-            ("conditioning-keeps-exchangeable", conditioning_keeps_exchangeable),
-            ("conditioning-preserves-weight-model", conditioning_preserves_weight_model),
+            ("conditioning-keeps-exchangeable", lambda: conditioning()[0]),
+            ("conditioning-preserves-weight-model", lambda: conditioning()[1]),
             ("drop-closure-builtins", drop_closure_builtins),
             ("drop-closure-counterexample", drop_closure_counterexample),
             ("drop-matches-weight-model", drop_matches_weight_model),

@@ -33,6 +33,7 @@ from eomkit.process import (
     structure_function,
     transition_probability,
 )
+from eomkit.transforms import condition_on_partial_sum
 
 F = Fraction
 
@@ -46,6 +47,7 @@ def marginal(p, t):
 
 
 LABELS = LabelDistribution(2, 2, {(1, 2): F(1, 2), (2, 1): F(1, 2)})
+BE_3_2 = weight_model(builtin_weight("be", 2), 3, 2)
 
 
 #: (call, arguments after the process, error text)
@@ -95,6 +97,16 @@ NO_PROCESS = [
     (orbit_count, (1.5, 2), "cell count must be an integer, got 1.5"),
     (orbit_count, (2, 2.0), "particle count must be an integer, got 2.0"),
     (orbit_count, (2, True), "particle count must be an integer, got True"),
+    (condition_on_partial_sum, (BE_3_2, True, 1), "partial cell count must be an integer, got True"),
+    (condition_on_partial_sum, (BE_3_2, 1.5, 1), "partial cell count must be an integer, got 1.5"),
+    (condition_on_partial_sum, (BE_3_2, "1", 1), "partial cell count must be an integer, got '1'"),
+    (
+        condition_on_partial_sum,
+        (BE_3_2, 1, 1.5),
+        "partial particle count must be an integer, got 1.5",
+    ),
+    (condition_on_partial_sum, (BE_3_2, 3, 1), "partial cell count must be in 1..2, got 3"),
+    (condition_on_partial_sum, (BE_3_2, 1, 3), "partial particle count must be in 0..2, got 3"),
 ]
 
 

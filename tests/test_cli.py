@@ -269,7 +269,7 @@ def test_verify_empty_model_grid_exits_2(suite):
 
 @pytest.mark.parametrize(
     "suite, bound, total",
-    [("eom", 8, 11133102), ("transforms", 10, 10688354)],
+    [("eom", 8, 11133102), ("transforms", 10, 11081876)],
 )
 def test_verify_over_the_budget_exits_2_at_once(suite, bound, total):
     start = time.perf_counter()

@@ -146,6 +146,28 @@ def test_weight_model_tables():
         weight_model(builtin_weight("fd", 3), 2, 3)
 
 
+def model_or_error(a, n, r):
+    """(denominator, masses) of ``weight_model(a, n, r)``, or the text of
+    its EmptySupportError."""
+    try:
+        d = weight_model(a, n, r)
+    except EmptySupportError as exc:
+        return str(exc)
+    return d.table.denominator, d.table.masses
+
+
+@pytest.mark.parametrize("kind", ["mb", "be", "fd", "pc:2", "pc:3"])
+def test_builtin_model_depends_on_the_weight_only_up_to_r(kind):
+    # a built-in weight on 0..R is a prefix of one sequence, so one weight
+    # per kind serves every model of the model suites' grid
+    long = builtin_weight(kind, 9)
+    cases = [(n, r) for n in range(1, 7) for r in range(8)]
+    for n, r in cases:
+        short = builtin_weight(kind, r)
+        assert model_or_error(long, n, r) == model_or_error(short, n, r), (n, r)
+    assert len(cases) == 48
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         OccupancyDistribution(2, 2, {(1, 1): F(1, 2)})

@@ -10,6 +10,9 @@ report it.
 The witnesses were recorded before the suites became table-driven, so they
 also pin the order in which each sweep visits its cases.  So do the digests
 of the arguments that one imported name receives over a whole clean run.
+The conditioning case and the two digests at seed 1 and of
+``check_drop_closure`` were recorded before the two conditioning checks
+shared one walk and the suites one weight per kind.
 """
 
 import functools
@@ -125,6 +128,33 @@ def occupancy_without_multinomial(real):
             if list(y) == sorted(y)
         }
         return OccupancyDistribution.from_masses(ld.n, ld.r, ld.table.denominator, masses)
+
+    return fake
+
+
+def tilt(d: OccupancyDistribution) -> OccupancyDistribution:
+    """Move half the mass of the first composition onto the last one of its
+    orbit: the masses still sum to the denominator, but the law is no longer
+    exchangeable."""
+    masses = {x: 2 * m for x, m in d.table.masses.items()}
+    first = min(masses)
+    last = max(x for x in masses if sorted(x) == sorted(first))
+    masses[first] //= 2
+    masses[last] += masses[first]
+    return OccupancyDistribution.from_masses(d.n, d.r, 2 * d.table.denominator, masses)
+
+
+def conditioning_fault(real):
+    """Wrong but exchangeable at cond(2,2) of the models at (3, 2); not
+    exchangeable at cond(3,3) of the models at (4, 4)."""
+
+    def fake(d, sub_n, s):
+        out = real(d, sub_n, s)
+        if (d.n, d.r, sub_n, s) == (3, 2, 2, 2):
+            return shift_orbit_mass(out)
+        if (d.n, d.r, sub_n, s) == (4, 4, 3, 3):
+            return tilt(out)
+        return out
 
     return fake
 
@@ -262,6 +292,14 @@ CASES = {
             ("iid-conditional-sufficiency", "be(3,3)"),
         ],
     ),
+    "transforms, one conditioning fault fails both conditioning checks": (
+        lambda: verify.transforms_suite(),
+        [("condition_on_partial_sum", conditioning_fault)],
+        [
+            ("conditioning-keeps-exchangeable", "mb(4,4) cond(3,3)"),
+            ("conditioning-preserves-weight-model", "mb(3,2) cond(2,2)"),
+        ],
+    ),
     "transforms, erase loses an orbit at (4,3)": (
         lambda: verify.transforms_suite(),
         [("erase_cell", erase_cell_loses)],
@@ -362,13 +400,28 @@ def table_key(d: OccupancyDistribution):
 
 #: (calls, first 16 hex digits of the sha256 of the argument reprs in call
 #: order) for one name that each suite calls once per case it visits,
-#: recorded before the suites became table-driven
+#: recorded before the suites became table-driven (see the module docstring)
 SWEEP_DIGESTS = {
     "eom is_exchangeable": (
         lambda: verify.eom_suite(), "is_exchangeable", table_key, 297, "508e93f8e446b587"
     ),
     "transforms is_exchangeable": (
         lambda: verify.transforms_suite(), "is_exchangeable", table_key, 651, "af1bebb2906740b1"
+    ),
+    "transforms is_exchangeable at seed 1, (3, 4)": (
+        lambda: verify.transforms_suite(1, 3, 4),
+        "is_exchangeable",
+        table_key,
+        393,
+        "542e3a0ddbec2d9d",
+    ),
+    # the weight objects' x_max is not part of the key: only the kind is
+    "transforms check_drop_closure": (
+        lambda: verify.transforms_suite(),
+        "check_drop_closure",
+        lambda a, n, r: (a.kind, n, r),
+        58,
+        "c053e2706389f655",
     ),
     "theorem check_structure_recursion": (
         lambda: verify.theorem_suite(0, 3),
