@@ -490,7 +490,13 @@ def transition_probability(p: FiniteProcess, t: int, k: int, i: int) -> Fraction
 
 
 def check_structure_recursion(p: FiniteProcess) -> bool:
-    """Exact check that each R_{t-1}(k) equals sum_l a(l) * R_t(k+l).
+    """Exact check that each R_{t-1}(k) equals sum_l a(l) * R_t(k+l)
+    (see ``_structure_mismatch``)."""
+    return _structure_mismatch(p) is None
+
+
+def _structure_mismatch(p: FiniteProcess) -> str | None:
+    """First (t, k) where R_{t-1}(k) misses sum_l a(l) * R_t(k+l), or None.
 
     The sum is truncated at the count cap; omitted terms are exactly zero
     because no path reaches past the cap.  Decided on integers: with
@@ -520,9 +526,9 @@ def check_structure_recursion(p: FiniteProcess) -> bool:
             lam = math.lcm(*(c for _, c in terms))
             rhs = sum(w * (lam // c) for w, c in terms)
             if prev_masses[k] * den * lam != prev_den * c_here * rhs:
-                return False
+                return f"(t,k)=({t},{k})"
         prev_den, prev_masses = den, masses
-    return True
+    return None
 
 
 def classic_uosp_value(kind: str, t: int, k: int, times) -> Fraction:

@@ -1,6 +1,6 @@
 """Pass/fail reporting structures shared by the verification suites."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -20,7 +20,7 @@ class SuiteReport:
     """A named collection of check outcomes."""
 
     suite: str
-    checks: list[CheckOutcome] = field(default_factory=list)
+    checks: list[CheckOutcome]
 
     @property
     def passed(self) -> bool:

@@ -6,7 +6,6 @@ they are reused verbatim by the command-line ``verify`` command and the
 acceptance tests.
 """
 
-import functools
 import itertools
 import math
 import random
@@ -36,10 +35,10 @@ from .models import (
 from .process import (
     FiniteProcess,
     _counts,
+    _structure_mismatch,
     build_process,
     check_characterizations,
     check_mixed_geometric_form,
-    check_structure_recursion,
     check_weight_model_conditionals,
     classic_uosp_value,
     conditional_jumps_given_count,
@@ -157,12 +156,18 @@ def _all_models(models: dict, seed: int, max_n: int, max_r: int):
     return out
 
 
-def _run(report: SuiteReport, checks) -> SuiteReport:
-    """Run each (name, fn) in order; fn returns a failure witness or None."""
-    for name, fn in checks:
-        witness = fn()
-        report.checks.append(CheckOutcome(name, witness is None, witness))
-    return report
+def _report(suite: str, found: dict) -> SuiteReport:
+    """The report of ``suite`` from ``found``, which maps each check name,
+    in report order, to its first witness or None."""
+    return SuiteReport(suite, [CheckOutcome(name, w is None, w) for name, w in found.items()])
+
+
+def _first(found: dict, check: str, body, *args) -> None:
+    """Run ``body(*args)``, one unit (a grid cell, model, conditioned table
+    or process) of ``check``, unless the check has failed already: so
+    ``found`` keeps the check's first witness."""
+    if found[check] is None:
+        found[check] = body(*args)
 
 
 def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
@@ -203,11 +208,6 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
             "iid-conditional-sufficiency",
         )
     )
-
-    def run(check, body, *args):
-        """Run ``body`` unless ``check`` has failed already: keep its first witness."""
-        if found[check] is None:
-            found[check] = body(*args)
 
     # builders store their tables unchecked (``from_masses``), so this and
     # the transforms suite's mass-conservation are where sums are tested
@@ -340,36 +340,34 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
         """Build the label law of the model ``d`` and run each per-model
         label check on it; ``a`` is the weight of a built-in model."""
         ld = label_distribution(d)
-        run("uniform-single-marginals", uniform_single_marginals, name, d, ld)
-        run("order-statistics-match", order_statistics_match, name, d, ld)
-        run("label-occupancy-roundtrip", label_occupancy_roundtrip, name, d, ld)
+        _first(found, "uniform-single-marginals", uniform_single_marginals, name, d, ld)
+        _first(found, "order-statistics-match", order_statistics_match, name, d, ld)
+        _first(found, "label-occupancy-roundtrip", label_occupancy_roundtrip, name, d, ld)
         if a is not None and d.n <= 3:
-            run("weight-label-density", weight_label_density, name, a, ld)
+            _first(found, "weight-label-density", weight_label_density, name, a, ld)
         return ld
 
     def grid_label_checks(kind, n, r):
         return label_checks(f"{kind}({n},{r})", grid[kind, n, r], weights[kind])
 
-    run("model-normalization", model_normalization)
-    run("weight-model-exchangeable", weight_model_exchangeable)
+    found["model-normalization"] = model_normalization()
+    found["weight-model-exchangeable"] = weight_model_exchangeable()
     for n, r in _grid(max_n, max_r):
         # mb, be and fd lead BUILTIN_KINDS: their laws are held together for
         # the closed forms, then dropped before pc:2 and pc:3 are visited
         kinds = _kinds(n, r)
         closed = ("mb", "be", "fd")
         laws = {kind: grid_label_checks(kind, n, r) for kind in kinds if kind in closed}
-        run("label-law-closed-forms", label_law_closed_forms, n, r, laws)
+        _first(found, "label-law-closed-forms", label_law_closed_forms, n, r, laws)
         del laws
         for kind in kinds:
             if kind not in closed:
                 grid_label_checks(kind, n, r)
     for name, d in models[-20:]:  # the random models end the list
         label_checks(name, d)
-    run("uniform-transfer", uniform_transfer)
-    run("iid-conditional-sufficiency", iid_conditional_sufficiency)
-    return SuiteReport(
-        "eom", [CheckOutcome(name, w is None, w) for name, w in found.items()]
-    )
+    found["uniform-transfer"] = uniform_transfer()
+    found["iid-conditional-sufficiency"] = iid_conditional_sufficiency()
+    return _report("eom", found)
 
 
 ADHOC_WEIGHT = WeightFunction((1, 1, 5, 1), kind="adhoc")
@@ -410,37 +408,23 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
                 return name
         return None
 
-    @functools.cache
-    def conditioning():
-        """The first witnesses of ``conditioning-keeps-exchangeable``, over
-        every model, and ``conditioning-preserves-weight-model``, over the
-        built-in models, from one walk in model order.  Each conditioned
-        table is read by both and dropped with its (sub_n, s).  Where
-        sub_n = 1 or s = 0 the space holds one composition, so the table
-        and its target are both mass 1 on it: they are not compared.
-        Elsewhere the target, the built-in model at (sub_n, s), is on the
-        grid."""
-        keeps = preserves = None
-        for (name, d), key in itertools.zip_longest(models, grid):
-            if keeps is not None and (preserves is not None or key is None):
-                break
-            for sub_n, s in _grid(d.n - 1, d.r, min_n=1, min_r=0):
-                try:
-                    cond = condition_on_partial_sum(d, sub_n, s)
-                except ConditioningError:
-                    cond = None
-                if keeps is None and cond is not None and not is_exchangeable(cond):
-                    keeps = f"{name} cond({sub_n},{s})"
-                if preserves is not None or key is None:
-                    continue
-                kind, n, r = key
-                if cond is None:
-                    a = weights[kind]
-                    if scaled_normalizer(a, sub_n, s) and scaled_normalizer(a, n - sub_n, r - s):
-                        preserves = f"{name} cond({sub_n},{s}) empty"
-                elif sub_n > 1 and s > 0 and cond != grid.get((kind, sub_n, s)):
-                    preserves = f"{name} cond({sub_n},{s})"
-        return keeps, preserves
+    def conditioned_exchangeable(name, sub_n, s, cond):
+        if cond is not None and not is_exchangeable(cond):
+            return f"{name} cond({sub_n},{s})"
+        return None
+
+    def conditioned_weight_model(name, key, sub_n, s, cond):
+        # where sub_n = 1 or s = 0 the space holds one composition, so the
+        # table and its target are both mass 1 on it: they are not compared;
+        # elsewhere the target, the built-in model at (sub_n, s), is on the grid
+        kind, n, r = key
+        if cond is None:
+            a = weights[kind]
+            if scaled_normalizer(a, sub_n, s) and scaled_normalizer(a, n - sub_n, r - s):
+                return f"{name} cond({sub_n},{s}) empty"
+        elif sub_n > 1 and s > 0 and cond != grid.get((kind, sub_n, s)):
+            return f"{name} cond({sub_n},{s})"
+        return None
 
     # a built-in weight with support at (n, r) has support at (n, r - 1)
     # too, so check_drop_closure raises on none of these
@@ -519,23 +503,41 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
                         return None
         return "every searched transform image stayed product-form"
 
-    return _run(
-        SuiteReport("transforms"),
-        [
-            ("drop-keeps-exchangeable", functools.partial(keeps_exchangeable, drops)),
-            ("erase-keeps-exchangeable", functools.partial(keeps_exchangeable, erases)),
-            ("conditioning-keeps-exchangeable", lambda: conditioning()[0]),
-            ("conditioning-preserves-weight-model", lambda: conditioning()[1]),
-            ("drop-closure-builtins", drop_closure_builtins),
-            ("drop-closure-counterexample", drop_closure_counterexample),
-            ("drop-matches-weight-model", drop_matches_weight_model),
-            ("drop-breaks-weight-model", drop_breaks_weight_model),
-            ("dropped-label-marginal", dropped_label_marginal),
-            ("mass-conservation", mass_conservation),
-            ("product-form-detector-positive", product_form_detector_positive),
-            ("strict-containment", strict_containment),
-        ],
-    )
+    found = {
+        "drop-keeps-exchangeable": keeps_exchangeable(drops),
+        "erase-keeps-exchangeable": keeps_exchangeable(erases),
+        "conditioning-keeps-exchangeable": None,
+        "conditioning-preserves-weight-model": None,
+    }
+    # one walk in model order decides both conditioning checks, the first
+    # over every model and the second over the built-in models: each
+    # conditioned table is read by both and dropped with its (sub_n, s)
+    for (name, d), key in itertools.zip_longest(models, grid):
+        if found["conditioning-keeps-exchangeable"] is not None and (
+            key is None or found["conditioning-preserves-weight-model"] is not None
+        ):
+            break
+        for sub_n, s in _grid(d.n - 1, d.r, min_n=1, min_r=0):
+            try:
+                cond = condition_on_partial_sum(d, sub_n, s)
+            except ConditioningError:
+                cond = None
+            _first(found, "conditioning-keeps-exchangeable",
+                   conditioned_exchangeable, name, sub_n, s, cond)
+            if key is not None:
+                _first(found, "conditioning-preserves-weight-model",
+                       conditioned_weight_model, name, key, sub_n, s, cond)
+    found |= {
+        "drop-closure-builtins": drop_closure_builtins(),
+        "drop-closure-counterexample": drop_closure_counterexample(),
+        "drop-matches-weight-model": drop_matches_weight_model(),
+        "drop-breaks-weight-model": drop_breaks_weight_model(),
+        "dropped-label-marginal": dropped_label_marginal(),
+        "mass-conservation": mass_conservation(),
+        "product-form-detector-positive": product_form_detector_positive(),
+        "strict-containment": strict_containment(),
+    }
+    return _report("transforms", found)
 
 
 def _terminal_laws(rng: random.Random, cap: int):
@@ -557,10 +559,14 @@ def _normalized_at_zero(a: WeightFunction) -> WeightFunction:
 
 
 def _suite_processes(seed: int, max_horizon: int):
-    """Deterministic matrix of (label, process) pairs for the process checks.
+    """The deterministic (label, process) pairs of the process checks, one
+    per (weight, horizon, terminal law), yielded one at a time: a process
+    is built only when the one before it has been yielded.
 
-    Random weights are normalized to a(0) = 1, the gauge under which the
-    structure function at count zero equals the zero-count probability.
+    The five random weights are drawn first, then the random terminal laws
+    in the order of the pairs.  Random weights are normalized to a(0) = 1,
+    the gauge under which the structure function at count zero equals the
+    zero-count probability.
     """
     rng = random.Random(seed)
     weights = [(kind, None) for kind in ("mb", "be", "fd", "pc:2")]
@@ -568,19 +574,12 @@ def _suite_processes(seed: int, max_horizon: int):
         (f"random-{i}", _normalized_at_zero(random_weight_function(rng, 6)))
         for i in range(5)
     ]
-    horizons = sorted({2, max_horizon})
-    out = []
     for wname, wf in weights:
-        for horizon in horizons:
+        for horizon in sorted({2, max_horizon}):
             cap = min(5, horizon + 1) if wname == "fd" else 5
-            if wf is None:
-                a = builtin_weight(wname, cap)
-            else:
-                a = wf
+            a = builtin_weight(wname, cap) if wf is None else wf
             for lname, pi in _terminal_laws(rng, cap):
-                label = f"{wname}/M={horizon}/{lname}"
-                out.append((label, build_process(a, horizon, pi)))
-    return out
+                yield f"{wname}/M={horizon}/{lname}", build_process(a, horizon, pi)
 
 
 def perturbed_process(p: FiniteProcess) -> FiniteProcess | None:
@@ -651,83 +650,71 @@ CHARACTERIZATION_NAMES = (
 
 def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
     """Process-layer checks: the four equivalent characterizations and the
-    supporting structure-function identities, plus a verifier sanity test."""
-    processes = _suite_processes(seed, max_horizon)
-    per_process = [(label, check_characterizations(p)) for label, p in processes]
+    supporting structure-function identities, plus a verifier sanity test.
 
-    def characterization(name):
-        def first_failure():
-            for label, checks in per_process:
-                for c in checks:
-                    if c.name == name and not c.passed:
-                        return f"{label}: {c.witness}"
+    One walk visits the processes of ``_suite_processes`` in order, one at
+    a time.  Each process gets its four characterization outcomes, then
+    every other check that has not failed yet (``_first``), and is dropped
+    before the next one is built.  ``mutation-detected`` also fails when no
+    process admitted a perturbation.
+    """
+    mutated = 0  # processes that admitted a perturbation
+
+    def zero_count_identity(p):
+        if p.weight(0) == 0:
             return None
-
-        return first_failure
-
-    def markov_transitions():
-        for label, p in processes:
-            witness = _markov_mismatch(p)
-            if witness:
-                return f"{label} {witness}"
+        for t in range(p.horizon + 1):
+            den, masses, _ = _counts(p, t)
+            r = structure_function(p, t, 0)
+            if masses[0] * r.denominator != r.numerator * den:
+                return f"t={t}"
         return None
 
-    def structure_recursion():
-        for label, p in processes:
-            if not check_structure_recursion(p):
-                return label
+    def marginal_consistency(p):
+        for t in range(1, p.horizon + 1):
+            coarse = p.marginal(t - 1)
+            fine = p.marginal(t)
+            acc: dict[tuple, int] = {}
+            for prefix, m in fine.masses.items():
+                key = prefix[:-1]
+                acc[key] = acc.get(key, 0) + m
+            if FractionTable.lowest(fine.denominator, acc) != coarse:
+                return f"t={t}"
         return None
 
-    def zero_count_identity():
-        for label, p in processes:
-            if p.weight(0) == 0:
-                continue
-            for t in range(p.horizon + 1):
-                den, masses, _ = _counts(p, t)
-                r = structure_function(p, t, 0)
-                if masses[0] * r.denominator != r.numerator * den:
-                    return f"{label} t={t}"
-        return None
+    def mutation_detected(p):
+        nonlocal mutated
+        bad = perturbed_process(p)
+        if bad is None:
+            return None
+        mutated += 1
+        ok_cond = check_weight_model_conditionals(bad).passed
+        ok_form = check_mixed_geometric_form(bad).passed
+        return "perturbation went undetected" if ok_cond and ok_form else None
 
-    def marginal_consistency():
-        for label, p in processes:
-            for t in range(1, p.horizon + 1):
-                coarse = p.marginal(t - 1)
-                fine = p.marginal(t)
-                acc: dict[tuple, int] = {}
-                for prefix, m in fine.masses.items():
-                    key = prefix[:-1]
-                    acc[key] = acc.get(key, 0) + m
-                if FractionTable.lowest(fine.denominator, acc) != coarse:
-                    return f"{label} t={t}"
-        return None
+    def characterization(label, outcome):
+        return None if outcome.passed else f"{label}: {outcome.witness}"
 
-    def mutation_detected():
-        mutated = 0
-        for label, p in processes:
-            bad = perturbed_process(p)
-            if bad is None:
-                continue
-            mutated += 1
-            ok_cond = check_weight_model_conditionals(bad).passed
-            ok_form = check_mixed_geometric_form(bad).passed
-            if ok_cond and ok_form:
-                return f"{label} perturbation went undetected"
-        if mutated == 0:
-            return "no process admitted a perturbation"
-        return None
+    def labelled(label, body, p):
+        witness = body(p)
+        return witness and f"{label} {witness}"
 
-    return _run(
-        SuiteReport("theorem"),
-        [(name, characterization(name)) for name in CHARACTERIZATION_NAMES]
-        + [
-            ("markov-transitions", markov_transitions),
-            ("structure-recursion", structure_recursion),
-            ("zero-count-identity", zero_count_identity),
-            ("marginal-consistency", marginal_consistency),
-            ("mutation-detected", mutation_detected),
-        ],
-    )
+    checks = {
+        "markov-transitions": _markov_mismatch,
+        "structure-recursion": _structure_mismatch,
+        "zero-count-identity": zero_count_identity,
+        "marginal-consistency": marginal_consistency,
+        "mutation-detected": mutation_detected,
+    }
+    found = dict.fromkeys(CHARACTERIZATION_NAMES + tuple(checks))
+    for label, p in _suite_processes(seed, max_horizon):
+        for outcome in check_characterizations(p):
+            _first(found, outcome.name, characterization, label, outcome)
+        for name, body in checks.items():
+            _first(found, name, labelled, label, body, p)
+    if not mutated:
+        found["mutation-detected"] = "no process admitted a perturbation"
+    return _report("theorem", found)
 
 
 #: (check name, weight kind, classical property) of the recovery checks.
@@ -791,12 +778,12 @@ def classic_suite(max_horizon: int = 4) -> SuiteReport:
     """
     if max_horizon < 1:
         raise ValueError(f"classic suite needs a horizon >= 1, got {max_horizon}")
-    return _run(
-        SuiteReport("classic"),
-        [
-            (name, functools.partial(_classic_recovery, weight, uosp, max_horizon))
+    return _report(
+        "classic",
+        {
+            name: _classic_recovery(weight, uosp, max_horizon)
             for name, weight, uosp in CLASSIC_RECOVERIES
-        ],
+        },
     )
 
 

@@ -207,8 +207,13 @@ def structure_value(p, t: int, k: int) -> Fraction:
 
 
 def check_structure_recursion(p) -> bool:
-    """R_{t-1}(k) against sum_l a(l) * R_t(k+l), summed up to the count cap,
-    at every (t, k) with C_t(k) > 0."""
+    """The recursion holds at every (t, k) (see ``structure_mismatch``)."""
+    return structure_mismatch(p) is None
+
+
+def structure_mismatch(p) -> str | None:
+    """First (t, k) with C_t(k) > 0 where R_{t-1}(k) misses
+    sum_l a(l) * R_t(k+l), summed up to the count cap."""
     a, cap = p.weight, p.count_cap
     for t in range(1, p.horizon + 1):
         for k in range(cap + 1):
@@ -220,8 +225,8 @@ def check_structure_recursion(p) -> bool:
                 start=ZERO,
             )
             if structure_value(p, t - 1, k) != rhs:
-                return False
-    return True
+                return f"(t,k)=({t},{k})"
+    return None
 
 
 def transition_probability(p, t: int, k: int, i: int) -> Fraction:

@@ -127,7 +127,7 @@ def test_criterion_06_process_characterizations(theorem_report):
     failures = []
     from eomkit.verify import _suite_processes
 
-    if len(_suite_processes(0, 4)) < 8:
+    if len(list(_suite_processes(0, 4))) < 8:
         failures.append("fewer than 8 (weight, horizon, terminal-law) triples")
     _require(
         theorem_report,

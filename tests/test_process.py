@@ -568,6 +568,18 @@ def test_structure_recursion_matches_fraction_oracle(p):
     assert check_structure_recursion(p) == oracle.check_structure_recursion(p)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        arbitrary_processes(),
+        arbitrary_processes(max_denominator=6),
+        built_processes(),
+    )
+)
+def test_structure_mismatch_matches_fraction_oracle(p):
+    assert process._structure_mismatch(p) == oracle.structure_mismatch(p)
+
+
 def two_table_conditionals(p):
     """The conditional check as it was first written: build the conditional
     law and the product-form model for each (t, k) with mass and compare."""

@@ -1,6 +1,6 @@
 """The ``eom`` and ``transforms`` suites build each model's tables once, keep
 an ``eom`` label law for one grid cell, and plan their work before they
-build anything.
+build anything; the ``theorem`` suite keeps one process at a time.
 
 Spies on the names ``eomkit.verify`` imports count the calls per model
 object over one whole suite run.  Each spy keeps the arguments it saw
@@ -100,6 +100,23 @@ def test_an_eom_label_law_lives_for_one_grid_cell(monkeypatch):
     monkeypatch.setattr(verify, "label_distribution", build)
     assert verify.eom_suite(0, 4, 4).passed
     assert len(set(visited)) == 12
+
+
+def test_the_theorem_suite_holds_one_process_at_a_time(monkeypatch):
+    real = verify.build_process
+    processes = []  # weak reference of every process built
+
+    def build(*args):
+        # the walk may still hold the last process while the next is built
+        alive = [i for i, p in enumerate(processes[:-1]) if p() is not None]
+        assert alive == [], len(processes)
+        p = real(*args)
+        processes.append(weakref.ref(p))
+        return p
+
+    monkeypatch.setattr(verify, "build_process", build)
+    assert verify.theorem_suite(0, 3).passed
+    assert len(processes) == 54
 
 
 def cells(n, r):

@@ -12,7 +12,10 @@ also pin the order in which each sweep visits its cases.  So do the digests
 of the arguments that one imported name receives over a whole clean run.
 The conditioning case and the two digests at seed 1 and of
 ``check_drop_closure`` were recorded before the two conditioning checks
-shared one walk and the suites one weight per kind.
+shared one walk and the suites one weight per kind.  The ``theorem`` digests
+of ``build_process`` and ``check_characterizations``, and the case where no
+process admits a perturbation, were recorded before that suite walked its
+processes one at a time.
 """
 
 import functools
@@ -277,7 +280,7 @@ CASES = {
             ("jump-conditionals-product-form", "random-0/M=3/uniform: (t,k)=(2, 1)"),
             ("joint-factorization", "random-0/M=3/uniform: prefix (2, (0, 1, 0))"),
             ("markov-transitions", "random-0/M=3/uniform (t,k,i)=(1,0,1)"),
-            ("structure-recursion", "random-0/M=3/uniform"),
+            ("structure-recursion", "random-0/M=3/uniform (t,k)=(2,0)"),
         ],
     ),
     "eom, be(3,3) loses an orbit": (
@@ -360,7 +363,7 @@ CASES = {
         [("FiniteProcess.marginal", marginal_overwrites)],
         [
             ("markov-transitions", "pc:2/M=2/uniform row (t,k)=(0,0) sums to 28/3"),
-            ("structure-recursion", "pc:2/M=2/uniform"),
+            ("structure-recursion", "pc:2/M=2/uniform (t,k)=(1,0)"),
             ("marginal-consistency", "pc:2/M=2/uniform t=1"),
         ],
     ),
@@ -368,6 +371,11 @@ CASES = {
         lambda: verify.theorem_suite(0, 3),
         [("perturbed_process", perturbation_onto_donor)],
         [("mutation-detected", "mb/M=2/uniform perturbation went undetected")],
+    ),
+    "theorem, no process admits a perturbation": (
+        lambda: verify.theorem_suite(0, 3),
+        [("perturbed_process", lambda real: lambda p: None)],
+        [("mutation-detected", "no process admitted a perturbation")],
     ),
     "classic, three wrong closed-form values": (
         lambda: verify.classic_suite(4),
@@ -423,9 +431,23 @@ SWEEP_DIGESTS = {
         58,
         "c053e2706389f655",
     ),
-    "theorem check_structure_recursion": (
+    "theorem build_process": (
         lambda: verify.theorem_suite(0, 3),
-        "check_structure_recursion",
+        "build_process",
+        lambda a, horizon, pi: (a.values, horizon, pi),
+        54,
+        "5a8a29e373214b9b",
+    ),
+    "theorem check_characterizations": (
+        lambda: verify.theorem_suite(0, 3),
+        "check_characterizations",
+        lambda p: sorted(p.joint.items()),
+        54,
+        "301f35cf5f2cefb8",
+    ),
+    "theorem _structure_mismatch": (
+        lambda: verify.theorem_suite(0, 3),
+        "_structure_mismatch",
         lambda p: sorted(p.joint.items()),
         54,
         "301f35cf5f2cefb8",
