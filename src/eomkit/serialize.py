@@ -26,9 +26,21 @@ from .models import (
 from .process import FiniteProcess, build_process
 
 
+#: the largest |exponent| of an exact string such as "1e3": Python's limit on
+#: the digits of an int string, as ``Fraction`` builds 10**|exponent|
+MAX_EXPONENT = 4300
+
+
 def fraction_from_str(s) -> Fraction:
+    text = str(s)
     try:
-        return Fraction(str(s))
+        exponent = abs(int(text.lower().partition("e")[2]))
+    except ValueError:  # no exponent, or one that Fraction refuses too
+        exponent = 0
+    if exponent > MAX_EXPONENT:
+        raise ValueError(f"exponent in {text!r} is past the limit of {MAX_EXPONENT}")
+    try:
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
 

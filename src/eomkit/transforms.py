@@ -95,6 +95,26 @@ def _decode(code: int, radix: int, length: int) -> Composition:
     return tuple(digits)
 
 
+def partial_sum_conditionals(
+    d: OccupancyDistribution, n: int
+) -> dict[int, OccupancyDistribution]:
+    """``{s: law of the first n cells given that they hold s particles}`` for
+    every s of positive probability: one pass over ``d`` groups its heads."""
+    if type(n) is not int:
+        combinat.check_int(n, "partial cell count", 1)
+    if not 1 <= n < d.n:
+        raise ValueError(f"partial cell count must be in 1..{d.n - 1}, got {n}")
+    groups: dict[int, dict[Composition, int]] = {}
+    for x, m in d.table.masses.items():
+        head = x[:n]
+        acc = groups.setdefault(sum(head), {})
+        acc[head] = acc.get(head, 0) + m
+    return {
+        s: OccupancyDistribution.from_masses(n, s, sum(acc.values()), acc)
+        for s, acc in groups.items()
+    }
+
+
 def condition_on_partial_sum(
     d: OccupancyDistribution, n: int, s: int
 ) -> OccupancyDistribution:
@@ -106,17 +126,12 @@ def condition_on_partial_sum(
             combinat.check_int(value, name, low)
         if not low <= value <= high:
             raise ValueError(f"{name} must be in {low}..{high}, got {value}")
-    acc: dict[Composition, int] = {}
-    for x, m in d.table.masses.items():
-        head = x[:n]
-        if sum(head) == s:
-            acc[head] = acc.get(head, 0) + m
-    total = sum(acc.values())
-    if total == 0:
+    cond = partial_sum_conditionals(d, n).get(s)
+    if cond is None:
         raise ConditioningError(
             f"conditioning event (first {n} cells hold {s} particles) has probability zero"
         )
-    return OccupancyDistribution.from_masses(n, s, total, acc)
+    return cond
 
 
 def check_drop_closure(a: WeightFunction, n: int, r: int) -> CheckOutcome:
@@ -243,34 +258,23 @@ def product_form_weights(d: OccupancyDistribution) -> WeightFunction | None:
     Returns None when the (exchangeable) distribution is not of product form.
     The recovered table is one gauge choice; any rescaling a(x) -> c * t**x
     yields the same model.  A candidate is only returned after rebuilding the
-    model from it and comparing tables, so a non-None result is always valid.
+    model from it and comparing tables, so a non-None result is always valid;
+    the comparison also rejects a support that is not every composition over
+    its values.
     """
     if not is_exchangeable(d):
         raise NonExchangeableError("product-form detection requires an exchangeable model")
-    support = d.support()
-    values = sorted({v for x in support for v in x})
-    allowed = set(values)
-    expected = [
-        x
-        for x in combinat.enumerate_compositions(d.n, d.r)
-        if allowed.issuperset(x)
-    ]
-    if expected != support:
-        return None
-    col = {v: i for i, v in enumerate(values)}
-    multisets = sorted({tuple(sorted(x)) for x in support})
+    values = sorted({v for x in d.table for v in x})
+    multisets = sorted({tuple(sorted(x)) for x in d.table})
     ref = multisets[0]
     ref_counts = [ref.count(v) for v in values]
     rows = []
     for m in multisets[1:]:
         exps = [m.count(v) - c for v, c in zip(values, ref_counts)]
         rows.append((exps, d.table[m] / d.table[ref]))
-    if rows:
-        solution = _solve_multiplicative(rows, len(values))
-        if solution is None:
-            return None
-    else:
-        solution = [ONE] * len(values)
+    solution = _solve_multiplicative(rows, len(values))  # all ONE without rows
+    if solution is None:
+        return None
     vals = [ZERO] * (d.r + 1)
     for v, a_v in zip(values, solution):
         vals[v] = a_v

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from . import combinat
-from .errors import BudgetExceededError, ConditioningError, EmptySupportError
+from .errors import BudgetExceededError, EmptySupportError
 from .models import (
     ONE,
     ZERO,
@@ -48,9 +48,9 @@ from .process import (
 from .report import CheckOutcome, SuiteReport
 from .transforms import (
     check_drop_closure,
-    condition_on_partial_sum,
     drop_particle,
     erase_cell,
+    partial_sum_conditionals,
     product_form_weights,
 )
 
@@ -147,12 +147,13 @@ def _grid_models(max_n: int, max_r: int) -> tuple[dict, dict]:
 
 
 def _all_models(models: dict, seed: int, max_n: int, max_r: int):
-    """Named built-in models on the grid, then 20 seeded random exchangeable
-    models cycling through the same grid."""
-    out = [(f"{kind}({n},{r})", d) for (kind, n, r), d in models.items()]
+    """``(name, kind, model)`` of the built-in models on the grid, then of 20
+    seeded random exchangeable models cycling through the same grid, whose
+    kind is None."""
+    out = [(f"{kind}({n},{r})", kind, d) for (kind, n, r), d in models.items()]
     rng = random.Random(seed)
     for i, (n, r) in zip(range(20), itertools.cycle(_grid(max_n, max_r))):
-        out.append((f"random-eom-{i}({n},{r})", random_eom(rng, n, r)))
+        out.append((f"random-eom-{i}({n},{r})", None, random_eom(rng, n, r)))
     return out
 
 
@@ -163,9 +164,9 @@ def _report(suite: str, found: dict) -> SuiteReport:
 
 
 def _first(found: dict, check: str, body, *args) -> None:
-    """Run ``body(*args)``, one unit (a grid cell, model, conditioned table
-    or process) of ``check``, unless the check has failed already: so
-    ``found`` keeps the check's first witness."""
+    """Run ``body(*args)``, one unit (a model, conditioned table or process)
+    of ``check``, unless the check has failed already: so ``found`` keeps
+    the check's first witness."""
     if found[check] is None:
         found[check] = body(*args)
 
@@ -176,13 +177,12 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
     The suite first plans its work (``_check_plan``): each model on the grid
     at compositions x n cells, its label law at n**r cells, and the 20
     random weight models per grid point of ``weight-model-exchangeable``.
-    Each model is built once (``_grid_models``).  The five checks that read label laws run one
-    grid cell at a time: each built-in model's label law is built once, read
-    by each of them and dropped with its cell, and the 20 random models
-    follow one at a time.  They visit the models in the order of the model
-    list, and each check keeps its first witness.  The other checks run one
-    after another over the whole grid.  Every check decides on the integer
-    masses of the tables; none reads their ``Fraction`` view.
+    Then it builds the grid models (``_grid_models``) and walks the model
+    list once.  Each model's label law is built once, read by every
+    per-model check that has not failed yet (``_first``), and dropped before
+    the next model's law is built.  The grid checks and the fixed
+    ``iid-conditional-sufficiency`` run after the walk.  Every check decides
+    on the integer masses of the tables; none reads their ``Fraction`` view.
     """
     _check_plan(
         "eom",
@@ -211,10 +211,9 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
 
     # builders store their tables unchecked (``from_masses``), so this and
     # the transforms suite's mass-conservation are where sums are tested
-    def model_normalization():
-        for name, d in models:
-            if sum(d.table.masses.values()) != d.table.denominator:
-                return name
+    def model_normalization(name, d):
+        if sum(d.table.masses.values()) != d.table.denominator:
+            return name
         return None
 
     def weight_model_exchangeable():
@@ -237,18 +236,21 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                     return f"{name} coordinate {i} label {label}"
         return None
 
-    def label_law_closed_forms(n, r, laws):
-        size, rising, falling = n**r, math.perm(n + r - 1, r), math.perm(n, r)
+    def label_law_closed_form(name, kind, ld):
+        # the closed form p / q of the law at y as (p, q): rising is the
+        # ascending factorial n (n+1) ... (n+r-1), and fd puts 1 / falling
+        # on each y of r distinct labels
+        n, r = ld.n, ld.r
+        rising, falling = math.perm(n + r - 1, r), math.perm(n, r)
+        closed = {
+            "mb": lambda y: (1, n**r),
+            "be": lambda y: (math.prod(map(math.factorial, combinat.tilde_phi(y, n))), rising),
+            "fd": lambda y: (len(set(y)) == r, falling),
+        }[kind]
         for y in combinat.enumerate_labels(r, n):
-            tie_prod = math.prod(math.factorial(c) for c in combinat.tilde_phi(y, n))
-            # (p, q) of the closed form p / q of each law at y: rising is the
-            # ascending factorial n (n+1) ... (n+r-1), and fd puts 1 / falling
-            # on each y of r distinct labels
-            closed = {"mb": (1, size), "be": (tie_prod, rising), "fd": (len(set(y)) == r, falling)}
-            for kind, ld in laws.items():
-                p, q = closed[kind]
-                if ld.table.masses.get(y, 0) * q != p * ld.table.denominator:
-                    return f"{kind}({n},{r}) at {y}"
+            p, q = closed(y)
+            if ld.table.masses.get(y, 0) * q != p * ld.table.denominator:
+                return f"{name} at {y}"
         return None
 
     def order_statistics_match(name, d, ld):
@@ -267,7 +269,7 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
         # when they cover the space with equal masses
         for n, r in _grid(max_n, max_r):
             size = combinat.composition_count(n, r)
-            candidates = [d for _, d in models if (d.n, d.r) == (n, r)]
+            candidates = [d for _, _, d in models if (d.n, d.r) == (n, r)]
             uniform = []
             for d in candidates:
                 den, masses = d.table.denominator, d.table.masses
@@ -336,35 +338,18 @@ def eom_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteReport:
                     return f"{kind}({n},{r})"
         return None
 
-    def label_checks(name, d, a=None):
-        """Build the label law of the model ``d`` and run each per-model
-        label check on it; ``a`` is the weight of a built-in model."""
+    for name, kind, d in models:
         ld = label_distribution(d)
+        _first(found, "model-normalization", model_normalization, name, d)
         _first(found, "uniform-single-marginals", uniform_single_marginals, name, d, ld)
+        if kind in ("mb", "be", "fd"):
+            _first(found, "label-law-closed-forms", label_law_closed_form, name, kind, ld)
         _first(found, "order-statistics-match", order_statistics_match, name, d, ld)
         _first(found, "label-occupancy-roundtrip", label_occupancy_roundtrip, name, d, ld)
-        if a is not None and d.n <= 3:
-            _first(found, "weight-label-density", weight_label_density, name, a, ld)
-        return ld
-
-    def grid_label_checks(kind, n, r):
-        return label_checks(f"{kind}({n},{r})", grid[kind, n, r], weights[kind])
-
-    found["model-normalization"] = model_normalization()
+        if kind is not None and d.n <= 3:
+            _first(found, "weight-label-density", weight_label_density, name, weights[kind], ld)
+        del ld  # dropped before the next model's law is built
     found["weight-model-exchangeable"] = weight_model_exchangeable()
-    for n, r in _grid(max_n, max_r):
-        # mb, be and fd lead BUILTIN_KINDS: their laws are held together for
-        # the closed forms, then dropped before pc:2 and pc:3 are visited
-        kinds = _kinds(n, r)
-        closed = ("mb", "be", "fd")
-        laws = {kind: grid_label_checks(kind, n, r) for kind in kinds if kind in closed}
-        _first(found, "label-law-closed-forms", label_law_closed_forms, n, r, laws)
-        del laws
-        for kind in kinds:
-            if kind not in closed:
-                grid_label_checks(kind, n, r)
-    for name, d in models[-20:]:  # the random models end the list
-        label_checks(name, d)
     found["uniform-transfer"] = uniform_transfer()
     found["iid-conditional-sufficiency"] = iid_conditional_sufficiency()
     return _report("eom", found)
@@ -379,13 +364,16 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
     The suite first plans its work (``_check_plan``), at compositions x n
     cells per table: each model on the grid, its drop image, its erase image
     and its conditioned tables, and per built-in model its
-    ``check_drop_closure`` enumeration.  Each is built once: the images in
-    lists aligned with the model list, the ``check_drop_closure`` outcomes
-    in a dict keyed as the built-in models, and the conditioned tables in
-    the one walk of the two conditioning checks.  A built-in model's drop
-    image and conditioned tables are compared with the grid models they
-    must equal, so no target is built.  The checks with fixed cells off the
-    grid build their few small models themselves.
+    ``check_drop_closure`` enumeration.  Then it builds the grid models
+    (``_grid_models``) and walks the model list once.  Each model's drop and
+    erase images, its conditioned tables (one ``partial_sum_conditionals``
+    pass per prefix length) and, for a built-in model, its
+    ``check_drop_closure`` outcome are built once, read by every per-model
+    check that has not failed yet (``_first``), and dropped with the model.
+    A built-in model's drop image and conditioned tables are compared with
+    the grid models they must equal, so no target is built.  The checks with
+    fixed cells off the grid run after the walk and build their few small
+    models themselves.
     """
 
     def charge(n, r, builtins, randoms):
@@ -396,16 +384,10 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
     _check_plan("transforms", max_n, max_r, charge)
     weights, grid = _grid_models(max_n, max_r)
     models = _all_models(grid, seed, max_n, max_r)
-    drops = [drop_particle(d) for _, d in models]
-    erases = [erase_cell(d) for _, d in models]
-    # the built-in models lead the model list, so zip pairs each of their
-    # keys with its drop image
-    closures = {(kind, n, r): check_drop_closure(weights[kind], n, r) for kind, n, r in grid}
 
-    def keeps_exchangeable(images):
-        for (name, _), image in zip(models, images):
-            if not is_exchangeable(image):
-                return name
+    def keeps_exchangeable(name, image):
+        if not is_exchangeable(image):
+            return name
         return None
 
     def conditioned_exchangeable(name, sub_n, s, cond):
@@ -413,25 +395,23 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
             return f"{name} cond({sub_n},{s})"
         return None
 
-    def conditioned_weight_model(name, key, sub_n, s, cond):
+    def conditioned_weight_model(name, kind, d, sub_n, s, cond):
         # where sub_n = 1 or s = 0 the space holds one composition, so the
         # table and its target are both mass 1 on it: they are not compared;
         # elsewhere the target, the built-in model at (sub_n, s), is on the grid
-        kind, n, r = key
         if cond is None:
             a = weights[kind]
-            if scaled_normalizer(a, sub_n, s) and scaled_normalizer(a, n - sub_n, r - s):
+            if scaled_normalizer(a, sub_n, s) and scaled_normalizer(a, d.n - sub_n, d.r - s):
                 return f"{name} cond({sub_n},{s}) empty"
         elif sub_n > 1 and s > 0 and cond != grid.get((kind, sub_n, s)):
             return f"{name} cond({sub_n},{s})"
         return None
 
     # a built-in weight with support at (n, r) has support at (n, r - 1)
-    # too, so check_drop_closure raises on none of these
-    def drop_closure_builtins():
-        for (kind, n, r), result in closures.items():
-            if not result.passed:
-                return f"{kind}({n},{r}) witness {result.witness}"
+    # too, so check_drop_closure raises on none of the grid models
+    def drop_closure_builtin(name, closure):
+        if not closure.passed:
+            return f"{name} witness {closure.witness}"
         return None
 
     def drop_closure_counterexample():
@@ -440,12 +420,11 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
             return "ad-hoc weight (1,1,5,1) unexpectedly passes at n=2, r=3"
         return None
 
-    def drop_matches_weight_model():
+    def drop_matches_weight_model(name, kind, d, closure, drop):
         # at r = 1 the image and its target are both mass 1 on the one
         # composition of no particles: they are not compared
-        for ((kind, n, r), result), image in zip(closures.items(), drops):
-            if r > 1 and result.passed and image != grid[kind, n, r - 1]:
-                return f"{kind}({n},{r})"
+        if d.r > 1 and closure.passed and drop != grid[kind, d.n, d.r - 1]:
+            return name
         return None
 
     def drop_breaks_weight_model():
@@ -455,20 +434,14 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
             return "ad-hoc weight (1,1,5,1) preserved by drop at n=2, r=3"
         return None
 
-    def dropped_label_marginal():
-        for (name, d), image in zip(models, drops):
-            if d.n > 3 or d.r < 2 or d.r > 4:
-                continue
-            left = label_distribution(image)
-            right = label_marginal(label_distribution(d), range(1, d.r))
-            if left != right:
-                return name
+    def dropped_label_marginal(name, d, drop):
+        if label_distribution(drop) != label_marginal(label_distribution(d), range(1, d.r)):
+            return name
         return None
 
-    def mass_conservation():
-        for (name, _), *images in zip(models, drops, erases):
-            if any(sum(out.table.masses.values()) != out.table.denominator for out in images):
-                return name
+    def mass_conservation(name, *images):
+        if any(sum(out.table.masses.values()) != out.table.denominator for out in images):
+            return name
         return None
 
     def product_form_detector_positive():
@@ -503,40 +476,46 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
                         return None
         return "every searched transform image stayed product-form"
 
-    found = {
-        "drop-keeps-exchangeable": keeps_exchangeable(drops),
-        "erase-keeps-exchangeable": keeps_exchangeable(erases),
-        "conditioning-keeps-exchangeable": None,
-        "conditioning-preserves-weight-model": None,
-    }
-    # one walk in model order decides both conditioning checks, the first
-    # over every model and the second over the built-in models: each
-    # conditioned table is read by both and dropped with its (sub_n, s)
-    for (name, d), key in itertools.zip_longest(models, grid):
-        if found["conditioning-keeps-exchangeable"] is not None and (
-            key is None or found["conditioning-preserves-weight-model"] is not None
-        ):
-            break
-        for sub_n, s in _grid(d.n - 1, d.r, min_n=1, min_r=0):
-            try:
-                cond = condition_on_partial_sum(d, sub_n, s)
-            except ConditioningError:
-                cond = None
-            _first(found, "conditioning-keeps-exchangeable",
-                   conditioned_exchangeable, name, sub_n, s, cond)
-            if key is not None:
-                _first(found, "conditioning-preserves-weight-model",
-                       conditioned_weight_model, name, key, sub_n, s, cond)
-    found |= {
-        "drop-closure-builtins": drop_closure_builtins(),
-        "drop-closure-counterexample": drop_closure_counterexample(),
-        "drop-matches-weight-model": drop_matches_weight_model(),
-        "drop-breaks-weight-model": drop_breaks_weight_model(),
-        "dropped-label-marginal": dropped_label_marginal(),
-        "mass-conservation": mass_conservation(),
-        "product-form-detector-positive": product_form_detector_positive(),
-        "strict-containment": strict_containment(),
-    }
+    found = dict.fromkeys(
+        (
+            "drop-keeps-exchangeable",
+            "erase-keeps-exchangeable",
+            "conditioning-keeps-exchangeable",
+            "conditioning-preserves-weight-model",
+            "drop-closure-builtins",
+            "drop-closure-counterexample",
+            "drop-matches-weight-model",
+            "drop-breaks-weight-model",
+            "dropped-label-marginal",
+            "mass-conservation",
+            "product-form-detector-positive",
+            "strict-containment",
+        )
+    )
+    for name, kind, d in models:
+        drop, erase = drop_particle(d), erase_cell(d)
+        _first(found, "drop-keeps-exchangeable", keeps_exchangeable, name, drop)
+        _first(found, "erase-keeps-exchangeable", keeps_exchangeable, name, erase)
+        for sub_n in range(1, d.n):
+            conds = partial_sum_conditionals(d, sub_n)
+            for s in range(d.r + 1):
+                _first(found, "conditioning-keeps-exchangeable",
+                       conditioned_exchangeable, name, sub_n, s, conds.get(s))
+                if kind is not None:
+                    _first(found, "conditioning-preserves-weight-model",
+                           conditioned_weight_model, name, kind, d, sub_n, s, conds.get(s))
+        if kind is not None:
+            closure = check_drop_closure(weights[kind], d.n, d.r)
+            _first(found, "drop-closure-builtins", drop_closure_builtin, name, closure)
+            _first(found, "drop-matches-weight-model",
+                   drop_matches_weight_model, name, kind, d, closure, drop)
+        if d.n <= 3 and 2 <= d.r <= 4:
+            _first(found, "dropped-label-marginal", dropped_label_marginal, name, d, drop)
+        _first(found, "mass-conservation", mass_conservation, name, drop, erase)
+    found["drop-closure-counterexample"] = drop_closure_counterexample()
+    found["drop-breaks-weight-model"] = drop_breaks_weight_model()
+    found["product-form-detector-positive"] = product_form_detector_positive()
+    found["strict-containment"] = strict_containment()
     return _report("transforms", found)
 
 

@@ -268,6 +268,28 @@ def test_verify_empty_model_grid_exits_2(suite):
 
 
 @pytest.mark.parametrize(
+    "argv, doc, text",
+    [
+        (["model", "--weight", "@{}", "--n", "2", "--r", "2"],
+         {"values": ["1", "1E+6000000", "1"]}, "'1E+6000000'"),
+        (["sample", "--spec", "{}"],
+         {"weight": "be", "horizon": 1, "terminal_law": ["1e999999999", "0"]}, "'1e999999999'"),
+        (["transform", "--op", "k1", "--input", "{}"],
+         {"n": 2, "r": 1, "entries": [[1, 0, "1E+6000000"], [0, 1, "0"]]}, "'1E+6000000'"),
+    ],
+)
+def test_an_exponent_past_the_limit_exits_2_at_once(argv, doc, text, tmp_path):
+    # Fraction would build a power of 10 of millions of digits first
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    proc = run_cli(*(arg.format(path) for arg in argv))
+    elapsed = time.perf_counter() - start
+    assert_one_line_error(proc, f"exponent in {text} is past the limit of 4300")
+    assert elapsed < 1, f"the refusal took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize(
     "suite, bound, total",
     [("eom", 8, 11133102), ("transforms", 10, 11081876)],
 )

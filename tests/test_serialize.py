@@ -24,6 +24,16 @@ def test_fraction_strings():
     assert serialize.fraction_from_str("0") == 0
 
 
+def test_fraction_strings_bound_their_exponent():
+    assert serialize.fraction_from_str("1e3") == 1000
+    assert serialize.fraction_from_str("0.5") == F(1, 2)
+    assert serialize.fraction_from_str("-2.5E-4300") == F(-5, 2 * 10**4300)
+    for text in ("1e4301", "1E+6000000", "1e-999999999"):
+        with pytest.raises(ValueError) as refused:
+            serialize.fraction_from_str(text)
+        assert str(refused.value) == f"exponent in '{text}' is past the limit of 4300"
+
+
 def test_occupancy_doc_round_trip():
     d = weight_model(builtin_weight("mb", 3), 2, 3)
     doc = serialize.table_doc(d.n, d.r, d.table)

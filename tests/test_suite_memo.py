@@ -1,6 +1,7 @@
-"""The ``eom`` and ``transforms`` suites build each model's tables once, keep
-an ``eom`` label law for one grid cell, and plan their work before they
-build anything; the ``theorem`` suite keeps one process at a time.
+"""The ``eom`` and ``transforms`` suites plan their work before they build
+anything, then walk their models one at a time: each model's derived
+tables are built once and dropped before the next model's are built.  The
+``theorem`` suite keeps one process at a time.
 
 Spies on the names ``eomkit.verify`` imports count the calls per model
 object over one whole suite run.  Each spy keeps the arguments it saw
@@ -48,7 +49,7 @@ BUILT_ONCE = {
         "erase_cell",
         "check_drop_closure",
         "weight_model",
-        "condition_on_partial_sum",
+        "partial_sum_conditionals",
     ),
 }
 
@@ -70,9 +71,9 @@ def test_each_derived_table_is_built_once_per_suite_run(suite, seed, monkeypatch
         elif name == "check_drop_closure":
             a, n, r = args
             key = (id(a), n, r)
-        elif name == "condition_on_partial_sum":
-            d, sub_n, s = args
-            key = (id(d), sub_n, s)
+        elif name == "partial_sum_conditionals":
+            d, sub_n = args
+            key = (id(d), sub_n)
         else:
             key = id(args[0])
         calls[(name, key)] += 1
@@ -100,6 +101,46 @@ def test_an_eom_label_law_lives_for_one_grid_cell(monkeypatch):
     monkeypatch.setattr(verify, "label_distribution", build)
     assert verify.eom_suite(0, 4, 4).passed
     assert len(set(visited)) == 12
+
+
+def test_the_eom_walk_holds_one_label_law_at_a_time(monkeypatch):
+    real = verify.label_distribution
+    laws = []  # weak reference of every label law built
+
+    def build(d):
+        alive = [i for i, law in enumerate(laws) if law() is not None]
+        assert len(alive) <= 1, len(laws)
+        ld = real(d)
+        laws.append(weakref.ref(ld))
+        return ld
+
+    monkeypatch.setattr(verify, "label_distribution", build)
+    assert verify.eom_suite(0, 4, 4).passed
+    # the 57 built-in models of the grid and the 20 random ones
+    assert len(laws) == 57 + 20
+
+
+def test_the_transforms_walk_holds_one_models_images_at_a_time(monkeypatch):
+    images = []  # (model, weak reference) of every drop and erase image of the walk
+    walk = []  # whether each spied call came from the walk, not an off-grid check
+    spy(monkeypatch, ("drop_particle", "erase_cell"),
+        lambda name, args, checks: walk.append(not checks & UNPLANNED[verify.transforms_suite]))
+
+    def hold(spied):
+        def build(d):
+            image = spied(d)
+            if walk.pop():
+                alive = {id(m) for m, ref in images if ref() is not None and m is not d}
+                assert len(alive) <= 1, len(images)
+                images.append((d, weakref.ref(image)))
+            return image
+
+        return build
+
+    for name in ("drop_particle", "erase_cell"):
+        monkeypatch.setattr(verify, name, hold(getattr(verify, name)))
+    assert verify.transforms_suite(0, 4, 4).passed
+    assert len(images) == 2 * (57 + 20)
 
 
 def test_the_theorem_suite_holds_one_process_at_a_time(monkeypatch):
@@ -130,7 +171,7 @@ CHARGES = {
     "label_distribution": lambda d: d.n**d.r,
     "drop_particle": lambda d: cells(d.n, d.r - 1),
     "erase_cell": lambda d: cells(d.n - 1, d.r),
-    "condition_on_partial_sum": lambda d, n, s: cells(n, s),
+    "partial_sum_conditionals": lambda d, n: sum(cells(n, s) for s in range(d.r + 1)),
     "check_drop_closure": lambda a, n, r: cells(n, r - 1),
 }
 

@@ -24,6 +24,7 @@ from eomkit.transforms import (
     condition_on_partial_sum,
     drop_particle,
     erase_cell,
+    partial_sum_conditionals,
     product_form_weights,
 )
 from eomkit.verify import random_eom
@@ -127,6 +128,25 @@ def test_condition_matches_direct_renormalization():
                 assert is_exchangeable(condition_on_partial_sum(d, sub_n, s))
 
 
+def test_partial_sum_conditionals_hold_every_conditioned_table():
+    rng = random.Random(4)
+    for _ in range(6):
+        n, r = rng.randint(3, 4), rng.randint(1, 4)
+        d = random_eom(rng, n, r)
+        for sub_n in range(1, n):
+            conds = partial_sum_conditionals(d, sub_n)
+            for s in range(r + 1):
+                if s not in conds:
+                    with pytest.raises(ConditioningError):
+                        condition_on_partial_sum(d, sub_n, s)
+                    continue
+                assert conds[s] == condition_on_partial_sum(d, sub_n, s)
+    be = weight_model(builtin_weight("be", 2), 3, 2)
+    for sub_n, text in ((0, "must be in 1..2, got 0"), (True, "must be an integer, got True")):
+        with pytest.raises(ValueError, match=text):
+            partial_sum_conditionals(be, sub_n)
+
+
 def test_conditioning_preserves_weight_models():
     for kind in ("mb", "be", "fd", "pc:2"):
         for big_n in range(2, 5):
@@ -209,6 +229,19 @@ def test_product_form_detector_recovers_models():
         found = product_form_weights(d)
         assert found is not None
         assert weight_model(found, n, r) == d
+
+
+def test_product_form_detector_reads_the_support():
+    # the orbit of (0, 1, 2) leaves out (1, 1, 1), which any weight positive
+    # on 0, 1 and 2 gives mass
+    orbit = dict.fromkeys(combinat.distinct_permutations((0, 1, 2)), F(1, 6))
+    orbit = OccupancyDistribution(3, 3, orbit)
+    assert product_form_weights(orbit) is None
+    # a gapped support that is every composition over its values 0, 2 and 4
+    gapped = weight_model(WeightFunction((1, 0, 1, 0, 1)), 2, 4)
+    recovered = product_form_weights(gapped)
+    assert recovered is not None
+    assert weight_model(recovered, 2, 4) == gapped
 
 
 def test_product_form_detector_rejects_generic_eom():

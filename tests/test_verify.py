@@ -15,11 +15,18 @@ The conditioning case and the two digests at seed 1 and of
 shared one walk and the suites one weight per kind.  The ``theorem`` digests
 of ``build_process`` and ``check_characterizations``, and the case where no
 process admits a perturbation, were recorded before that suite walked its
-processes one at a time.
+processes one at a time.  Since ``eom`` and ``transforms`` walk their
+models one at a time, the calls of different checks interleave, so the
+``transforms`` ``is_exchangeable`` calls are digested per check
+(``CHECK_DIGESTS``): each digest is the part of the check-by-check run's
+sequence that belonged to that check.  The conditioning case faults
+``partial_sum_conditionals``, which builds a model's conditioned tables of
+one prefix length at once, at the same tables as before.
 """
 
 import functools
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -151,12 +158,12 @@ def conditioning_fault(real):
     """Wrong but exchangeable at cond(2,2) of the models at (3, 2); not
     exchangeable at cond(3,3) of the models at (4, 4)."""
 
-    def fake(d, sub_n, s):
-        out = real(d, sub_n, s)
-        if (d.n, d.r, sub_n, s) == (3, 2, 2, 2):
-            return shift_orbit_mass(out)
-        if (d.n, d.r, sub_n, s) == (4, 4, 3, 3):
-            return tilt(out)
+    def fake(d, sub_n):
+        out = real(d, sub_n)
+        if (d.n, d.r, sub_n) == (3, 2, 2):
+            out[2] = shift_orbit_mass(out[2])
+        if (d.n, d.r, sub_n) == (4, 4, 3):
+            out[3] = tilt(out[3])
         return out
 
     return fake
@@ -297,7 +304,7 @@ CASES = {
     ),
     "transforms, one conditioning fault fails both conditioning checks": (
         lambda: verify.transforms_suite(),
-        [("condition_on_partial_sum", conditioning_fault)],
+        [("partial_sum_conditionals", conditioning_fault)],
         [
             ("conditioning-keeps-exchangeable", "mb(4,4) cond(3,3)"),
             ("conditioning-preserves-weight-model", "mb(3,2) cond(2,2)"),
@@ -413,16 +420,6 @@ SWEEP_DIGESTS = {
     "eom is_exchangeable": (
         lambda: verify.eom_suite(), "is_exchangeable", table_key, 297, "508e93f8e446b587"
     ),
-    "transforms is_exchangeable": (
-        lambda: verify.transforms_suite(), "is_exchangeable", table_key, 651, "af1bebb2906740b1"
-    ),
-    "transforms is_exchangeable at seed 1, (3, 4)": (
-        lambda: verify.transforms_suite(1, 3, 4),
-        "is_exchangeable",
-        table_key,
-        393,
-        "542e3a0ddbec2d9d",
-    ),
     # the weight objects' x_max is not part of the key: only the kind is
     "transforms check_drop_closure": (
         lambda: verify.transforms_suite(),
@@ -478,3 +475,56 @@ def test_sweep_visits_the_same_cases_in_the_same_order(case, monkeypatch):
     monkeypatch.setattr(verify, name, spy)
     assert suite().passed
     assert (count, seen.hexdigest()[:16]) == (calls, digest)
+
+
+#: per check, the (calls, digest) of the calls one name receives while
+#: ``_first`` runs that check, as in ``SWEEP_DIGESTS``; recorded when the
+#: suite ran check by check, by splitting its sequence of calls per check
+CHECK_DIGESTS = {
+    "transforms is_exchangeable": (
+        lambda: verify.transforms_suite(),
+        "is_exchangeable",
+        table_key,
+        {
+            "drop-keeps-exchangeable": (77, "04f8de39c9d03a21"),
+            "erase-keeps-exchangeable": (77, "675221f99352cbcf"),
+            "conditioning-keeps-exchangeable": (497, "af949a2917a5f0d1"),
+        },
+    ),
+    "transforms is_exchangeable at seed 1, (3, 4)": (
+        lambda: verify.transforms_suite(1, 3, 4),
+        "is_exchangeable",
+        table_key,
+        {
+            "drop-keeps-exchangeable": (57, "9d2801d39d6e3ce5"),
+            "erase-keeps-exchangeable": (57, "b8dcc6f4b1e858a9"),
+            "conditioning-keeps-exchangeable": (279, "83a43c39620ac477"),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECK_DIGESTS))
+def test_each_check_visits_the_same_cases_in_the_same_order(case, monkeypatch):
+    suite, name, key, expected = CHECK_DIGESTS[case]
+    real, real_first = getattr(verify, name), verify._first
+    running = []  # the check that ``_first`` runs; a call outside one fails
+    counts, seen = Counter(), {}
+
+    def first(found, check, body, *args):
+        running.append(check)
+        try:
+            real_first(found, check, body, *args)
+        finally:
+            running.pop()
+
+    def spy(*args):
+        check = running[-1]
+        counts[check] += 1
+        seen.setdefault(check, hashlib.sha256()).update(repr(key(*args)).encode())
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_first", first)
+    monkeypatch.setattr(verify, name, spy)
+    assert suite().passed
+    assert {c: (counts[c], h.hexdigest()[:16]) for c, h in seen.items()} == expected
