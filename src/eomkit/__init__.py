@@ -65,6 +65,7 @@ from .transforms import (
     condition_on_partial_sum,
     drop_particle,
     erase_cell,
+    model_label_marginal,
     partial_sum_conditionals,
     product_form_weights,
 )

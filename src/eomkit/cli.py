@@ -9,6 +9,7 @@ verification failure, 2 on usage or contract errors.
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -18,12 +19,12 @@ from .errors import EomkitError
 from .models import (
     WeightFunction,
     label_distribution,
-    label_marginal,
+    masses_of,
     order_statistics_distribution,
     sample_exact,
     weight_model,
 )
-from .transforms import condition_on_partial_sum, drop_particle, erase_cell
+from .transforms import condition_on_partial_sum, drop_particle, erase_cell, model_label_marginal
 from .verify import run_suite
 
 
@@ -42,6 +43,13 @@ def _print_doc(doc) -> None:
 
 
 def _print_table(n: int, r: int, table) -> None:
+    den, masses = masses_of(table)
+    limit = sys.get_int_max_str_digits()  # Python's limit on int string digits; 0: none
+    # checked before the first byte: an entry's numerator is below its reduced
+    # denominator, which divides den, so a den under 2**(3 * limit) < 10**limit fits
+    if den.bit_length() > 3 * limit > 0:
+        if max(den // math.gcd(m, den) for m in masses.values()) >= 10**limit:
+            raise ValueError(f"a probability has a denominator past {limit} digits")
     _print_doc({"n": n, "r": r, "entries": serialize.table_entries(table)})
 
 
@@ -63,7 +71,7 @@ def _cmd_model(args) -> int:
     elif args.order_stats:
         table = order_statistics_distribution(d)
     elif args.marginal is not None:
-        marg = label_marginal(label_distribution(d), {args.marginal})
+        marg = model_label_marginal(d, {args.marginal})
         r, table = marg.r, marg.table
     _print_table(d.n, r, table)
     return 0

@@ -187,24 +187,26 @@ def multinomial(r: int, x: Composition) -> int:
 def enumerate_labels(r: int, n: int) -> list[LabelVector]:
     """All ``n**r`` label vectors in odometer order (last coordinate fastest)."""
     check_space(n, r)
-    total = n**r
-    if total > ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"label space for r={r}, n={n} has {total} elements "
-            f"(budget {ENUMERATION_BUDGET})"
-        )
+    check_budget(f"label space for r={r}, n={n}", n**r, 1)
     return list(itertools.product(range(1, n + 1), repeat=r))
 
 
+def check_index_set(index_set, r: int) -> list[int]:
+    """The sorted distinct coordinates of a nonempty ``index_set``, each an
+    int in 1..``r``."""
+    idx = sorted(set(index_set))
+    if not idx:
+        raise ValueError("index set must be nonempty")
+    if any(type(i) is not int for i in idx):
+        raise ValueError(f"index set {idx} has entries that are not integers")
+    if any(not 1 <= i <= r for i in idx):
+        raise ValueError(f"index set {idx} outside 1..{r}")
+    return idx
+
+
 def distinct_permutation_count(seq) -> int:
-    """Number of distinct reorderings of a finite sequence."""
-    mults = {}
-    for v in seq:
-        mults[v] = mults.get(v, 0) + 1
-    out = math.factorial(len(seq))
-    for m in mults.values():
-        out //= math.factorial(m)
-    return out
+    """Number of distinct reorderings of a sequence: the multinomial of its value counts."""
+    return multinomial(len(seq), [seq.count(v) for v in set(seq)])
 
 
 def distinct_permutations(seq) -> list[tuple]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import combinat
 from .combinat import Composition, LabelVector
-from .errors import BudgetExceededError, EmptySupportError, NonExchangeableError
+from .errors import EmptySupportError, NonExchangeableError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -58,12 +58,10 @@ class WeightFunction:
             raise ValueError("weights must be nonnegative")
         if all(v == 0 for v in vals):
             raise ValueError("weight function must be positive somewhere")
-        scale = math.lcm(*(v.denominator for v in vals))
+        scale, scaled = masses_of(dict(enumerate(vals)))
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(
-            self, "scaled", tuple(v.numerator * (scale // v.denominator) for v in vals)
-        )
+        object.__setattr__(self, "scaled", tuple(scaled.values()))
 
     @property
     def x_max(self) -> int:
@@ -81,18 +79,13 @@ class WeightFunction:
     def product(self, x) -> Fraction:
         """prod_j a(x_j): the weight of an occupancy vector or jump path.
 
-        Each x_j is checked as by ``a(x_j)``; the value is the integer
+        Each x_j is checked by ``a(x_j)``; the value is the integer
         ``scaled_product(x)`` over L**len(x), one Fraction.
         """
         x = tuple(x)
-        try:
-            if x and not (0 <= min(x) and max(x) <= self.x_max):
-                raise IndexError
-            return Fraction(self.scaled_product(x), self.scale ** len(x))
-        except (IndexError, TypeError):  # TypeError: an entry that is not an int
-            for v in x:
-                self(v)  # raises at the first entry that is not an occupancy in the table
-            raise
+        for v in x:
+            self(v)
+        return Fraction(self.scaled_product(x), self.scale ** len(x))
 
     def scaled_product(self, x) -> int:
         """prod_j L * a(x_j), unchecked: the entries must lie in 0..x_max.
@@ -235,14 +228,15 @@ class FractionTable(Mapping):
 
 
 def masses_of(table) -> tuple[int, dict]:
-    """(denominator, masses) of a table of probabilities.
+    """(denominator, masses) of a mapping of rationals, such as a table of
+    probabilities: the one routine that puts rationals over a denominator.
 
     A ``FractionTable`` gives its own; any other mapping of values that
     ``Fraction`` accepts is put over the lcm of their denominators.
     """
     if isinstance(table, FractionTable):
         return table.denominator, table.masses
-    probs = {key: Fraction(p) for key, p in table.items()}
+    probs = {key: p if type(p) is Fraction else Fraction(p) for key, p in table.items()}
     den = math.lcm(*(p.denominator for p in probs.values()))
     return den, {key: p.numerator * (den // p.denominator) for key, p in probs.items()}
 
@@ -499,10 +493,7 @@ def label_distribution(d: OccupancyDistribution) -> LabelDistribution:
         raise NonExchangeableError(
             "label law is only defined for exchangeable occupancy models"
         )
-    if d.n**d.r > combinat.ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"label space has {d.n**d.r} elements (budget {combinat.ENUMERATION_BUDGET})"
-        )
+    combinat.check_budget("label space", d.n**d.r, 1)
     # p(x) / multinomial(r, x) = m(x) * prod_j x_j! / (denominator * r!)
     factorials = [math.factorial(c) for c in range(d.r + 1)]
     masses: dict[LabelVector, int] = {}
@@ -542,13 +533,7 @@ def order_statistics_distribution(d: OccupancyDistribution) -> FractionTable:
 
 def label_marginal(ld: LabelDistribution, index_set) -> LabelDistribution:
     """Exact marginal of a label law on a set of 1-based coordinates."""
-    idx = sorted(set(index_set))
-    if not idx:
-        raise ValueError("index set must be nonempty")
-    if any(type(i) is not int for i in idx):
-        raise ValueError(f"index set {idx} has entries that are not integers")
-    if any(not 1 <= i <= ld.r for i in idx):
-        raise ValueError(f"index set {idx} outside 1..{ld.r}")
+    idx = combinat.check_index_set(index_set, ld.r)
     out: dict[LabelVector, int] = {}
     for y, m in ld.table.masses.items():
         key = tuple(y[i - 1] for i in idx)
@@ -589,12 +574,10 @@ def conditional_from_iid(
     never depends on the mixture, because the total is sufficient for the
     mixing rate; that cancellation is left to the normalization.
 
-    The masses are integers, and no ``Fraction`` is computed: q(0..r) is
-    put over its lcm B as V_z = B * q(z), and an atom with rate p / s tilts
-    it to the integers V_z * p**z * s**(r - z) over B * s**r.  Its share
-    weight_m / (B * s**r)**n is the integer coefficient c_m over one
-    denominator common to the atoms, B**n left out since every atom has it,
-    and a vector's mass is sum_m c_m * prod_j V_{x_j} * p**x_j * s**(r - x_j).
+    The masses are integers (see ``masses_of``): atom m's tilted table
+    q(z) * rate_m**z on 0..r is the integers V_m(z) over B_m, and the
+    shares weight_m / B_m**n of the atoms are the integers c_m over one
+    denominator, so a vector's mass is sum_m c_m * prod_j V_m(x_j).
     """
     combinat.check_composition_budget(n, r)
     weights = tuple(Fraction(v) for v in q)
@@ -604,16 +587,14 @@ def conditional_from_iid(
         raise ValueError(
             f"weight table covers 0..{len(weights) - 1} but must reach {r}"
         )
-    scale = math.lcm(*(v.denominator for v in weights[: r + 1]))
-    values = [v.numerator * (scale // v.denominator) for v in weights[: r + 1]]
     atoms = ((ONE, ONE),) if mix is None else mix.atoms  # unmixed: one atom at rate 1
-    shares = [(m.numerator, m.denominator * rho.denominator ** (r * n)) for rho, m in atoms]
-    common = math.lcm(*(den for _, den in shares))
-    tilted = []
-    for (num, den), (rho, _) in zip(shares, atoms):
-        p, s = rho.numerator, rho.denominator
-        law = [v * p**z * s ** (r - z) for z, v in enumerate(values)]
-        tilted.append((num * (common // den), law))
+    laws, shares = [], {}
+    for m, (rho, weight) in enumerate(atoms):
+        den, law = masses_of({z: v * rho**z for z, v in enumerate(weights[: r + 1])})
+        laws.append(law)
+        shares[m] = weight / den**n
+    _, shares = masses_of(shares)
+    tilted = list(zip(shares.values(), laws))
     masses: dict[Composition, int] = {}
     for x in combinat.enumerate_compositions(n, r):
         w = sum(c * math.prod(map(law.__getitem__, x)) for c, law in tilted)

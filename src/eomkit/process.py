@@ -32,6 +32,7 @@ from .models import (
     WeightFunction,
     _power_row,
     checked_masses,
+    masses_of,
     normalization_constant,
     sample_exact,
     scaled_normalizer,
@@ -137,8 +138,8 @@ def build_process(
 
     A path of total k has probability pi_k * prod_h a(j_h) / C_{M+1}(k)
     = s_k * prod_h L * a(j_h) with s_k = pi_k / (L**(M+1) * C_{M+1}(k)), so
-    the joint is integer masses over D, the lcm of the denominators of the
-    s_k: one Fraction per total, none per path.
+    the joint is integer masses over the common denominator of the s_k (see
+    ``masses_of``): one Fraction per total, none per path.
     """
     check_int(horizon, "horizon", 0)
     pi = [Fraction(p) for p in terminal_law]
@@ -159,10 +160,9 @@ def build_process(
                 f"terminal count {k} has positive probability but no positive-weight path"
             )
         scales[k] = pk / (c * a.scale**cells)
-    den = math.lcm(*(s.denominator for s in scales.values()))
+    den, factors = masses_of(scales)
     masses: dict[JumpPath, int] = {}
-    for k, s in scales.items():
-        factor = s.numerator * (den // s.denominator)
+    for k, factor in factors.items():
         products = a.weighted_compositions(cells, k)
         masses.update((path, factor * w) for path, w in products.items() if w)
     return FiniteProcess.from_masses(a, horizon, den, masses)
@@ -286,8 +286,8 @@ def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
                 group.get(x, 0) * c != mass * w
                 for x, w in a.weighted_compositions(t + 1, k).items()
             ):
-                return CheckOutcome(name, False, f"(t,k)={(t, k)}")
-    return CheckOutcome(name, True)
+                return CheckOutcome(name, f"(t,k)={(t, k)}")
+    return CheckOutcome(name)
 
 
 def check_mixed_geometric_form(p: FiniteProcess) -> CheckOutcome:
@@ -320,8 +320,8 @@ def check_mixed_geometric_form(p: FiniteProcess) -> CheckOutcome:
                         m0, w0 = m, w
                     ok = m * w0 == m0 * w
                 if not ok:
-                    return CheckOutcome(name, False, f"prefix {(t, prefix)}")
-    return CheckOutcome(name, True)
+                    return CheckOutcome(name, f"prefix {(t, prefix)}")
+    return CheckOutcome(name)
 
 
 def _event_probability(p: FiniteProcess, values, gaps: bool) -> Fraction:
@@ -393,10 +393,8 @@ def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
     out = [check_weight_model_conditionals(p), check_mixed_geometric_form(p)]
     if not out[1].passed:
         return out
-    by_gaps, by_times = _arrival_walk(p)
-    out.append(CheckOutcome("interarrival-product-formula", by_gaps is None, by_gaps))
-    out.append(CheckOutcome("arrival-product-formula", by_times is None, by_times))
-    return out
+    names = ("interarrival-product-formula", "arrival-product-formula")
+    return out + list(map(CheckOutcome, names, _arrival_walk(p)))
 
 
 def _arrival_walk(p: FiniteProcess) -> tuple[str | None, str | None]:
@@ -565,10 +563,7 @@ def classic_uosp_value(kind: str, t: int, k: int, times) -> Fraction:
     if strict:
         return Fraction(1, math.comb(t, k))
     if kind == "leq1":
-        coeff = math.factorial(k)
-        for j in ties:
-            coeff //= math.factorial(j)
-        return Fraction(coeff, (t + 1) ** k)
+        return Fraction(combinat.multinomial(k, ties), (t + 1) ** k)
     if kind == "leq2":
         return Fraction(1, math.comb(t + k, k))
     raise ValueError(f"unknown kind {kind!r}")

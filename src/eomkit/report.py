@@ -5,11 +5,14 @@ from dataclasses import dataclass
 
 @dataclass
 class CheckOutcome:
-    """One named check with its result and an optional failure witness."""
+    """One named check and its witness: the first failing case, None if none."""
 
     name: str
-    passed: bool
     witness: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_doc(self) -> dict:
         return {"name": self.name, "passed": self.passed, "witness": self.witness}

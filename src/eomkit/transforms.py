@@ -6,7 +6,6 @@ under particle drop exactly when the weight table passes
 ``check_drop_closure``.
 """
 
-import math
 from fractions import Fraction
 
 from . import combinat
@@ -15,9 +14,12 @@ from .errors import ConditioningError, EmptySupportError, NonExchangeableError
 from .models import (
     ONE,
     ZERO,
+    LabelDistribution,
     OccupancyDistribution,
     WeightFunction,
     is_exchangeable,
+    label_distribution,
+    masses_of,
     normalization_constant,
     weight_model,
 )
@@ -40,6 +42,18 @@ def drop_particle(d: OccupancyDistribution) -> OccupancyDistribution:
                 key = x[:h] + (c - 1,) + x[h + 1 :]
                 out[key] = out.get(key, 0) + m * c
     return OccupancyDistribution.from_masses(d.n, d.r - 1, d.table.denominator * d.r, out)
+
+
+def model_label_marginal(d: OccupancyDistribution, index_set) -> LabelDistribution:
+    """``label_marginal(label_distribution(d), index_set)`` for an exchangeable
+    ``d``, through the drop chain: any s of its particles have the label law of
+    ``d`` with r - s particles dropped, so the budget counts n**s labels."""
+    idx = combinat.check_index_set(index_set, d.r)
+    if not is_exchangeable(d):
+        raise NonExchangeableError("label law is only defined for exchangeable occupancy models")
+    for _ in range(d.r - len(idx)):
+        d = drop_particle(d)
+    return label_distribution(d)
 
 
 def erase_cell(d: OccupancyDistribution) -> OccupancyDistribution:
@@ -118,15 +132,14 @@ def partial_sum_conditionals(
 def condition_on_partial_sum(
     d: OccupancyDistribution, n: int, s: int
 ) -> OccupancyDistribution:
-    """Law of the first ``n`` cells given that they hold ``s`` particles;
-    each count's type is judged (``check_int``) before its range."""
-    counts = ((n, "partial cell count", 1, d.n - 1), (s, "partial particle count", 0, d.r))
-    for value, name, low, high in counts:
-        if type(value) is not int:
-            combinat.check_int(value, name, low)
-        if not low <= value <= high:
-            raise ValueError(f"{name} must be in {low}..{high}, got {value}")
-    cond = partial_sum_conditionals(d, n).get(s)
+    """Law of the first ``n`` cells given that they hold ``s`` particles; ``n``
+    is checked by ``partial_sum_conditionals``, then ``s``, type before range."""
+    conds = partial_sum_conditionals(d, n)
+    if type(s) is not int:
+        combinat.check_int(s, "partial particle count", 0)
+    if not 0 <= s <= d.r:
+        raise ValueError(f"partial particle count must be in 0..{d.r}, got {s}")
+    cond = conds.get(s)
     if cond is None:
         raise ConditioningError(
             f"conditioning event (first {n} cells hold {s} particles) has probability zero"
@@ -148,7 +161,7 @@ def check_drop_closure(a: WeightFunction, n: int, r: int) -> CheckOutcome:
 
     The test runs on integers: with C(n, r-1) / C(n, r) = P / Q in lowest
     terms and g(v) = (v + 1) * a(v + 1) / a(v) put over one common
-    denominator G as g(v) = G_v / G, the identity reads
+    denominator G as g(v) = G_v / G (see ``masses_of``), the identity reads
     P * sum_h G_{x'_h} == r * G * Q, one integer sum per composition.
     """
     if r < 1:
@@ -161,9 +174,7 @@ def check_drop_closure(a: WeightFunction, n: int, r: int) -> CheckOutcome:
         )
     ratio = c_lo / c_hi
     s = a.scaled
-    g = {v: Fraction((v + 1) * s[v + 1], s[v]) for v in range(r) if s[v]}
-    den = math.lcm(*(f.denominator for f in g.values()))
-    g = {v: f.numerator * (den // f.denominator) for v, f in g.items()}
+    den, g = masses_of({v: Fraction((v + 1) * s[v + 1], s[v]) for v in range(r) if s[v]})
     target = r * den * ratio.denominator
     for xp in combinat.enumerate_compositions(n, r - 1):
         try:
@@ -171,8 +182,8 @@ def check_drop_closure(a: WeightFunction, n: int, r: int) -> CheckOutcome:
         except KeyError:  # a cell with a(x'_h) = 0: outside the support
             continue
         if ratio.numerator * total != target:
-            return CheckOutcome("drop-closure", False, str(xp))
-    return CheckOutcome("drop-closure", True)
+            return CheckOutcome("drop-closure", str(xp))
+    return CheckOutcome("drop-closure")
 
 
 def _integer_root(m: int, k: int) -> int | None:

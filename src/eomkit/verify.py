@@ -69,19 +69,19 @@ def random_eom(rng: random.Random, n: int, r: int) -> OccupancyDistribution:
     """Random exchangeable model: positive mass per orbit, spread evenly.
 
     Orbit ``rep`` draws the integer mass m(rep) and gives each of its c(rep)
-    compositions m(rep) / (total * c(rep)): over the denominator total * L,
-    L the lcm of the orbit sizes, that is the integer m(rep) * L / c(rep).
+    compositions m(rep) / (total * c(rep)): with the shares m(rep) / c(rep)
+    as integers over L (see ``masses_of``), the integer share over total * L.
     """
     reps = sorted({tuple(sorted(x)) for x in combinat.enumerate_compositions(n, r)})
     masses = {rep: rng.randint(1, 20) for rep in reps}
-    sizes = {rep: combinat.distinct_permutation_count(rep) for rep in reps}
-    lcm = math.lcm(*sizes.values())
+    den, shares = masses_of(
+        {rep: Fraction(m, combinat.distinct_permutation_count(rep)) for rep, m in masses.items()}
+    )
     table = {}
-    for rep, mass in masses.items():
-        share = mass * (lcm // sizes[rep])
+    for rep, share in shares.items():
         for x in combinat.distinct_permutations(rep):
             table[x] = share
-    return OccupancyDistribution.from_masses(n, r, sum(masses.values()) * lcm, table)
+    return OccupancyDistribution.from_masses(n, r, sum(masses.values()) * den, table)
 
 
 def _grid(max_n: int, max_r: int, min_n: int = 2, min_r: int = 1):
@@ -160,7 +160,7 @@ def _all_models(models: dict, seed: int, max_n: int, max_r: int):
 def _report(suite: str, found: dict) -> SuiteReport:
     """The report of ``suite`` from ``found``, which maps each check name,
     in report order, to its first witness or None."""
-    return SuiteReport(suite, [CheckOutcome(name, w is None, w) for name, w in found.items()])
+    return SuiteReport(suite, [CheckOutcome(name, w) for name, w in found.items()])
 
 
 def _first(found: dict, check: str, body, *args) -> None:
@@ -410,13 +410,10 @@ def transforms_suite(seed: int = 0, max_n: int = 4, max_r: int = 4) -> SuiteRepo
     # a built-in weight with support at (n, r) has support at (n, r - 1)
     # too, so check_drop_closure raises on none of the grid models
     def drop_closure_builtin(name, closure):
-        if not closure.passed:
-            return f"{name} witness {closure.witness}"
-        return None
+        return None if closure.passed else f"{name} witness {closure.witness}"
 
     def drop_closure_counterexample():
-        result = check_drop_closure(ADHOC_WEIGHT, 2, 3)
-        if result.passed or result.witness is None:
+        if check_drop_closure(ADHOC_WEIGHT, 2, 3).passed:
             return "ad-hoc weight (1,1,5,1) unexpectedly passes at n=2, r=3"
         return None
 

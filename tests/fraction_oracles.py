@@ -120,8 +120,8 @@ def check_drop_closure(a, n: int, r: int) -> CheckOutcome:
         for v in xp:
             total += Fraction(v + 1, r) * (a(v + 1) / a(v))
         if ratio * total != 1:
-            return CheckOutcome("drop-closure", False, str(xp))
-    return CheckOutcome("drop-closure", True)
+            return CheckOutcome("drop-closure", str(xp))
+    return CheckOutcome("drop-closure")
 
 
 def conditional_from_iid(q, n: int, r: int, mix=None) -> dict:
@@ -257,8 +257,8 @@ def check_weight_model_conditionals(p) -> CheckOutcome:
                 marg.get(x, ZERO) * c != mass * weight_product(p.weight, x)
                 for x in combinat.enumerate_compositions(t + 1, k)
             ):
-                return CheckOutcome(name, False, f"(t,k)={(t, k)}")
-    return CheckOutcome(name, True)
+                return CheckOutcome(name, f"(t,k)={(t, k)}")
+    return CheckOutcome(name)
 
 
 def check_mixed_geometric_form(p) -> CheckOutcome:
@@ -278,8 +278,8 @@ def check_mixed_geometric_form(p) -> CheckOutcome:
                         common = value
                     ok = value == common
                 if not ok:
-                    return CheckOutcome(name, False, f"prefix {(t, prefix)}")
-    return CheckOutcome(name, True)
+                    return CheckOutcome(name, f"prefix {(t, prefix)}")
+    return CheckOutcome(name)
 
 
 def check_characterizations(p) -> list:
@@ -307,12 +307,12 @@ def check_characterizations(p) -> list:
         if laws[t].get(tuple(profile), ZERO) != expected:
             gaps = (times[0],) + tuple(b - a for a, b in zip(times, times[1:]))
             return out + [
-                CheckOutcome("interarrival-product-formula", False, f"gaps {gaps}"),
-                CheckOutcome("arrival-product-formula", False, f"times {times}"),
+                CheckOutcome("interarrival-product-formula", f"gaps {gaps}"),
+                CheckOutcome("arrival-product-formula", f"times {times}"),
             ]
     return out + [
-        CheckOutcome("interarrival-product-formula", True),
-        CheckOutcome("arrival-product-formula", True),
+        CheckOutcome("interarrival-product-formula"),
+        CheckOutcome("arrival-product-formula"),
     ]
 
 

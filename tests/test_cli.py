@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, and byte-level determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -117,6 +118,47 @@ def test_model_marginal_uniform():
     )
     doc = json.loads(proc.stdout)
     assert [e[-1] for e in doc["entries"]] == ["1/3"] * 3
+
+
+def test_model_marginal_goes_through_the_drop_chain():
+    # the label space of mb(8, 8) has 8**8 vectors, past the budget
+    start = time.perf_counter()
+    proc = run_cli("model", "--weight", "mb", "--n", "8", "--r", "8", "--marginal", "1")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["entries"] == [[label, "1/8"] for label in range(1, 9)]
+    assert elapsed < 10, f"marginal took {elapsed:.2f} s"
+
+
+#: sha256 and length of ``model --weight @w.json --n 2 --r 2`` with the
+#: weight values ["1E+2200", "1", "1"]: masses of about 2,200 digits
+LARGE_MASS_DIGEST = ("96c4bcf867c9f1d3923900408dceb180889a1b9ae1300bebfa8452a3ac109d50", 11171)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("model", "--n", "2", "--r", "2"),
+        ("model", "--n", "2", "--r", "2", "--labels"),
+        ("model", "--n", "2", "--r", "2", "--order-stats"),
+        ("transform", "--op", "k2", "--n", "3", "--r", "2"),
+    ],
+)
+def test_mass_past_the_digit_limit_is_refused_before_the_first_byte(tmp_path, command):
+    spec = tmp_path / "weight.json"
+    spec.write_text(json.dumps({"values": ["1E+4300", "1", "1"]}))
+    proc = run_cli(*command, "--weight", f"@{spec}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "past 4300 digits" in proc.stderr
+
+
+def test_mass_inside_the_digit_limit_is_written(tmp_path):
+    spec = tmp_path / "weight.json"
+    spec.write_text(json.dumps({"values": ["1E+2200", "1", "1"]}))
+    proc = run_cli("model", "--weight", f"@{spec}", "--n", "2", "--r", "2", check=True)
+    assert (hashlib.sha256(proc.stdout.encode()).hexdigest(), len(proc.stdout)) == LARGE_MASS_DIGEST
 
 
 def test_model_weight_file(tmp_path):

@@ -1,6 +1,8 @@
 """Every module-level function and class of the package is used: named
 somewhere in ``src/`` or ``bench/`` outside its own definition.  An export
-from ``eomkit/__init__.py`` counts as a use; the tests do not."""
+from ``eomkit/__init__.py`` counts as a use; the tests do not.  Every
+top-level import of a module, ``__init__.py``'s exports apart, is used in
+that module."""
 
 import ast
 from collections import Counter
@@ -50,4 +52,20 @@ def test_every_module_level_definition_is_used():
                 # a use inside the definition itself (recursion) does not count
                 if used[node.name] - _names(node)[node.name] <= 0:
                     unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, unused
+
+
+def test_every_top_level_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
     assert not unused, unused

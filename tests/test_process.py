@@ -156,7 +156,7 @@ def test_conditionals_match_weight_models():
 
 def test_mixed_geometric_form_and_recovered_table(flat_process):
     outcome = check_mixed_geometric_form(flat_process)
-    assert outcome == CheckOutcome("joint-factorization", True, None)
+    assert outcome == CheckOutcome("joint-factorization")
     assert structure_function(flat_process, 0, 0) == F(11, 18)
     assert structure_function(flat_process, 1, 2) == F(1, 9)
     # constant weights: the factorization puts R(t, k) on every prefix
@@ -591,8 +591,8 @@ def two_table_conditionals(p):
             if normalization_constant(p.weight, t + 1, k) == 0 or (
                 conditional_jumps_given_count(p, t, k) != weight_model(p.weight, t + 1, k)
             ):
-                return CheckOutcome(name, False, f"(t,k)={(t, k)}")
-    return CheckOutcome(name, True)
+                return CheckOutcome(name, f"(t,k)={(t, k)}")
+    return CheckOutcome(name)
 
 
 @settings(max_examples=80, deadline=None)

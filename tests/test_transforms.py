@@ -1,6 +1,7 @@
 """Particle drop, cell erasure, conditioning, and the product-form boundary."""
 
 import ast
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,10 +25,11 @@ from eomkit.transforms import (
     condition_on_partial_sum,
     drop_particle,
     erase_cell,
+    model_label_marginal,
     partial_sum_conditionals,
     product_form_weights,
 )
-from eomkit.verify import random_eom
+from eomkit.verify import BUILTIN_KINDS, random_eom
 
 F = Fraction
 
@@ -53,6 +55,51 @@ def test_drop_matches_label_marginal_route():
             label_marginal(label_distribution(d), range(1, r))
         )
         assert drop_particle(d) == via_labels
+
+
+def _index_sets(r):
+    return [
+        set(idx) for size in range(1, r + 1) for idx in itertools.combinations(range(1, r + 1), size)
+    ]
+
+
+def test_model_label_marginal_matches_the_enumerated_oracle():
+    models = [
+        weight_model(builtin_weight(kind, r), n, r)
+        for kind in BUILTIN_KINDS
+        for n in range(1, 5)
+        for r in range(1, 5)
+        if kind != "fd" or r <= n
+    ]
+    rng = random.Random(11)
+    models += [random_eom(rng, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(20)]
+    cases = 0
+    for d in models:
+        ld = label_distribution(d)
+        for idx in _index_sets(d.r):
+            assert model_label_marginal(d, idx) == label_marginal(ld, idx), (d, idx)
+            cases += 1
+    assert cases == 584  # every nonempty index set of the 94 models
+
+
+@pytest.mark.parametrize("index_set", [set(), {0}, {3}, {1, 5}, [1.5], {True}])
+def test_model_label_marginal_refuses_index_sets_as_label_marginal(index_set):
+    d = weight_model(builtin_weight("pc:2", 2), 3, 2)
+    with pytest.raises(ValueError) as expected:
+        label_marginal(label_distribution(d), index_set)
+    with pytest.raises(ValueError) as raised:
+        model_label_marginal(d, index_set)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_model_label_marginal_refuses_a_non_exchangeable_model():
+    # each cell holds 2/3 of a particle on average, so one particle's label
+    # is uniform and the one-particle drop of this law is exchangeable
+    tilted = OccupancyDistribution(3, 2, {(2, 0, 0): F(1, 3), (0, 1, 1): F(2, 3)})
+    assert is_exchangeable(drop_particle(tilted))
+    assert not is_exchangeable(tilted)
+    with pytest.raises(NonExchangeableError):
+        model_label_marginal(tilted, {1})
 
 
 def test_erase_examples():
@@ -165,9 +212,7 @@ def test_conditioning_preserves_weight_models():
 
 
 def test_drop_closure_identity_be():
-    assert check_drop_closure(builtin_weight("be", 2), 3, 2) == CheckOutcome(
-        "drop-closure", True, None
-    )
+    assert check_drop_closure(builtin_weight("be", 2), 3, 2) == CheckOutcome("drop-closure")
 
 
 def test_drop_closure_builtins_grid():

@@ -172,14 +172,14 @@ def conditioning_fault(real):
 def drop_closure_rejects(real):
     def fake(a, n, r):
         if (a.kind, n, r) == ("pc:3", 4, 3):
-            return CheckOutcome("drop-closure", False, "(0, 0, 1, 1)")
+            return CheckOutcome("drop-closure", "(0, 0, 1, 1)")
         return real(a, n, r)
 
     return fake
 
 
 def drop_closure_accepts(real):
-    return lambda a, n, r: CheckOutcome("drop-closure", True)
+    return lambda a, n, r: CheckOutcome("drop-closure")
 
 
 def drop_keeps_adhoc_product_form(real):
@@ -528,3 +528,11 @@ def test_each_check_visits_the_same_cases_in_the_same_order(case, monkeypatch):
     monkeypatch.setattr(verify, name, spy)
     assert suite().passed
     assert {c: (counts[c], h.hexdigest()[:16]) for c, h in seen.items()} == expected
+
+
+def test_check_outcome_passes_exactly_without_a_witness():
+    assert CheckOutcome("x", "w").passed is False
+    assert CheckOutcome("x").passed is True
+    assert CheckOutcome("x", "w").to_doc() == {"name": "x", "passed": False, "witness": "w"}
+    with pytest.raises(TypeError):
+        CheckOutcome("x", False, "w")
