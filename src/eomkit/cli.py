@@ -35,10 +35,11 @@ def _load_weight(spec: str, x_max: int) -> WeightFunction:
     return serialize.weight_from_spec(spec, x_max)
 
 
-def _print_doc(doc) -> None:
-    """Write ``doc`` as indented JSON and a line break to standard output."""
+def _print_rows(n: int, r: int, name: str, rows) -> None:
+    """Write the document ``{"n": n, "r": r, name: rows}`` as indented JSON
+    and a line break to standard output (see ``serialize.write_rows_doc``)."""
     write = sys.stdout.write
-    serialize.write_json(doc, write)
+    serialize.write_rows_doc(write, n, r, name, rows)
     write("\n")
 
 
@@ -50,7 +51,7 @@ def _print_table(n: int, r: int, table) -> None:
     if den.bit_length() > 3 * limit > 0:
         if max(den // math.gcd(m, den) for m in masses.values()) >= 10**limit:
             raise ValueError(f"a probability has a denominator past {limit} digits")
-    _print_doc({"n": n, "r": r, "entries": serialize.table_entries(table)})
+    _print_rows(n, r, "entries", serialize.table_entries(table))
 
 
 def _cmd_enumerate(args) -> int:
@@ -58,7 +59,7 @@ def _cmd_enumerate(args) -> int:
     if args.format == "csv":
         serialize.write_csv(sys.stdout, serialize.composition_header(args.n), space)
     else:
-        _print_doc({"n": args.n, "r": args.r, "compositions": space})
+        _print_rows(args.n, args.r, "compositions", space)
     return 0
 
 
@@ -111,7 +112,7 @@ def _cmd_verify(args) -> int:
         max_r=args.max_r,
         horizon=args.horizon,
     )
-    _print_doc(report.to_doc())
+    print(json.dumps(report.to_doc(), indent=2))
     return 0 if report.passed else 1
 
 

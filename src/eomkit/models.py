@@ -574,9 +574,10 @@ def conditional_from_iid(
     never depends on the mixture, because the total is sufficient for the
     mixing rate; that cancellation is left to the normalization.
 
-    The masses are integers (see ``masses_of``): atom m's tilted table
-    q(z) * rate_m**z on 0..r is the integers V_m(z) over B_m, and the
-    shares weight_m / B_m**n of the atoms are the integers c_m over one
+    The masses are integers (see ``masses_of``): q on 0..r is the integers
+    Q_z over Q, so atom m at rate p/s has the tilted table q(z) * rate**z
+    = Q_z * p**z * s**(r-z) / (Q * s**r), the integers V_m(z) over B_m.
+    The shares weight_m / B_m**n of the atoms are the integers c_m over one
     denominator, so a vector's mass is sum_m c_m * prod_j V_m(x_j).
     """
     combinat.check_composition_budget(n, r)
@@ -588,11 +589,12 @@ def conditional_from_iid(
             f"weight table covers 0..{len(weights) - 1} but must reach {r}"
         )
     atoms = ((ONE, ONE),) if mix is None else mix.atoms  # unmixed: one atom at rate 1
+    q_den, q_masses = masses_of(dict(enumerate(weights[: r + 1])))
     laws, shares = [], {}
     for m, (rho, weight) in enumerate(atoms):
-        den, law = masses_of({z: v * rho**z for z, v in enumerate(weights[: r + 1])})
-        laws.append(law)
-        shares[m] = weight / den**n
+        p, s = rho.numerator, rho.denominator
+        laws.append({z: v * p**z * s ** (r - z) for z, v in q_masses.items()})
+        shares[m] = weight / (q_den * s**r) ** n
     _, shares = masses_of(shares)
     tilted = list(zip(shares.values(), laws))
     masses: dict[Composition, int] = {}

@@ -3,19 +3,20 @@
 Probabilities and weights always travel as exact "num/den" strings (plain
 integers when the denominator is 1), never as floats.  Table entries are
 emitted in sorted key order so equal objects serialize to identical bytes.
-Documents are written as they are formatted (``write_json``, ``write_csv``):
-a table's entries are formatted one at a time from its integer masses, so
-no list of entries or whole-output string is built.
+Every large JSON document is one shape, ``{"n", "r", <rows>}``: the
+entries of a table or a list of compositions, rows of ints and strings.
+``write_rows_doc`` writes it, and ``write_csv`` its CSV, one row at a time
+as the row is formatted (a table's entries from its integer masses), so no
+list of entries or whole-output string is built.  Small documents, such as
+a ``verify`` report, are ``json.dumps`` text.
 """
 
 import csv
 import io
-import itertools
 import json
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from types import GeneratorType
 
 from .models import (
     OccupancyDistribution,
@@ -144,86 +145,30 @@ def process_from_doc(doc: dict) -> FiniteProcess:
     return build_process(a, horizon, pi)
 
 
-#: JSON text of the scalars that fill table entries and compositions; the
-#: exact types, so that booleans are not written as ints
+#: JSON text of the scalars that fill a row; the exact types, so that
+#: booleans are not written as ints
 _ATOMS = {int: repr, str: encode_basestring_ascii}
 
 
-def write_json(doc, write) -> None:
-    """Send the text of ``json.dumps(doc, indent=2)`` through ``write``.
+def write_rows_doc(write, n: int, r: int, name: str, rows) -> None:
+    """Send the text of ``json.dumps({"n": n, "r": r, name: [list(row) for
+    row in rows]}, indent=2)`` through ``write``, for rows of ints and
+    strings.
 
-    Objects and arrays (lists, tuples and generators) are written one
-    member at a time, so a generator is read only as far as the text
-    already written.  An array of ints and strings is written whole: its
-    text is one ``join``.
+    The head is written first, then each row as one ``join``, so a generator
+    of rows is read only as far as the text already written.
     """
-    text = _flat_text(doc, "\n")
-    if text is None:
-        _write_container(doc, write, "", "\n")
-    else:
-        write(text)
-
-
-def _write_container(value, write, prefix: str, newline: str) -> None:
-    """Write ``prefix`` and then the JSON text of a dict or an array whose
-    members ``_flat_text`` does not join; nested lines start with
-    ``newline`` (a line break and the indent)."""
-    inner = newline + "  "
-    if isinstance(value, dict):
-        opening, closing = "{", "}"
-        labels = (_key_text(k) + ": " for k in value)
-        members = value.values()
-    else:
-        opening, closing = "[", "]"
-        labels, members = itertools.repeat(""), value
-    separator = prefix + opening + inner
-    empty = True
-    for label, member in zip(labels, members):
-        text = _flat_text(member, inner)
-        if text is None:
-            _write_container(member, write, separator + label, inner)
-        else:
-            write(separator + label + text)
-        separator = "," + inner
-        empty = False
-    write(prefix + opening + closing if empty else newline + closing)
-
-
-def _flat_text(value, newline: str):
-    """The JSON text of a scalar, or of a list or tuple of ints and strings;
-    None for a container that ``_write_container`` writes member by member."""
-    if isinstance(value, (list, tuple)):
-        try:
-            parts = [_ATOMS[type(v)](v) for v in value]
-        except KeyError:
-            return None
-        if not parts:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    atom = _ATOMS.get(type(value))
-    if atom is not None:
-        return atom(value)
-    if isinstance(value, (dict, GeneratorType)):
-        return None
-    return json.dumps(value)  # None, booleans, floats; raises on anything else
-
-
-def _key_text(key) -> str:
-    """An object key as ``json.dumps`` writes it."""
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-            )
-        key = json.dumps(key)
-    return encode_basestring_ascii(key)
+    write(f'{{\n  "n": {n!r},\n  "r": {r!r},\n  {encode_basestring_ascii(name)}: [')
+    separator = "\n    "
+    for row in rows:
+        parts = [_ATOMS[type(v)](v) for v in row]
+        write(separator + ("[\n      " + ",\n      ".join(parts) + "\n    ]" if parts else "[]"))
+        separator = ",\n    "
+    write("]\n}" if separator == "\n    " else "\n  ]\n}")
 
 
 def to_json(doc: dict) -> str:
-    chunks: list[str] = []
-    write_json(doc, chunks.append)
-    return "".join(chunks)
+    return json.dumps(doc, indent=2)
 
 
 def write_csv(out, header: list[str], rows) -> None:

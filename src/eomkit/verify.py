@@ -111,10 +111,10 @@ def _check_plan(suite: str, max_n: int, max_r: int, charge) -> int:
     models there (``_kinds``) and ``randoms`` the number of random models
     placed there; each suite's docstring says which tables it charges.  The
     tables that one check builds and drops for itself, and the checks with
-    fixed cells off the grid, are not charged.  The sum raises
-    BudgetExceededError as soon as it passes ``combinat.ENUMERATION_BUDGET``,
-    so a huge grid is refused before it is walked to the end; otherwise it
-    is returned.
+    fixed cells off the grid, are not charged.  The sum is refused
+    (``_refuse_past_budget``) as soon as it passes the budget, so a huge
+    grid is refused before it is walked to the end; otherwise it is
+    returned.
     """
     if max_n < 2 or max_r < 1:
         raise ValueError(
@@ -125,12 +125,17 @@ def _check_plan(suite: str, max_n: int, max_r: int, charge) -> int:
     for index, (n, r) in enumerate(_grid(max_n, max_r)):
         # random model i (0..19) is placed on grid point i % points
         total += charge(n, r, len(_kinds(n, r)), len(range(index, 20, points)))
-        if total > combinat.ENUMERATION_BUDGET:
-            raise BudgetExceededError(
-                f"{suite} suite at max_n={max_n}, max_r={max_r} needs at least "
-                f"{total} cells (budget {combinat.ENUMERATION_BUDGET})"
-            )
+        _refuse_past_budget(f"{suite} suite at max_n={max_n}, max_r={max_r}", total)
     return total
+
+
+def _refuse_past_budget(plan: str, total: int) -> None:
+    """Raise BudgetExceededError, naming ``plan`` and its ``total`` cells,
+    when the total passes ``combinat.ENUMERATION_BUDGET``."""
+    if total > combinat.ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"{plan} needs at least {total} cells (budget {combinat.ENUMERATION_BUDGET})"
+        )
 
 
 def _grid_models(max_n: int, max_r: int) -> tuple[dict, dict]:
@@ -534,6 +539,38 @@ def _normalized_at_zero(a: WeightFunction) -> WeightFunction:
     return WeightFunction(tuple(v / a(0) for v in a.values), kind=a.kind)
 
 
+#: the weights of the process checks: four built-in kinds, then five random
+#: weights drawn from the suite's seed
+PROCESS_WEIGHTS = ("mb", "be", "fd", "pc:2") + tuple(f"random-{i}" for i in range(5))
+
+
+def _process_pairs(max_horizon: int):
+    """(weight name, horizon, cap) of each (weight, horizon) pair of the
+    process checks, in order: every weight at the horizons {2, max_horizon},
+    with terminal laws on 0..cap."""
+    for wname in PROCESS_WEIGHTS:
+        for horizon in sorted({2, max_horizon}):
+            yield wname, horizon, min(5, horizon + 1) if wname == "fd" else 5
+
+
+def _theorem_plan(max_horizon: int) -> int:
+    """The cells of the jump path spaces of the process checks, paths x
+    (horizon + 1) summed over the processes before any is built, with the
+    paths counted as ``build_process`` counts them; refused past the budget
+    (``_refuse_past_budget``), otherwise returned.
+
+    Each pair has three terminal laws (``_terminal_laws``), all positive on
+    every total 0..cap, so the plan draws none of them.
+    """
+    total = 0
+    for _, horizon, cap in _process_pairs(max_horizon):
+        cells = horizon + 1
+        paths = sum(combinat.composition_count(cells, k) for k in range(cap + 1))
+        total += 3 * paths * cells
+    _refuse_past_budget(f"theorem suite at horizon={max_horizon}", total)
+    return total
+
+
 def _suite_processes(seed: int, max_horizon: int):
     """The deterministic (label, process) pairs of the process checks, one
     per (weight, horizon, terminal law), yielded one at a time: a process
@@ -545,17 +582,15 @@ def _suite_processes(seed: int, max_horizon: int):
     zero-count probability.
     """
     rng = random.Random(seed)
-    weights = [(kind, None) for kind in ("mb", "be", "fd", "pc:2")]
-    weights += [
-        (f"random-{i}", _normalized_at_zero(random_weight_function(rng, 6)))
-        for i in range(5)
-    ]
-    for wname, wf in weights:
-        for horizon in sorted({2, max_horizon}):
-            cap = min(5, horizon + 1) if wname == "fd" else 5
-            a = builtin_weight(wname, cap) if wf is None else wf
-            for lname, pi in _terminal_laws(rng, cap):
-                yield f"{wname}/M={horizon}/{lname}", build_process(a, horizon, pi)
+    randoms = {
+        wname: _normalized_at_zero(random_weight_function(rng, 6))
+        for wname in PROCESS_WEIGHTS
+        if wname.startswith("random-")
+    }
+    for wname, horizon, cap in _process_pairs(max_horizon):
+        a = randoms[wname] if wname in randoms else builtin_weight(wname, cap)
+        for lname, pi in _terminal_laws(rng, cap):
+            yield f"{wname}/M={horizon}/{lname}", build_process(a, horizon, pi)
 
 
 def perturbed_process(p: FiniteProcess) -> FiniteProcess | None:
@@ -628,12 +663,15 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
     """Process-layer checks: the four equivalent characterizations and the
     supporting structure-function identities, plus a verifier sanity test.
 
-    One walk visits the processes of ``_suite_processes`` in order, one at
-    a time.  Each process gets its four characterization outcomes, then
-    every other check that has not failed yet (``_first``), and is dropped
-    before the next one is built.  ``mutation-detected`` also fails when no
+    The suite first checks the horizon and plans its work
+    (``_theorem_plan``).  Then one walk visits the processes of
+    ``_suite_processes`` in order, one at a time.  Each process gets its
+    four characterization outcomes, then every other check that has not
+    failed yet (``_first``), and is dropped before the next one is built.  ``mutation-detected`` also fails when no
     process admitted a perturbation.
     """
+    combinat.check_int(max_horizon, "horizon", 0)
+    _theorem_plan(max_horizon)
     mutated = 0  # processes that admitted a perturbation
 
     def zero_count_identity(p):

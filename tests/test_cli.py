@@ -79,6 +79,19 @@ def test_model_budget_counts_cells_of_a_single_composition():
     assert elapsed < 2, f"budget error took {elapsed:.2f} s"
 
 
+def test_verify_theorem_past_the_budget_exits_2_at_once():
+    start = time.perf_counter()
+    proc = run_cli("verify", "--suite", "theorem", "--horizon", "24")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: theorem suite at horizon=24 needs at least 96195762 cells "
+        "(budget 10000000)\n"
+    )
+    assert elapsed < 2, f"budget error took {elapsed:.2f} s"
+
+
 @pytest.mark.parametrize("horizon", ["0", "-1"])
 def test_verify_classic_without_a_horizon_exits_2(horizon):
     # no process of horizon 1..h exists, so the checks would examine nothing

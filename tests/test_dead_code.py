@@ -1,8 +1,9 @@
-"""Every module-level function and class of the package is used: named
-somewhere in ``src/`` or ``bench/`` outside its own definition.  An export
-from ``eomkit/__init__.py`` counts as a use; the tests do not.  Every
-top-level import of a module, ``__init__.py``'s exports apart, is used in
-that module."""
+"""Every module-level function, class and assigned name (a constant such as
+``_ATOMS``) of the package is used: named somewhere in ``src/`` or
+``bench/`` outside its own definition.  An export from
+``eomkit/__init__.py`` counts as a use, and ``__version__`` is a public
+export itself; the tests do not count.  Every top-level import of a module,
+``__init__.py``'s exports apart, is used in that module."""
 
 import ast
 from collections import Counter
@@ -49,9 +50,23 @@ def test_every_module_level_definition_is_used():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in trees[path].body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                # a use inside the definition itself (recursion) does not count
-                if used[node.name] - _names(node)[node.name] <= 0:
-                    unused.append(f"{path.name}:{node.lineno} {node.name}")
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    leaf.id
+                    for target in targets
+                    for leaf in ast.walk(target)
+                    if isinstance(leaf, ast.Name) and leaf.id != "__version__"
+                ]
+            else:
+                continue
+            # a use inside the definition itself (recursion, the assigned
+            # name) does not count
+            own = _names(node)
+            unused += [
+                f"{path.name}:{node.lineno} {name}" for name in names if used[name] - own[name] <= 0
+            ]
     assert not unused, unused
 
 

@@ -151,17 +151,32 @@ def test_to_json_is_indented_json_dumps(doc):
     assert serialize.to_json(doc) == json.dumps(doc, indent=2)
 
 
-def test_write_json_writes_each_generator_member_before_the_next_is_made():
+#: rows as the CLI writes them: table entries and compositions
+ROWS = st.lists(
+    st.lists(st.one_of(st.integers(), st.integers(-(10**60), 10**60), TEXT), max_size=5),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(), st.integers(), TEXT.filter(lambda name: name not in ("n", "r")), ROWS)
+def test_write_rows_doc_is_indented_json_dumps(n, r, name, rows):
+    chunks = []
+    serialize.write_rows_doc(chunks.append, n, r, name, (tuple(row) for row in rows))
+    assert "".join(chunks) == json.dumps({"n": n, "r": r, name: rows}, indent=2)
+
+
+def test_write_rows_doc_writes_each_row_before_the_next_is_made():
     chunks = []
 
     def entries():
         for i in range(3):
             yield [i, "1/3"]
-            # the member just yielded is written before the generator resumes
+            # the row just yielded is written before the generator resumes
             assert "".join(chunks).count('"1/3"') == i + 1
 
-    serialize.write_json({"n": 1, "entries": entries(), "empty": (x for x in ())}, chunks.append)
-    expected = {"n": 1, "entries": [[i, "1/3"] for i in range(3)], "empty": []}
+    serialize.write_rows_doc(chunks.append, 1, 2, "entries", entries())
+    expected = {"n": 1, "r": 2, "entries": [[i, "1/3"] for i in range(3)]}
     assert "".join(chunks) == json.dumps(expected, indent=2)
     assert len(chunks) > 3
 

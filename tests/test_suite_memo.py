@@ -1,7 +1,8 @@
 """The ``eom`` and ``transforms`` suites plan their work before they build
 anything, then walk their models one at a time: each model's derived
 tables are built once and dropped before the next model's are built.  The
-``theorem`` suite keeps one process at a time.
+``theorem`` suite plans its path spaces too, and keeps one process at a
+time.
 
 Spies on the names ``eomkit.verify`` imports count the calls per model
 object over one whole suite run.  Each spy keeps the arguments it saw
@@ -158,6 +159,47 @@ def test_the_theorem_suite_holds_one_process_at_a_time(monkeypatch):
     monkeypatch.setattr(verify, "build_process", build)
     assert verify.theorem_suite(0, 3).passed
     assert len(processes) == 54
+
+
+@pytest.mark.parametrize("max_horizon", [0, 2, 4])
+def test_the_theorem_plan_is_the_sum_of_the_built_path_spaces(max_horizon, monkeypatch):
+    charged = []
+    planned = []
+    real_plan = verify._theorem_plan
+
+    def plan(*args):
+        planned.append(real_plan(*args))
+        return planned[-1]
+
+    def record(name, args, checks):
+        _, horizon, pi = args
+        paths = sum(composition_count(horizon + 1, k) for k, p in enumerate(pi) if p)
+        charged.append(paths * (horizon + 1))
+
+    monkeypatch.setattr(verify, "_theorem_plan", plan)
+    spy(monkeypatch, ("build_process",), record)
+    assert verify.theorem_suite(0, max_horizon).passed
+    assert planned == [sum(charged)]
+
+
+@pytest.mark.parametrize("max_horizon, total", [(16, 12091518), (24, 96195762)])
+def test_a_theorem_suite_over_the_budget_is_refused_before_it_builds(
+    max_horizon, total, monkeypatch
+):
+    def record(name, args, checks):
+        raise AssertionError(f"{name} called before the refusal")
+
+    spy(monkeypatch, ("build_process", "random_weight_function"), record)
+    with pytest.raises(BudgetExceededError) as refused:
+        verify.theorem_suite(0, max_horizon)
+    assert str(refused.value) == (
+        f"theorem suite at horizon={max_horizon} needs at least {total} cells "
+        "(budget 10000000)"
+    )
+
+
+def test_the_theorem_plan_accepts_horizon_15():
+    assert verify._theorem_plan(15) == 8794980
 
 
 def cells(n, r):
