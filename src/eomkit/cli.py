@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import serialize
-from .combinat import enumerate_compositions
+from .combinat import check_space, enumerate_compositions
 from .errors import EomkitError
 from .models import (
     WeightFunction,
@@ -64,6 +64,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_model(args) -> int:
+    check_space(args.n, args.r)
     a = _load_weight(args.weight, args.r)
     d = weight_model(a, args.n, args.r)
     r, table = d.r, d.table
@@ -85,6 +86,7 @@ def _cmd_transform(args) -> int:
     else:
         if args.weight is None or args.n is None or args.r is None:
             raise ValueError("either --input or all of --weight/--n/--r are required")
+        check_space(args.n, args.r)
         d = weight_model(_load_weight(args.weight, args.r), args.n, args.r)
     op = args.op
     if op == "k1":
@@ -136,6 +138,7 @@ def _cmd_sample(args) -> int:
             raise ValueError(
                 "sample spec needs either horizon/terminal_law/weight or n/r/weight"
             ) from None
+        check_space(n, r)
         d = weight_model(serialize.weight_from_spec(weight_spec, r), n, r)
         rows = sample_exact(d.table, rng, args.paths)
         serialize.write_csv(sys.stdout, serialize.composition_header(n), rows)

@@ -11,7 +11,7 @@ import bisect
 import itertools
 import math
 import random
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -250,7 +250,7 @@ def checked_masses(table, shape_error, what: str, key_error=None) -> FractionTab
     through it once.  The builders' ``from_masses`` does not.  Integer
     arguments follow the same rule: a public function checks each one once,
     before any cache (``combinat.check_space`` for (n, r)), and internal
-    callers read ``_power_row`` and ``process._counts`` unchecked.
+    callers read ``_power_row`` unchecked, as ``process`` its count record.
 
     Entry by entry, ``shape_error(key)`` is reported first, then a negative
     probability, then ``key_error(key)`` if given; each check returns a
@@ -324,6 +324,30 @@ class ExactTable:
         # a frozen dataclass: set the fields without running __post_init__
         vars(d).update(n=n, r=r, table=FractionTable.lowest(denominator, masses))
         return d
+
+    @classmethod
+    def from_orbits(cls, n: int, r: int, denominator: int, orbits: dict):
+        """The table with mass ``orbits[rep] / denominator`` on every
+        reordering of each sorted key ``rep``, in ``distinct_permutations``
+        order: the inverse of ``orbits``, trusted as ``from_masses`` is."""
+        masses = {}
+        for rep, m in orbits.items():
+            for key in combinat.distinct_permutations(rep):
+                masses[key] = m
+        return cls.from_masses(n, r, denominator, masses)
+
+    def orbits(self) -> dict | None:
+        """``{sorted key: mass}`` when every orbit of the keys under permuting
+        their coordinates carries one mass over ``table.denominator`` on all
+        of its members, else None: the one grouping of a table by orbit.
+        The keys are distinct, so the orbits are whole exactly when their
+        sizes sum to the number of keys."""
+        orbits: dict[tuple, int] = {}
+        for key, m in self.table.masses.items():
+            if orbits.setdefault(tuple(sorted(key)), m) != m:
+                return None
+        whole = sum(map(combinat.distinct_permutation_count, orbits)) == len(self.table)
+        return orbits if whole else None
 
     def probability(self, key) -> Fraction:
         key = tuple(key)
@@ -460,34 +484,16 @@ def weight_model(a: WeightFunction, n: int, r: int) -> OccupancyDistribution:
     return OccupancyDistribution.from_masses(n, r, c, masses)
 
 
-def _orbits_constant(table: FractionTable) -> bool:
-    """True iff the table is invariant under permuting tuple coordinates.
-
-    Positive entries are grouped by their sorted key; each group must carry a
-    single mass (all masses share one denominator) and cover its whole
-    permutation orbit.
-    """
-    orbits: dict[tuple, list[int]] = {}
-    for key, m in table.masses.items():
-        orbits.setdefault(tuple(sorted(key)), []).append(m)
-    for rep, masses in orbits.items():
-        if len(set(masses)) != 1:
-            return False
-        if len(masses) != combinat.distinct_permutation_count(rep):
-            return False
-    return True
-
-
 def is_exchangeable(d: OccupancyDistribution) -> bool:
     """True iff the law is invariant under every permutation of the cells."""
-    return _orbits_constant(d.table)
+    return d.orbits() is not None
 
 
 def label_distribution(d: OccupancyDistribution) -> LabelDistribution:
     """Joint law of the ``r`` cell labels corresponding to an exchangeable model.
 
     Each composition's mass is split evenly over the label vectors whose
-    occurrence counts reproduce it.
+    occurrence counts reproduce it: the orbit of its sorted labels ``psi(x)``.
     """
     if not is_exchangeable(d):
         raise NonExchangeableError(
@@ -496,26 +502,24 @@ def label_distribution(d: OccupancyDistribution) -> LabelDistribution:
     combinat.check_budget("label space", d.n**d.r, 1)
     # p(x) / multinomial(r, x) = m(x) * prod_j x_j! / (denominator * r!)
     factorials = [math.factorial(c) for c in range(d.r + 1)]
-    masses: dict[LabelVector, int] = {}
-    for x, m in d.table.masses.items():
-        share = m * math.prod(factorials[c] for c in x)
-        for y in combinat.distinct_permutations(combinat.psi(x)):
-            masses[y] = share
-    return LabelDistribution.from_masses(
-        d.n, d.r, d.table.denominator * factorials[d.r], masses
+    shares = {
+        combinat.psi(x): m * math.prod(factorials[c] for c in x)
+        for x, m in d.table.masses.items()
+    }
+    return LabelDistribution.from_orbits(
+        d.n, d.r, d.table.denominator * factorials[d.r], shares
     )
 
 
 def occupancy_from_labels(ld: LabelDistribution) -> OccupancyDistribution:
     """Occupancy model of an exchangeable label law; inverse of label_distribution."""
-    if not _orbits_constant(ld.table):
+    orbits = ld.orbits()
+    if orbits is None:
         raise NonExchangeableError(
             "occupancy view is only defined for exchangeable label laws"
         )
     masses: dict[Composition, int] = {}
-    for y, m in ld.table.masses.items():
-        if any(a > b for a, b in zip(y, y[1:])):
-            continue  # one sorted representative per orbit
+    for y, m in orbits.items():
         x = combinat.phi(y, ld.n)
         masses[x] = m * combinat.multinomial(ld.r, x)
     return OccupancyDistribution.from_masses(ld.n, ld.r, ld.table.denominator, masses)
@@ -610,7 +614,7 @@ def conditional_from_iid(
     return OccupancyDistribution.from_masses(n, r, total, masses)
 
 
-def sample_exact(table, rng: random.Random, count: int) -> list:
+def sample_exact(table, rng: random.Random, count: int) -> Iterator:
     """Draw ``count`` keys independently from an exact probability table.
 
     Inversion over the keys in sorted order: each draw is one integer
@@ -620,16 +624,17 @@ def sample_exact(table, rng: random.Random, count: int) -> list:
     masses serve as they are; any other mapping is put over that lcm first
     (see ``masses_of``).  The sorted keys and the cumulative masses are built
     once per call, and each draw is a bisection into the cumulative masses.
-    A table that does not sum to 1 is rejected before any draw.
+    A table that does not sum to 1 is rejected at the call, before any draw;
+    the draws are then made one at a time, as the returned iterator is read.
     """
     denom, masses = masses_of(table)
     keys = sorted(masses)
     cum = list(itertools.accumulate(masses[k] for k in keys))
     if not cum or cum[-1] != denom:
         raise AssertionError("probability table does not sum to 1")
-    return [keys[bisect.bisect_right(cum, rng.randrange(denom))] for _ in range(count)]
+    return (keys[bisect.bisect_right(cum, rng.randrange(denom))] for _ in range(count))
 
 
 def sample(d: OccupancyDistribution, rng: random.Random) -> Composition:
     """Draw one composition exactly from the model."""
-    return sample_exact(d.table, rng, 1)[0]
+    return next(sample_exact(d.table, rng, 1))

@@ -13,6 +13,8 @@ time against the horizon by ``_check_time``, a count by
 ``combinat.check_int``, each rejecting a value that is not an int before
 its range is tested.  Internal callers pass trusted integers and read the
 count record ``_counts`` and the normalizer rows ``_power_row`` unchecked.
+The count record is read only in this module: other modules read the
+count laws and the checks built on it, ``_markov_mismatch`` among them.
 """
 
 import itertools
@@ -529,6 +531,42 @@ def _structure_mismatch(p: FiniteProcess) -> str | None:
     return None
 
 
+def _markov_mismatch(p: FiniteProcess) -> str | None:
+    """First transition step of ``p`` that misses its cell of the joint, or
+    first row of steps that does not sum to 1.
+
+    From the count record of t + 1 (see ``_counts``), the masses of
+    P{N_t = k, J_{t+1} = i} over D_{t+1} are summed for every cell in one
+    pass; with the count mass M_t(k) over D_t, each step must equal
+    cell(k, i) * D_t / (D_{t+1} * M_t(k)).  Once every step of a row equals
+    its cell, the row sums to 1 exactly when its cells sum to
+    D_{t+1} * M_t(k) / D_t, so the sum is decided on integers; a
+    ``Fraction`` is made only for the witness of a failing row.
+    """
+    for t in range(p.horizon):
+        den, masses, _ = _counts(p, t)
+        fine_den, _, groups = _counts(p, t + 1)
+        cells: dict[tuple[int, int], int] = {}
+        for total, group in groups.items():
+            for prefix, m in group.items():
+                key = (total - prefix[-1], prefix[-1])
+                cells[key] = cells.get(key, 0) + m
+        for k, mass in enumerate(masses):
+            if not mass:
+                continue
+            scale = fine_den * mass
+            row = 0
+            for i in range(p.count_cap - k + 1):
+                step = transition_probability(p, t, k, i)
+                cell = cells.get((k, i), 0)
+                if step.numerator * scale != cell * den * step.denominator:
+                    return f"(t,k,i)=({t},{k},{i})"
+                row += cell
+            if row * den != scale:
+                return f"row (t,k)=({t},{k}) sums to {Fraction(row * den, scale)}"
+    return None
+
+
 def classic_uosp_value(kind: str, t: int, k: int, times) -> Fraction:
     """Closed-form conditional arrival-time probabilities of the classical
     uniform order statistics properties for unit- and multiple-jump processes.
@@ -571,4 +609,4 @@ def classic_uosp_value(kind: str, t: int, k: int, times) -> Fraction:
 
 def sample_path(p: FiniteProcess, rng: random.Random) -> JumpPath:
     """Draw one jump path exactly from the stored joint law."""
-    return sample_exact(p.joint, rng, 1)[0]
+    return next(sample_exact(p.joint, rng, 1))

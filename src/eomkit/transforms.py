@@ -271,18 +271,19 @@ def product_form_weights(d: OccupancyDistribution) -> WeightFunction | None:
     yields the same model.  A candidate is only returned after rebuilding the
     model from it and comparing tables, so a non-None result is always valid;
     the comparison also rejects a support that is not every composition over
-    its values.
+    its values.  The ratios are those of the integer masses of ``d.orbits()``.
     """
-    if not is_exchangeable(d):
+    orbits = d.orbits()
+    if orbits is None:
         raise NonExchangeableError("product-form detection requires an exchangeable model")
-    values = sorted({v for x in d.table for v in x})
-    multisets = sorted({tuple(sorted(x)) for x in d.table})
+    values = sorted({v for rep in orbits for v in rep})
+    multisets = sorted(orbits)
     ref = multisets[0]
     ref_counts = [ref.count(v) for v in values]
     rows = []
     for m in multisets[1:]:
         exps = [m.count(v) - c for v, c in zip(values, ref_counts)]
-        rows.append((exps, d.table[m] / d.table[ref]))
+        rows.append((exps, Fraction(orbits[m], orbits[ref])))
     solution = _solve_multiplicative(rows, len(values))  # all ONE without rows
     if solution is None:
         return None

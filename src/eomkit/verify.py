@@ -34,7 +34,7 @@ from .models import (
 )
 from .process import (
     FiniteProcess,
-    _counts,
+    _markov_mismatch,
     _structure_mismatch,
     build_process,
     check_characterizations,
@@ -42,8 +42,8 @@ from .process import (
     check_weight_model_conditionals,
     classic_uosp_value,
     conditional_jumps_given_count,
+    count_distribution,
     structure_function,
-    transition_probability,
 )
 from .report import CheckOutcome, SuiteReport
 from .transforms import (
@@ -77,11 +77,7 @@ def random_eom(rng: random.Random, n: int, r: int) -> OccupancyDistribution:
     den, shares = masses_of(
         {rep: Fraction(m, combinat.distinct_permutation_count(rep)) for rep, m in masses.items()}
     )
-    table = {}
-    for rep, share in shares.items():
-        for x in combinat.distinct_permutations(rep):
-            table[x] = share
-    return OccupancyDistribution.from_masses(n, r, sum(masses.values()) * den, table)
+    return OccupancyDistribution.from_orbits(n, r, sum(masses.values()) * den, shares)
 
 
 def _grid(max_n: int, max_r: int, min_n: int = 2, min_r: int = 1):
@@ -615,42 +611,6 @@ def perturbed_process(p: FiniteProcess) -> FiniteProcess | None:
     return None
 
 
-def _markov_mismatch(p: FiniteProcess) -> str | None:
-    """First transition step of ``p`` that misses its cell of the joint, or
-    first row of steps that does not sum to 1.
-
-    From the count record of t + 1 (see ``_counts``), the masses of
-    P{N_t = k, J_{t+1} = i} over D_{t+1} are summed for every cell in one
-    pass; with the count mass M_t(k) over D_t, each step must equal
-    cell(k, i) * D_t / (D_{t+1} * M_t(k)).  Once every step of a row equals
-    its cell, the row sums to 1 exactly when its cells sum to
-    D_{t+1} * M_t(k) / D_t, so the sum is decided on integers; a
-    ``Fraction`` is made only for the witness of a failing row.
-    """
-    for t in range(p.horizon):
-        den, masses, _ = _counts(p, t)
-        fine_den, _, groups = _counts(p, t + 1)
-        cells: dict[tuple[int, int], int] = {}
-        for total, group in groups.items():
-            for prefix, m in group.items():
-                key = (total - prefix[-1], prefix[-1])
-                cells[key] = cells.get(key, 0) + m
-        for k, mass in enumerate(masses):
-            if not mass:
-                continue
-            scale = fine_den * mass
-            row = 0
-            for i in range(p.count_cap - k + 1):
-                step = transition_probability(p, t, k, i)
-                cell = cells.get((k, i), 0)
-                if step.numerator * scale != cell * den * step.denominator:
-                    return f"(t,k,i)=({t},{k},{i})"
-                row += cell
-            if row * den != scale:
-                return f"row (t,k)=({t},{k}) sums to {Fraction(row * den, scale)}"
-    return None
-
-
 CHARACTERIZATION_NAMES = (
     "jump-conditionals-product-form",
     "joint-factorization",
@@ -678,9 +638,7 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
         if p.weight(0) == 0:
             return None
         for t in range(p.horizon + 1):
-            den, masses, _ = _counts(p, t)
-            r = structure_function(p, t, 0)
-            if masses[0] * r.denominator != r.numerator * den:
+            if count_distribution(p, t)[0] != structure_function(p, t, 0):
                 return f"t={t}"
         return None
 
@@ -770,8 +728,8 @@ def _classic_mismatch(p: FiniteProcess, uosp_kind: str) -> str | None:
     strict = uosp_kind == "strict"
     shift = 1 if strict else 0
     for t in range(p.horizon + 1):
-        for k, mass in enumerate(_counts(p, t)[1]):
-            if not mass:
+        for k, prob in count_distribution(p, t).items():
+            if not prob:
                 continue
             cond = conditional_jumps_given_count(p, t, k).table
             den, masses = cond.denominator, cond.masses

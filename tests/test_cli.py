@@ -386,6 +386,22 @@ def test_sample_non_integer_field_exits_2(tmp_path, spec, text):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--weight", "mb", "--n", "2", "--r", "-1"],
+        ["transform", "--op", "k1", "--weight", "mb", "--n", "2", "--r", "-1"],
+        ["sample", "--spec", "{spec}"],
+    ],
+)
+def test_negative_particle_count_is_named_before_the_weight_is_built(argv, tmp_path):
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"n": 2, "r": -1, "weight": "mb"}))
+    proc = run_cli(*(arg.format(spec=spec) for arg in argv))
+    assert_one_line_error(proc, "particle count must be >= 0, got -1")
+    assert proc.stdout == ""
+
+
 def test_sample_negative_paths_exits_2(tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps({"weight": "be", "n": 2, "r": 1}))

@@ -3,7 +3,8 @@
 ``bench/`` outside its own definition.  An export from
 ``eomkit/__init__.py`` counts as a use, and ``__version__`` is a public
 export itself; the tests do not count.  Every top-level import of a module,
-``__init__.py``'s exports apart, is used in that module."""
+``__init__.py``'s exports apart, is used in that module.  Private storage
+names are named only inside the modules that own them (``BOUNDARIES``)."""
 
 import ast
 from collections import Counter
@@ -84,3 +85,24 @@ def test_every_top_level_import_is_used():
                     if bound not in loaded:
                         unused.append(f"{path.name}:{node.lineno} {bound}")
     assert not unused, unused
+
+
+#: private storage names and the only modules that may name them: the count
+#: record of a process, and the expansion of an orbit into its reorderings
+#: (``ExactTable.orbits`` and ``from_orbits`` are the view the rest reads)
+BOUNDARIES = {
+    "_counts": {"process.py"},
+    "distinct_permutations": {"combinat.py", "models.py"},
+}
+
+
+def test_storage_names_stay_inside_their_modules():
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = _names(ast.parse(path.read_text(), str(path)))
+        outside += [
+            f"{path.name} {name}"
+            for name, modules in BOUNDARIES.items()
+            if names[name] and path.name not in modules
+        ]
+    assert not outside, outside

@@ -30,6 +30,7 @@ from eomkit.models import (
     weight_model,
     weight_model_label_density,
 )
+from eomkit.verify import random_eom
 
 F = Fraction
 
@@ -241,6 +242,53 @@ def test_is_exchangeable():
         2, 2, {(2, 0): F(1, 2), (0, 2): F(1, 4), (1, 1): F(1, 4)}
     )
     assert not is_exchangeable(lopsided)
+
+
+def brute_orbits(table: FractionTable):
+    """``{sorted key: mass}`` when every reordering of every key carries the
+    key's mass, else None: the permutation-invariance oracle for
+    ``ExactTable.orbits``."""
+    masses = table.masses
+    for key, m in masses.items():
+        if any(masses.get(y) != m for y in itertools.permutations(key)):
+            return None
+    return {tuple(sorted(key)): m for key, m in masses.items()}
+
+
+@st.composite
+def orbit_tables(draw):
+    """Occupancy or label tables with n, r <= 3: one mass in 0..2 per orbit
+    of the space, then up to two keys given a mass in 0..3 of their own, so
+    both whole and broken orbits are common."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        cls, space = OccupancyDistribution, combinat.enumerate_compositions(n, r)
+    else:
+        cls, space = LabelDistribution, combinat.enumerate_labels(r, n)
+    per_orbit = {}
+    masses = {x: per_orbit.setdefault(tuple(sorted(x)), draw(st.integers(0, 2))) for x in space}
+    for x in draw(st.lists(st.sampled_from(space), max_size=2)):
+        masses[x] = draw(st.integers(0, 3))
+    masses = {x: m for x, m in masses.items() if m} or {space[0]: 1}
+    return cls.from_masses(n, r, sum(masses.values()), masses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(orbit_tables())
+def test_orbits_match_the_permutation_invariance_oracle(d):
+    assert d.orbits() == brute_orbits(d.table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 4), st.integers(0, 4))
+def test_from_orbits_inverts_orbits(seed, n, r):
+    d = random_eom(random.Random(seed), n, r)
+    for table in (d, label_distribution(d)):
+        orbits = table.orbits()
+        again = type(table).from_orbits(table.n, table.r, table.table.denominator, orbits)
+        assert again == table and again.orbits() == orbits
+        # each orbit's members in distinct_permutations order, as stored
+        assert list(again.table.masses) == list(table.table.masses)
 
 
 def test_label_distribution_tables():
@@ -492,7 +540,7 @@ def exact_tables(draw):
 @given(exact_tables(), st.integers(0, 2**32), st.integers(0, 40))
 def test_sample_exact_matches_linear_scan(table, seed, count):
     rng, oracle_rng = random.Random(seed), random.Random(seed)
-    drawn = sample_exact(table, rng, count)
+    drawn = list(sample_exact(table, rng, count))
     assert drawn == [linear_scan_sample(table, oracle_rng) for _ in range(count)]
     # the generators end in the same state, so callers that keep drawing
     # stay in step with the one-draw-at-a-time stream
@@ -521,7 +569,7 @@ def test_sample_exact_on_stored_masses_matches_linear_scan(case, seed, count):
     d = OccupancyDistribution(n, r, FractionTable(sum(masses.values()), masses))
     assert d.table.denominator * g <= sum(masses.values())
     rng, oracle_rng = random.Random(seed), random.Random(seed)
-    drawn = sample_exact(d.table, rng, count)
+    drawn = list(sample_exact(d.table, rng, count))
     assert drawn == [linear_scan_sample(d.table, oracle_rng) for _ in range(count)]
     assert rng.getstate() == oracle_rng.getstate()
 
@@ -534,5 +582,24 @@ def test_sample_exact_rejects_bad_tables_before_drawing():
     with pytest.raises(AssertionError, match="does not sum to 1"):
         sample_exact({}, rng, 1)
     assert rng.getstate() == state
-    assert sample_exact({(0,): F(1)}, rng, 0) == []
+    assert list(sample_exact({(0,): F(1)}, rng, 0)) == []
     assert rng.getstate() == state
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``randrange`` calls."""
+
+    calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        return super().randrange(*args)
+
+
+def test_sample_exact_draws_as_the_rows_are_read():
+    d = weight_model(builtin_weight("mb", 3), 3, 3)
+    rng = CountingRandom(5)
+    rows = sample_exact(d.table, rng, 1000)
+    assert rng.calls == 0
+    assert next(rows) == sample(d, random.Random(5))
+    assert rng.calls == 1
