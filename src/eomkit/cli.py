@@ -28,10 +28,18 @@ from .transforms import condition_on_partial_sum, drop_particle, erase_cell, mod
 from .verify import run_suite
 
 
+def _read_json(path: str):
+    """The JSON document in the file ``path``; too deep a nesting is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:  # the parser recurses once per level
+            raise ValueError(f"JSON in {path} is nested too deeply") from None
+
+
 def _load_weight(spec: str, x_max: int) -> WeightFunction:
     if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec = _read_json(spec[1:])
     return serialize.weight_from_spec(spec, x_max)
 
 
@@ -81,8 +89,7 @@ def _cmd_model(args) -> int:
 
 def _cmd_transform(args) -> int:
     if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            d = serialize.occupancy_from_doc(json.load(fh))
+        d = serialize.occupancy_from_doc(_read_json(args.input))
     else:
         if args.weight is None or args.n is None or args.r is None:
             raise ValueError("either --input or all of --weight/--n/--r are required")
@@ -121,8 +128,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     if args.paths < 0:
         raise ValueError("--paths must be >= 0")
-    with open(args.spec, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.spec)
     if not isinstance(doc, dict):
         raise ValueError("sample spec must be a JSON object")
     rng = random.Random(args.seed)

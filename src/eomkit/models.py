@@ -165,17 +165,16 @@ class FractionTable(Mapping):
     masses is 1.  Equal tables then have equal storage, and the denominator
     is the lcm of the entries' reduced denominators.
 
-    As a mapping the table is a read-only view key -> Fraction.  Keys,
-    ``len`` and membership read the masses; the first value read builds the
-    Fraction of every entry, once.
+    As a mapping the table is a read-only view key -> Fraction over the
+    masses, which are its only copy: keys, ``len`` and membership read them,
+    and each value read makes one Fraction, which is not kept.
     """
 
-    __slots__ = ("denominator", "masses", "_fractions")
+    __slots__ = ("denominator", "masses")
 
     def __init__(self, denominator: int, masses: dict):
         self.denominator = denominator
         self.masses = masses
-        self._fractions = None
 
     @classmethod
     def lowest(cls, denominator: int, masses: dict) -> "FractionTable":
@@ -187,17 +186,12 @@ class FractionTable(Mapping):
             masses = {key: m // g for key, m in masses.items()}
         return cls(denominator, masses)
 
-    def fractions(self) -> dict:
-        if self._fractions is None:
-            den = self.denominator
-            self._fractions = {key: Fraction(m, den) for key, m in self.masses.items()}
-        return self._fractions
-
     def __getitem__(self, key) -> Fraction:
-        return self.fractions()[key]
+        return Fraction(self.masses[key], self.denominator)
 
     def get(self, key, default=None):
-        return self.fractions().get(key, default)
+        m = self.masses.get(key)
+        return default if m is None else Fraction(m, self.denominator)
 
     def __iter__(self):
         return iter(self.masses)
@@ -208,23 +202,15 @@ class FractionTable(Mapping):
     def __contains__(self, key) -> bool:
         return key in self.masses
 
-    def items(self):
-        return self.fractions().items()
-
-    def values(self):
-        return self.fractions().values()
-
     def __eq__(self, other):
         if isinstance(other, FractionTable):
             return self.denominator == other.denominator and self.masses == other.masses
-        if isinstance(other, Mapping):
-            return self.fractions() == dict(other.items())
-        return NotImplemented
+        return super().__eq__(other)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return repr(self.fractions())
+        return repr(dict(self.items()))
 
 
 def masses_of(table) -> tuple[int, dict]:

@@ -108,8 +108,11 @@ class FiniteProcess:
         return p
 
     def marginal(self, t: int) -> FractionTable:
-        """Exact law of the jump prefix (J_0, ..., J_t)."""
+        """Exact law of the jump prefix (J_0, ..., J_t): the joint at t = M,
+        where every path is its own prefix."""
         _check_time(t, self.horizon)
+        if t == self.horizon:
+            return self.joint
         table = self._marginals.get(t)
         if table is None:
             acc: dict[JumpPath, int] = {}
@@ -181,25 +184,25 @@ def joint_jump_density(p: FiniteProcess, t: int, jumps) -> Fraction:
 
 def _counts(
     p: FiniteProcess, t: int
-) -> tuple[int, list[int], dict[int, dict[JumpPath, int]]]:
-    """(D_t, [M_t(0), ..., M_t(cap)], {k: {prefix: m}}): the count record.
+) -> tuple[int, list[int], dict[JumpPath, int], dict[int, list[JumpPath]]]:
+    """(D_t, [M_t(0), ..., M_t(cap)], masses, {k: [prefix, ...]}): the count record.
 
-    ``p.marginal(t)`` grouped by total in one pass: its denominator D_t, the
-    count masses M_t(k) = P{N_t = k} * D_t, and its masses m per total k.
-    Each group keeps the order of the marginal; only totals with mass have a
-    group.  Cached on ``p`` per t and returned itself, so callers must not
-    mutate it.
+    ``p.marginal(t)`` indexed by total in one pass: its denominator D_t, the
+    count masses M_t(k) = P{N_t = k} * D_t, its masses themselves, and the
+    prefixes of each total k in the order of the marginal; only totals with
+    mass have a list.  Cached on ``p`` per t and returned itself, so callers
+    must not mutate it.
     """
     record = p._counts.get(t)
     if record is None:
         marginal = p.marginal(t)
         masses = [0] * (p.count_cap + 1)
-        groups: dict[int, dict[JumpPath, int]] = {}
+        totals: dict[int, list[JumpPath]] = {}
         for prefix, m in marginal.masses.items():
             k = sum(prefix)
             masses[k] += m
-            groups.setdefault(k, {})[prefix] = m
-        record = p._counts[t] = (marginal.denominator, masses, groups)
+            totals.setdefault(k, []).append(prefix)
+        record = p._counts[t] = (marginal.denominator, masses, marginal.masses, totals)
     return record
 
 
@@ -209,7 +212,7 @@ def count_distribution(p: FiniteProcess, t: int) -> dict[int, Fraction]:
     Read from the count record; each call returns a fresh dict.
     """
     _check_time(t, p.horizon)
-    den, masses, _ = _counts(p, t)
+    den, masses, _, _ = _counts(p, t)
     return {k: Fraction(m, den) for k, m in enumerate(masses)}
 
 
@@ -233,7 +236,7 @@ def structure_function(p: FiniteProcess, t: int, k: int) -> Fraction:
     c = scaled_normalizer(a, t + 1, k)
     if c == 0:
         raise _undefined_structure(t, k)
-    den, masses, _ = _counts(p, t)
+    den, masses, _, _ = _counts(p, t)
     mass = masses[k] if k <= p.count_cap else 0
     return Fraction(mass * a.scale ** (t + 1), den * c)
 
@@ -249,16 +252,16 @@ def conditional_jumps_given_count(
 ) -> OccupancyDistribution:
     """Law of (J_0, ..., J_t) given N_t = k, as an occupancy model.
 
-    Built from a copy of the group of prefixes of total k in the count
+    A fresh table of the masses of the prefixes of total k in the count
     record (see ``_counts``), over the count mass M_t(k).
     """
     _check_time(t, p.horizon)
     check_int(k, "count", 0)
-    _, masses, groups = _counts(p, t)
-    group = groups.get(k)
-    if group is None:
+    _, masses, prefixes, totals = _counts(p, t)
+    keys = totals.get(k)
+    if keys is None:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
-    return OccupancyDistribution.from_masses(t + 1, k, masses[k], dict(group))
+    return OccupancyDistribution.from_masses(t + 1, k, masses[k], {x: prefixes[x] for x in keys})
 
 
 def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
@@ -267,8 +270,8 @@ def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
     The law of the prefix given N_t = k is the model for (t+1, k) exactly
     when density(x) * normalizer = P{N_t = k} * prod a(x_j) for every
     composition x of k.  On the count record of t (see ``_counts``), with
-    the masses m of the group of total k, the count mass M_t(k) over the
-    same denominator and the scaled weight, that is the integer identity
+    the prefix masses m, the count mass M_t(k) over the same denominator
+    and the scaled weight, that is the integer identity
     m(x) * C'_{t+1}(k) = M_t(k) * prod L * a(x_j), compared in place over
     the weight's memoized ``weighted_compositions``.  The witness is the
     first failing (t, k).  A count with mass that no positive-weight prefix
@@ -277,15 +280,14 @@ def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
     name = "jump-conditionals-product-form"
     a = p.weight
     for t in range(p.horizon + 1):
-        _, masses, groups = _counts(p, t)
+        _, masses, prefixes, _ = _counts(p, t)
         normalizers = _power_row(a, t + 1)
         for k, mass in enumerate(masses):
             if not mass:
                 continue
-            group = groups[k]
             c = normalizers[k]
             if c == 0 or any(
-                group.get(x, 0) * c != mass * w
+                prefixes.get(x, 0) * c != mass * w
                 for x, w in a.weighted_compositions(t + 1, k).items()
             ):
                 return CheckOutcome(name, f"(t,k)={(t, k)}")
@@ -297,24 +299,23 @@ def check_mixed_geometric_form(p: FiniteProcess) -> CheckOutcome:
 
     Every positive-weight prefix of the same length and total must have the
     same ratio of density to weight, and every zero-weight prefix must carry
-    zero probability.  On the masses m of the group of total k in the count
-    record of t (see ``_counts``) and the scaled weights w, the ratio of each
-    prefix is cross-multiplied with that of the first positive-weight
-    prefix: m * w0 = m0 * w.  A total with no mass passes outright (every
-    m is 0), so only the totals with a group are walked.  The witness is
-    the first failing (t, prefix).
+    zero probability.  On the prefix masses m in the count record of t (see
+    ``_counts``) and the scaled weights w, the ratio of each prefix of total
+    k is cross-multiplied with that of the first positive-weight prefix:
+    m * w0 = m0 * w.  A total with no mass passes outright (every m is 0),
+    so only the totals with count mass are walked.  The witness is the
+    first failing (t, prefix).
     """
     name = "joint-factorization"
     a = p.weight
     for t in range(p.horizon + 1):
-        _, masses, groups = _counts(p, t)
+        _, masses, prefixes, _ = _counts(p, t)
         for k, mass in enumerate(masses):
             if not mass:
                 continue
-            group = groups[k]
             m0 = w0 = None
             for prefix, w in a.weighted_compositions(t + 1, k).items():
-                m = group.get(prefix, 0)
+                m = prefixes.get(prefix, 0)
                 if w == 0:
                     ok = m == 0
                 else:
@@ -405,13 +406,14 @@ def _arrival_walk(p: FiniteProcess) -> tuple[str | None, str | None]:
     Prefix sums map the k-tuples of gaps summing to at most M one-to-one
     onto the nondecreasing k-tuples of times in 0..M, keeping lexicographic
     order, so each event is walked once for both formulas, and each event
-    function is called once per event.  The formula value of an event with
-    prefix x is R_t(k) * w / L**(t+1), w = prod L * a(x_j), kept as the
-    integer pair (numerator, denominator) that a probability is
-    cross-multiplied with; R_t(k) is read from ``structure_function`` at the
-    first positive-weight prefix of each (t, k).  The walk generates valid
-    times, so it builds each prefix with the unchecked ``_profile`` and
-    reads w from the weight's ``weighted_compositions``.
+    function is called once per event.  Both probabilities are compared
+    with the formula, and with each other, at every event.  The formula
+    value of an event with prefix x is R_t(k) * w / L**(t+1),
+    w = prod L * a(x_j), kept as the integer pair (numerator, denominator)
+    that a probability is cross-multiplied with; R_t(k) is read from
+    ``structure_function`` at the first positive-weight prefix of each
+    (t, k).  The walk generates valid times, so it builds each prefix with
+    the unchecked ``_profile`` and reads w from ``weighted_compositions``.
     """
     a, horizon = p.weight, p.horizon
     by_gaps = by_times = None
@@ -435,17 +437,13 @@ def _arrival_walk(p: FiniteProcess) -> tuple[str | None, str | None]:
             gaps = (times[0], *map(operator.sub, times[1:], times))
             gap_law = interarrival_event_probability(p, gaps)
             time_law = arrival_event_probability(p, times)
-            miss = gap_law.numerator * den != num * gap_law.denominator
-            if by_gaps is None and miss:
+            if by_gaps is None and gap_law.numerator * den != num * gap_law.denominator:
                 by_gaps = f"gaps {gaps}"
-            # both lookups read one stored value, so the time law is compared
-            # again only when it is another object
-            if time_law is not gap_law:
-                miss = time_law.numerator * den != num * time_law.denominator
-            if by_times is None and miss:
-                by_times = f"times {times}"
-            elif by_times is None and gap_law is not time_law and gap_law != time_law:
-                by_times = f"times {times} vs gaps {list(gaps)}"
+            if by_times is None:
+                if time_law.numerator * den != num * time_law.denominator:
+                    by_times = f"times {times}"
+                elif gap_law != time_law:
+                    by_times = f"times {times} vs gaps {list(gaps)}"
             if by_gaps and by_times:
                 return by_gaps, by_times
     return by_gaps, by_times
@@ -466,13 +464,13 @@ def transition_probability(p: FiniteProcess, t: int, k: int, i: int) -> Fraction
     check_int(i, "jump amount", 0)
     check_int(k, "count", 0)
     cap = p.count_cap
-    den, masses, _ = _counts(p, t)
+    den, masses, _, _ = _counts(p, t)
     here = masses[k] if k <= cap else 0
     if here == 0:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
     if i > p.weight.x_max or k + i > cap:
         return ZERO
-    next_den, next_masses, _ = _counts(p, t + 1)
+    next_den, next_masses, _, _ = _counts(p, t + 1)
     there = next_masses[k + i]
     if there == 0:
         return ZERO
@@ -510,9 +508,9 @@ def _structure_mismatch(p: FiniteProcess) -> str | None:
     a = p.weight
     cap = p.count_cap
     support = a.support()
-    prev_den, prev_masses, _ = _counts(p, 0)
+    prev_den, prev_masses, _, _ = _counts(p, 0)
     for t in range(1, p.horizon + 1):
-        den, masses, _ = _counts(p, t)
+        den, masses, _, _ = _counts(p, t)
         here, there = _power_row(a, t), _power_row(a, t + 1)
         for k in range(cap + 1):
             c_here = here[k]
@@ -544,13 +542,13 @@ def _markov_mismatch(p: FiniteProcess) -> str | None:
     ``Fraction`` is made only for the witness of a failing row.
     """
     for t in range(p.horizon):
-        den, masses, _ = _counts(p, t)
-        fine_den, _, groups = _counts(p, t + 1)
+        den, masses, _, _ = _counts(p, t)
+        fine_den, _, prefixes, totals = _counts(p, t + 1)
         cells: dict[tuple[int, int], int] = {}
-        for total, group in groups.items():
-            for prefix, m in group.items():
+        for total, group in totals.items():
+            for prefix in group:
                 key = (total - prefix[-1], prefix[-1])
-                cells[key] = cells.get(key, 0) + m
+                cells[key] = cells.get(key, 0) + prefixes[prefix]
         for k, mass in enumerate(masses):
             if not mass:
                 continue

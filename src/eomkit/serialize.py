@@ -110,23 +110,29 @@ def _values(values, what: str) -> tuple[Fraction, ...]:
 def weight_from_spec(spec, x_max: int) -> WeightFunction:
     """Build a weight table from a builtin name, a value list, or a document.
 
-    Builtin names are padded out to ``x_max``; explicit value lists are taken
-    as given (and must already reach any occupancy the caller will query).
-    Any other spec is a ValueError.
+    Builtin names are padded out to ``x_max``.  An explicit value list is
+    validated whole, then cut to 0..x_max if it is positive there: no caller
+    reads past x_max (a model's r, a process's largest total), and the rest
+    would only lengthen the normalizer rows.  A list with no positive value
+    there is taken as given.  Any other spec is a ValueError.
     """
     if isinstance(spec, str):
         return builtin_weight(spec, x_max)
+    kind = None
     if isinstance(spec, dict):
         try:
-            values = spec["values"]
+            spec, kind = spec["values"], spec.get("kind")
         except KeyError:
             raise ValueError("weight document needs a values field") from None
-        return WeightFunction(_values(values, "weight values"), kind=spec.get("kind"))
-    if isinstance(spec, (list, tuple)):
-        return WeightFunction(_values(spec, "weight values"))
-    raise ValueError(
-        f"weight spec must be a builtin name, a value list or a document, got {spec!r}"
-    )
+    elif not isinstance(spec, (list, tuple)):
+        raise ValueError(
+            f"weight spec must be a builtin name, a value list or a document, got {spec!r}"
+        )
+    values = _values(spec, "weight values")
+    head = values[: x_max + 1]
+    if min(values, default=0) >= 0 and any(head):
+        values = head
+    return WeightFunction(values, kind=kind)
 
 
 def process_from_doc(doc: dict) -> FiniteProcess:

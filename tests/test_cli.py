@@ -360,6 +360,36 @@ def test_verify_over_the_budget_exits_2_at_once(suite, bound, total):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--spec", "{}"],
+        ["model", "--weight", "@{}", "--n", "2", "--r", "1"],
+        ["transform", "--op", "k1", "--input", "{}"],
+    ],
+)
+def test_deeply_nested_json_exits_2(argv, tmp_path):
+    # the parser recurses once per level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli(*(arg.format(path) for arg in argv))
+    assert_one_line_error(proc, f"JSON in {path} is nested too deeply")
+    assert proc.stdout == ""
+
+
+def test_a_long_weight_list_prints_as_its_head(tmp_path):
+    # a model with r particles reads a(0..r); convolving the normalizer rows
+    # over the whole list took seconds per few thousand values
+    head, whole = tmp_path / "head.json", tmp_path / "whole.json"
+    head.write_text(json.dumps([1, 1]))
+    whole.write_text(json.dumps([1] * 30_000))
+    argv = ["model", "--n", "2", "--r", "1", "--weight"]
+    expected = run_cli(*argv, f"@{head}", check=True).stdout
+    start = time.perf_counter()
+    assert run_cli(*argv, f"@{whole}", check=True).stdout == expected
+    assert time.perf_counter() - start < 10
+
+
 def test_sample_malformed_weight_spec_exits_2(tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps({"n": 2, "r": 1, "weight": 5}))

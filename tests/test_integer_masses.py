@@ -232,10 +232,23 @@ def test_from_masses_validates_like_the_fraction_constructor():
         build(2, 2, 0, {})
 
 
-def test_length_and_keys_do_not_build_the_fraction_view():
+def test_the_masses_are_the_only_copy_of_a_table():
     d = weight_model(WeightFunction((F(1), F(1, 2), F(1, 6))), 3, 2)
+    assert FractionTable.__slots__ == ("denominator", "masses")
     assert len(d.table) == 6 and (0, 1, 1) in d.table
     assert sorted(d.table) == enumerate_compositions(3, 2)
-    assert d.table._fractions is None
     assert d.table[(0, 1, 1)] == F(1, 5)  # (1/4) / (3/6 + 3/4)
-    assert d.table._fractions is not None
+    for key in d.table:
+        assert d.table[key] == F(d.table.masses[key], d.table.denominator)
+
+
+@settings(max_examples=100, deadline=None)
+@given(models())
+def test_the_mapping_view_equals_the_fractions_of_the_masses(model):
+    table = model[0].table
+    view = {key: F(m, table.denominator) for key, m in table.masses.items()}
+    assert table == view and view == table
+    assert dict(table.items()) == view and list(table.values()) == list(view.values())
+    assert all(table.get(key) == value for key, value in view.items())
+    assert table.get((-1,)) is None and table.get((-1,), F(0)) == 0
+    assert repr(table) == repr(view)

@@ -420,6 +420,20 @@ def test_cached_laws_match_sums_over_joint(p, counts_last):
     assert p == FiniteProcess(p.weight, p.horizon, dict(p.joint))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(arbitrary_processes(), built_processes()))
+def test_the_count_record_indexes_the_marginal_itself(p):
+    # every path is its own prefix, and the record keeps no second copy of
+    # the prefix masses, only the prefixes of each total
+    assert p.marginal(p.horizon) is p.joint
+    for t in range(p.horizon + 1):
+        marginal = p.marginal(t)
+        den, masses, prefixes, totals = process._counts(p, t)
+        assert prefixes is marginal.masses and den == marginal.denominator
+        assert sorted(x for group in totals.values() for x in group) == sorted(marginal)
+        assert all(sum(x) == k and masses[k] for k, group in totals.items() for x in group)
+
+
 @settings(max_examples=30, deadline=None)
 @given(arbitrary_processes())
 def test_mutating_a_count_law_leaves_the_cache_intact(p):

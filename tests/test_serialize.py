@@ -101,6 +101,23 @@ def test_weight_doc_and_spec():
             serialize.weight_from_spec(spec, 2)
 
 
+def test_a_value_list_is_cut_to_the_occupancies_read():
+    assert serialize.weight_from_spec(["1"] * 100_000, 1).x_max == 1
+    cut = serialize.weight_from_spec({"values": ["0", "1/2", "1", "3"], "kind": "x"}, 1)
+    assert (cut.values, cut.kind) == ((F(0), F(1, 2)), "x")
+    # no positive value on 0..x_max: kept whole, as are lists too short
+    assert serialize.weight_from_spec(["0", "0", "1/2", "1"], 1).x_max == 3
+    assert serialize.weight_from_spec(["1", "1"], 5).x_max == 1
+    # the whole list is validated before it is cut
+    for spec, text in (
+        (["1", "1", "-1"], "weights must be nonnegative"),
+        (["1", "1", "1/0"], "zero denominator in '1/0'"),
+        (["1", "1", "x"], "Invalid literal for Fraction: 'x'"),
+    ):
+        with pytest.raises(ValueError, match=text):
+            serialize.weight_from_spec(spec, 1)
+
+
 def test_process_doc():
     doc = {"weight": "be", "horizon": 1, "terminal_law": ["1/3", "1/3", "1/3"]}
     p = serialize.process_from_doc(doc)
