@@ -357,7 +357,8 @@ def _event_probability(p: FiniteProcess, values, gaps: bool) -> Fraction:
         profile = _profile(times)
     except TypeError:
         raise ValueError(f"arrival times must be integers, got {times}") from None
-    return p.marginal(len(profile) - 1).get(profile, ZERO)
+    t = len(profile) - 1
+    return (p.joint if t == p.horizon else p.marginal(t)).get(profile, ZERO)
 
 
 def _profile(times) -> JumpPath:
@@ -406,11 +407,12 @@ def _arrival_walk(p: FiniteProcess) -> tuple[str | None, str | None]:
     Prefix sums map the k-tuples of gaps summing to at most M one-to-one
     onto the nondecreasing k-tuples of times in 0..M, keeping lexicographic
     order, so each event is walked once for both formulas, and each event
-    function is called once per event.  Both probabilities are compared
-    with the formula, and with each other, at every event.  The formula
-    value of an event with prefix x is R_t(k) * w / L**(t+1),
-    w = prod L * a(x_j), kept as the integer pair (numerator, denominator)
-    that a probability is cross-multiplied with; R_t(k) is read from
+    function is called once per event.  The formula value of an event
+    with prefix x is R_t(k) * w / L**(t+1), w = prod L * a(x_j), kept as
+    the integer pair (numerator, denominator) that a probability is
+    cross-multiplied with, so each event costs two comparisons: where the
+    arrival probability meets the formula, the two probabilities differ
+    exactly when the gap probability misses it.  R_t(k) is read from
     ``structure_function`` at the first positive-weight prefix of each
     (t, k).  The walk generates valid times, so it builds each prefix with
     the unchecked ``_profile`` and reads w from ``weighted_compositions``.
@@ -437,12 +439,13 @@ def _arrival_walk(p: FiniteProcess) -> tuple[str | None, str | None]:
             gaps = (times[0], *map(operator.sub, times[1:], times))
             gap_law = interarrival_event_probability(p, gaps)
             time_law = arrival_event_probability(p, times)
-            if by_gaps is None and gap_law.numerator * den != num * gap_law.denominator:
+            gap_ok = gap_law.numerator * den == num * gap_law.denominator
+            if by_gaps is None and not gap_ok:
                 by_gaps = f"gaps {gaps}"
             if by_times is None:
                 if time_law.numerator * den != num * time_law.denominator:
                     by_times = f"times {times}"
-                elif gap_law != time_law:
+                elif not gap_ok:
                     by_times = f"times {times} vs gaps {list(gaps)}"
             if by_gaps and by_times:
                 return by_gaps, by_times
@@ -453,38 +456,46 @@ def transition_probability(p: FiniteProcess, t: int, k: int, i: int) -> Fraction
     """P{N_{t+1} = k + i | N_t = k} via the structure-function form.
 
     Equals a(i) * R_{t+1}(k+i) / R_t(k); returns 0 outright when the target
-    count is unreachable.  With R_t(k) = M_t(k) * L**(t+1) / (D_t *
-    C'_{t+1}(k)) (see ``structure_function``) the powers of L cancel,
-    leaving one Fraction of integers:
-    L * a(i) * M_{t+1}(k+i) * D_t * C'_{t+1}(k) over
-    D_{t+1} * C'_{t+2}(k+i) * M_t(k).  A zero normalizer raises as
-    ``structure_function`` does, for the target count first.
+    count is unreachable.  After the argument checks, one Fraction of
+    ``_transition_step``; i > x_max is past the cap, as cap <= x_max.
     """
     _check_time(t, p.horizon - 1, "transition time")
     check_int(i, "jump amount", 0)
     check_int(k, "count", 0)
-    cap = p.count_cap
-    den, masses, _, _ = _counts(p, t)
-    here = masses[k] if k <= cap else 0
-    if here == 0:
+    here = _counts(p, t)
+    if k > p.count_cap or here[1][k] == 0:
         raise ConditioningError(f"count {k} at time {t} has probability zero")
-    if i > p.weight.x_max or k + i > cap:
+    if k + i > p.count_cap:
         return ZERO
-    next_den, next_masses, _, _ = _counts(p, t + 1)
-    there = next_masses[k + i]
-    if there == 0:
-        return ZERO
-    # k + i <= cap <= x_max: the normalizer rows are read unchecked
     a = p.weight
-    c_there = _power_row(a, t + 2)[k + i]
+    row, next_row = _power_row(a, t + 1), _power_row(a, t + 2)
+    there = _counts(p, t + 1)
+    return Fraction(*_transition_step(a, t, k, i, here, row, there, next_row))
+
+
+def _transition_step(
+    a: WeightFunction, t: int, k: int, i: int, here, row, there, next_row
+) -> tuple[int, int]:
+    """Unchecked (numerator, denominator > 0) of P{N_{t+1} = k + i | N_t = k}.
+
+    ``here``, ``there`` are the count records of t, t + 1 and ``row``,
+    ``next_row`` the normalizer rows C'_{t+1}, C'_{t+2}; M_t(k) > 0 and
+    k + i <= cap.  As R_t(k) = M_t(k) * L**(t+1) / (D_t * C'_{t+1}(k)) (see
+    ``structure_function``), the step is L * a(i) * M_{t+1}(k+i) * D_t *
+    C'_{t+1}(k) over D_{t+1} * C'_{t+2}(k+i) * M_t(k), or (0, 1) when
+    M_{t+1}(k+i) = 0.  A zero normalizer raises as ``structure_function``
+    does, for the target count first.
+    """
+    mass = there[1][k + i]
+    if mass == 0:
+        return 0, 1
+    c_there = next_row[k + i]
     if c_there == 0:
         raise _undefined_structure(t + 1, k + i)
-    c_here = _power_row(a, t + 1)[k]
+    c_here = row[k]
     if c_here == 0:
         raise _undefined_structure(t, k)
-    return Fraction(
-        a.scaled[i] * there * den * c_here, next_den * c_there * here
-    )
+    return a.scaled[i] * mass * here[0] * c_here, there[0] * c_there * here[1][k]
 
 
 def check_structure_recursion(p: FiniteProcess) -> bool:
@@ -533,35 +544,39 @@ def _markov_mismatch(p: FiniteProcess) -> str | None:
     """First transition step of ``p`` that misses its cell of the joint, or
     first row of steps that does not sum to 1.
 
-    From the count record of t + 1 (see ``_counts``), the masses of
-    P{N_t = k, J_{t+1} = i} over D_{t+1} are summed for every cell in one
-    pass; with the count mass M_t(k) over D_t, each step must equal
-    cell(k, i) * D_t / (D_{t+1} * M_t(k)).  Once every step of a row equals
-    its cell, the row sums to 1 exactly when its cells sum to
+    Per t, one pass over the count record of t + 1 (see ``_counts``) sums
+    the masses of P{N_t = k, J_{t+1} = i} over D_{t+1} for every cell
+    (k, i), k + i <= cap.  With the count mass M_t(k) over D_t, each step,
+    the integer pair of ``_transition_step``, must equal
+    cell(k, i) * D_t / (D_{t+1} * M_t(k)), cross-multiplied; each count
+    record and normalizer row is read once per t.  Once every step of a row
+    equals its cell, the row sums to 1 exactly when its cells sum to
     D_{t+1} * M_t(k) / D_t, so the sum is decided on integers; a
     ``Fraction`` is made only for the witness of a failing row.
     """
+    a = p.weight
+    here, row = _counts(p, 0), _power_row(a, 1)
     for t in range(p.horizon):
-        den, masses, _, _ = _counts(p, t)
-        fine_den, _, prefixes, totals = _counts(p, t + 1)
-        cells: dict[tuple[int, int], int] = {}
+        there, next_row = _counts(p, t + 1), _power_row(a, t + 2)
+        den, masses, _, _ = here
+        fine_den, _, prefixes, totals = there
+        cells = [[0] * (len(masses) - k) for k in range(len(masses))]
         for total, group in totals.items():
             for prefix in group:
-                key = (total - prefix[-1], prefix[-1])
-                cells[key] = cells.get(key, 0) + prefixes[prefix]
+                i = prefix[-1]
+                cells[total - i][i] += prefixes[prefix]
         for k, mass in enumerate(masses):
             if not mass:
                 continue
             scale = fine_den * mass
-            row = 0
-            for i in range(p.count_cap - k + 1):
-                step = transition_probability(p, t, k, i)
-                cell = cells.get((k, i), 0)
-                if step.numerator * scale != cell * den * step.denominator:
+            for i, cell in enumerate(cells[k]):
+                num, step_den = _transition_step(a, t, k, i, here, row, there, next_row)
+                if num * scale != cell * den * step_den:
                     return f"(t,k,i)=({t},{k},{i})"
-                row += cell
-            if row * den != scale:
-                return f"row (t,k)=({t},{k}) sums to {Fraction(row * den, scale)}"
+            row_sum = sum(cells[k])
+            if row_sum * den != scale:
+                return f"row (t,k)=({t},{k}) sums to {Fraction(row_sum * den, scale)}"
+        here, row = there, next_row
     return None
 
 

@@ -111,10 +111,10 @@ def weight_from_spec(spec, x_max: int) -> WeightFunction:
     """Build a weight table from a builtin name, a value list, or a document.
 
     Builtin names are padded out to ``x_max``.  An explicit value list is
-    validated whole, then cut to 0..x_max if it is positive there: no caller
-    reads past x_max (a model's r, a process's largest total), and the rest
-    would only lengthen the normalizer rows.  A list with no positive value
-    there is taken as given.  Any other spec is a ValueError.
+    validated whole, then cut to 0..max(x_max, i0), i0 its first positive
+    index: no caller reads past x_max (a model's r, a process's largest
+    total), and the rest would only lengthen the normalizer rows.  A list
+    with no positive value is taken as given.  Any other spec is a ValueError.
     """
     if isinstance(spec, str):
         return builtin_weight(spec, x_max)
@@ -129,9 +129,9 @@ def weight_from_spec(spec, x_max: int) -> WeightFunction:
             f"weight spec must be a builtin name, a value list or a document, got {spec!r}"
         )
     values = _values(spec, "weight values")
-    head = values[: x_max + 1]
-    if min(values, default=0) >= 0 and any(head):
-        values = head
+    first = next((i for i, v in enumerate(values) if v), None)
+    if min(values, default=0) >= 0 and first is not None:
+        values = values[: max(x_max, first) + 1]
     return WeightFunction(values, kind=kind)
 
 

@@ -68,6 +68,21 @@ def test_model_budget_charged_before_normalizer():
     assert elapsed < 2, f"budget error took {elapsed:.2f} s"
 
 
+def test_weight_list_without_mass_on_the_occupancies_fails_fast(tmp_path):
+    # [0, 0] and then 8,000 ones: cut just after its first positive value,
+    # the list is not convolved whole before the empty model is reported
+    spec = tmp_path / "w.json"
+    spec.write_text(json.dumps([0, 0] + [1] * 8000))
+    start = time.perf_counter()
+    proc = run_cli("model", "--weight", f"@{spec}", "--n", "2", "--r", "1")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: weight table has zero total mass over 2 cells and 1 particles\n"
+    )
+    assert elapsed < 2, f"error took {elapsed:.2f} s"
+
+
 def test_model_budget_counts_cells_of_a_single_composition():
     # one composition of 0 particles, but 30 million cells to write
     start = time.perf_counter()

@@ -88,10 +88,12 @@ def test_every_top_level_import_is_used():
 
 
 #: private storage names and the only modules that may name them: the count
-#: record of a process, and the expansion of an orbit into its reorderings
-#: (``ExactTable.orbits`` and ``from_orbits`` are the view the rest reads)
+#: record of a process and the unchecked step core that reads it, and the
+#: expansion of an orbit into its reorderings (``ExactTable.orbits`` and
+#: ``from_orbits`` are the view the rest reads)
 BOUNDARIES = {
     "_counts": {"process.py"},
+    "_transition_step": {"process.py"},
     "distinct_permutations": {"combinat.py", "models.py"},
 }
 

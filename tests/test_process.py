@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import fraction_oracles as oracle
@@ -873,3 +874,51 @@ def test_arrival_walk_reads_each_case_once(monkeypatch):
         ] == events
         pairs = calls["structure_function"]
         assert pairs and len(set(pairs)) == len(pairs)
+
+
+def test_markov_check_reads_each_record_at_most_twice_per_time(monkeypatch):
+    """Over ``theorem_suite(0, 2)``, each process's Markov check calls
+    neither ``transition_probability`` nor ``structure_function``, and reads
+    the count record and the normalizer row of each t at most twice."""
+    checks = []  # (process, Counter of (name, t) read during its check)
+    current = None
+
+    def markov(real):
+        def checked(p):
+            nonlocal current
+            current = Counter()
+            checks.append((p, current))
+            try:
+                return real(p)
+            finally:
+                current = None
+
+        return checked
+
+    def spy(name, time_of):
+        real = getattr(process, name)
+
+        def counted(*args):
+            if current is not None:
+                current[name, time_of(*args)] += 1
+            return real(*args)
+
+        return counted
+
+    spies = {
+        "_counts": lambda p, t: t,
+        "_power_row": lambda a, n: n - 1,  # the row C'_{t+1} of time t
+        "transition_probability": lambda p, t, k, i: t,
+        "structure_function": lambda p, t, k: t,
+    }
+    for name, time_of in spies.items():
+        monkeypatch.setattr(process, name, spy(name, time_of))
+    monkeypatch.setattr(verify, "_markov_mismatch", markov(verify._markov_mismatch))
+    assert verify.theorem_suite(0, 2).passed
+    assert len(checks) == 27
+    for p, reads in checks:
+        assert {name for name, _ in reads} == {"_counts", "_power_row"}
+        for name in ("_counts", "_power_row"):
+            per_time = {t: n for (read, t), n in reads.items() if read == name}
+            assert sorted(per_time) == list(range(p.horizon + 1))
+            assert max(per_time.values()) <= 2

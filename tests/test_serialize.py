@@ -105,9 +105,16 @@ def test_a_value_list_is_cut_to_the_occupancies_read():
     assert serialize.weight_from_spec(["1"] * 100_000, 1).x_max == 1
     cut = serialize.weight_from_spec({"values": ["0", "1/2", "1", "3"], "kind": "x"}, 1)
     assert (cut.values, cut.kind) == ((F(0), F(1, 2)), "x")
-    # no positive value on 0..x_max: kept whole, as are lists too short
-    assert serialize.weight_from_spec(["0", "0", "1/2", "1"], 1).x_max == 3
+    # no positive value on 0..x_max: cut just after the first positive one
+    assert serialize.weight_from_spec(["0", "0", "1/2", "1"], 1).x_max == 2
+    long = serialize.weight_from_spec(["0", "0"] + ["1"] * 8000, 1)
+    assert long.values == (F(0), F(0), F(1))
+    # lists too short are kept whole, and a list with no positive value
+    # is rejected whole
+    assert serialize.weight_from_spec(["0", "0", "0", "1"], 5).x_max == 3
     assert serialize.weight_from_spec(["1", "1"], 5).x_max == 1
+    with pytest.raises(ValueError, match="positive somewhere"):
+        serialize.weight_from_spec(["0"] * 10, 1)
     # the whole list is validated before it is cut
     for spec, text in (
         (["1", "1", "-1"], "weights must be nonnegative"),
