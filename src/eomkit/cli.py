@@ -21,9 +21,10 @@ from .models import (
     label_distribution,
     masses_of,
     order_statistics_distribution,
-    sample_exact,
+    sample_model,
     weight_model,
 )
+from .process import sample_paths
 from .transforms import condition_on_partial_sum, drop_particle, erase_cell, model_label_marginal
 from .verify import run_suite
 
@@ -133,9 +134,9 @@ def _cmd_sample(args) -> int:
         raise ValueError("sample spec must be a JSON object")
     rng = random.Random(args.seed)
     if "horizon" in doc:
-        p = serialize.process_from_doc(doc)
-        rows = sample_exact(p.joint, rng, args.paths)
-        serialize.write_csv(sys.stdout, serialize.path_header(p.horizon), rows)
+        a, horizon, pi = serialize.process_spec_from_doc(doc)
+        rows = sample_paths(a, horizon, pi, rng, args.paths)
+        serialize.write_csv(sys.stdout, serialize.path_header(horizon), rows)
     else:
         try:
             n, r = serialize.int_field(doc, "n"), serialize.int_field(doc, "r")
@@ -145,8 +146,7 @@ def _cmd_sample(args) -> int:
                 "sample spec needs either horizon/terminal_law/weight or n/r/weight"
             ) from None
         check_space(n, r)
-        d = weight_model(serialize.weight_from_spec(weight_spec, r), n, r)
-        rows = sample_exact(d.table, rng, args.paths)
+        rows = sample_model(serialize.weight_from_spec(weight_spec, r), n, r, rng, args.paths)
         serialize.write_csv(sys.stdout, serialize.composition_header(n), rows)
     return 0
 

@@ -10,6 +10,7 @@ stored exactly, as integer masses over one integer denominator
 import bisect
 import itertools
 import math
+import operator
 import random
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -454,20 +455,39 @@ def normalization_constant(a: WeightFunction, n: int, r: int) -> Fraction:
     return Fraction(scaled_normalizer(a, n, r), a.scale**n)
 
 
-def weight_model(a: WeightFunction, n: int, r: int) -> OccupancyDistribution:
-    """Product-form occupancy model P(x) = prod_j a(x_j) / normalizer.
-
-    Built as the integer masses prod_j L * a(x_j) over the scaled
-    normalizer, which is the same table.
-    """
+def _model_normalizer(a: WeightFunction, n: int, r: int) -> int:
+    """The checks of a product-form model for (n, r), in order, and its
+    scaled normalizer, which they leave positive."""
     combinat.check_composition_budget(n, r)
     c = scaled_normalizer(a, n, r)
     if c == 0:
         raise EmptySupportError(
             f"weight table has zero total mass over {n} cells and {r} particles"
         )
+    return c
+
+
+def weight_model(a: WeightFunction, n: int, r: int) -> OccupancyDistribution:
+    """Product-form occupancy model P(x) = prod_j a(x_j) / normalizer.
+
+    Built as the integer masses prod_j L * a(x_j) over the scaled
+    normalizer, which is the same table.
+    """
+    c = _model_normalizer(a, n, r)
     masses = a.scaled_products(combinat.enumerate_compositions(n, r))
     return OccupancyDistribution.from_masses(n, r, c, masses)
+
+
+def sample_model(
+    a: WeightFunction, n: int, r: int, rng: random.Random, count: int
+) -> Iterator[Composition]:
+    """Draw ``count`` compositions from ``weight_model(a, n, r)``: the rows,
+    and the generator's state after them, of ``sample_exact`` on the
+    model's table, after the same checks in the same order.  The table is
+    listed only when that costs no more than the draws (see
+    ``_product_sampler``)."""
+    _model_normalizer(a, n, r)
+    return _product_sampler(a, n, {r: 1}, rng, count)
 
 
 def is_exchangeable(d: OccupancyDistribution) -> bool:
@@ -601,7 +621,7 @@ def conditional_from_iid(
 
 
 def sample_exact(table, rng: random.Random, count: int) -> Iterator:
-    """Draw ``count`` keys independently from an exact probability table.
+    """Draw ``count`` keys independently from a given exact probability table.
 
     Inversion over the keys in sorted order: each draw is one integer
     uniform ``rng.randrange(denom)``, ``denom`` being the lcm of the
@@ -612,13 +632,151 @@ def sample_exact(table, rng: random.Random, count: int) -> Iterator:
     once per call, and each draw is a bisection into the cumulative masses.
     A table that does not sum to 1 is rejected at the call, before any draw;
     the draws are then made one at a time, as the returned iterator is read.
+
+    This samples the tables that callers hold (``sample``,
+    ``process.sample_path``).  Product-form laws are sampled without their
+    table by ``sample_model`` and ``process.sample_paths``, which draw the
+    stream this function draws from the built table: it is their oracle.
     """
     denom, masses = masses_of(table)
     keys = sorted(masses)
     cum = list(itertools.accumulate(masses[k] for k in keys))
     if not cum or cum[-1] != denom:
         raise AssertionError("probability table does not sum to 1")
+    return _inversion(keys, cum, rng, count)
+
+
+def _inversion(keys, cum: list, rng: random.Random, count: int) -> Iterator:
+    """``count`` draws of ``keys[i]``, i the first index whose cumulative mass
+    ``cum[i]`` exceeds one ``rng.randrange(cum[-1])``: the one draw of
+    ``sample_exact`` and of ``_whole_table``."""
+    denom = cum[-1]
     return (keys[bisect.bisect_right(cum, rng.randrange(denom))] for _ in range(count))
+
+
+def _product_sampler(
+    a: WeightFunction, cells: int, factors: dict, rng: random.Random, count: int
+) -> Iterator[tuple]:
+    """``sample_exact`` on the table of masses f[sum x] * prod_j s(x_j) over
+    the length-``cells`` vectors x, s = ``a.scaled`` and f = ``factors``,
+    listing the table only when that visits no more cells than walking it.
+
+    ``factors`` maps totals in 0..``a.x_max`` to positive ints, and the
+    table must have positive mass.  In lexicographic order the vectors that
+    start with a prefix p of t cells and sum q are one block, of mass
+    prod s(p) * T_{cells-t}(q), with T_c(q) = sum_k f[k] * C'_c(k - q) read
+    from the normalizer rows (``_power_row``).  The blocks of positive mass
+    of the first ``split`` cells are listed, ``split`` being the most cells
+    whose blocks number at most ``count``, and each draw walks the cells
+    past them.  The walk visits about ``cells * (top + 1)**2`` cells for its
+    rows, ``top`` being the largest total, ``cells`` per draw and the cells
+    of the listed prefixes.  Listing the table visits ``cells`` per vector,
+    and when that is no more, the table is listed (``_whole_table``); so it
+    is whenever the draws outnumber its vectors.
+
+    A walked draw makes the one call u = ``rng.randrange(D)`` of
+    ``sample_exact``, D being the total mass over g, the gcd of the masses:
+    the gcd over the listed blocks of prod s(p) * gcd_k f[k] * G_c(k - q),
+    with G_c(k) the gcd of the products of the c-cell vectors of sum k.  The
+    draw finds the listed block that holds V = u * g and then walks the
+    cells past ``split`` one at a time.  In the block of a prefix p, V is
+    kept as (V - the block's start) // prod s(p): every mass under p is a
+    multiple of prod s(p), so this floor compares with the cumulative masses
+    of the next cell's blocks, in units of prod s(p), as V itself does.  So
+    each row, and the generator's state after it, is that of
+    ``sample_exact`` on the built table.
+    """
+    s = a.scaled
+    top = max(factors)
+    listed = cells * sum(math.comb(cells + k - 1, k) for k in factors)
+    walked = cells * ((top + 1) ** 2 + count)
+    if walked >= listed:
+        return _whole_table(a, cells, factors, rng, count)
+    f = [factors.get(k, 0) for k in range(top + 1)]
+    # tails[c][q] = T_c(q), and fans[t][q] the values of cell t that leave
+    # a prefix of sum q with positive mass
+    tails = [
+        [sum(map(operator.mul, row, f[q:])) for q in range(top + 1)]
+        for row in (_power_row(a, c) for c in range(cells + 1))
+    ]
+    fans = [
+        [[v for v in range(top + 1 - q) if s[v] and tail[q + v]] for q in range(top + 1)]
+        for tail in reversed(tails[:cells])
+    ]
+    split, counts = 0, [1] + [0] * top  # the listed blocks per sum
+    while split < cells and walked < listed:
+        wider = [0] * (top + 1)
+        for q, fan in enumerate(fans[split]):
+            for v in fan:
+                wider[q + v] += counts[q]
+        if sum(wider) > count:
+            break
+        split, counts = split + 1, wider
+        walked += split * sum(wider)
+    if walked >= listed:
+        return _whole_table(a, cells, factors, rng, count)
+    blocks = [((), 0, 1)]  # (prefix, its sum, its product)
+    for fan in fans[:split]:
+        blocks = [(p + (v,), q + v, w * s[v]) for p, q, w in blocks for v in fan[q]]
+    _, sums, products = zip(*blocks)
+    masses = list(map(operator.mul, products, map(tails[cells - split].__getitem__, sums)))
+    gcds = [1] + [0] * top  # G_0, then G_c for the c cells past the split
+    for _ in range(cells - split):
+        gcds = [math.gcd(*map(operator.mul, s[: k + 1], gcds[k::-1])) for k in range(top + 1)]
+    heads = [math.gcd(*map(operator.mul, f[q:], gcds)) for q in range(top + 1)]
+    g = math.gcd(*map(operator.mul, products, map(heads.__getitem__, sums)))
+    # per cell past the split, per sum q so far: the cumulative masses of
+    # the next value's blocks, in units of the prefix's product
+    rows = [
+        [[0, *itertools.accumulate(map(operator.mul, s, tail[q:]))] for q in range(top + 1)]
+        for tail in reversed(tails[: cells - split])
+    ]
+    return _walk(blocks, [0, *_cumulative(masses, g)], rows, s, g, rng, count)
+
+
+def _whole_table(
+    a: WeightFunction, cells: int, factors: dict, rng: random.Random, count: int
+) -> Iterator[tuple]:
+    """``_product_sampler``'s draws from its table listed whole: its
+    vectors of positive mass by enumeration, in sorted order, and one
+    ``_inversion`` over their masses in lowest terms."""
+    weigh = a.scaled_product
+    table = [
+        (x, factor * w)
+        for k, factor in factors.items()
+        for x in combinat.enumerate_compositions(cells, k)
+        if (w := weigh(x))
+    ]
+    table.sort()  # the keys are distinct, so no mass is compared
+    keys, masses = zip(*table)
+    return _inversion(keys, _cumulative(masses, math.gcd(*masses)), rng, count)
+
+
+def _cumulative(masses, g: int) -> list:
+    """The running sums of ``masses`` over their common factor ``g``."""
+    return list(itertools.accumulate(map(operator.floordiv, masses, itertools.repeat(g))))
+
+
+def _walk(blocks, starts, rows, s, g: int, rng: random.Random, count: int) -> Iterator[tuple]:
+    """The draws of ``_product_sampler`` past its split, one at a time:
+    ``starts`` are the listed blocks' cumulative masses over g from 0, and
+    ``rows`` the cumulative masses of the next cell's blocks per cell and
+    sum."""
+    bisect_right = bisect.bisect_right
+    denom = starts[-1]
+    for _ in range(count):
+        u = rng.randrange(denom)
+        i = bisect_right(starts, u) - 1
+        prefix, q, w = blocks[i]
+        v = (u - starts[i]) * g // w
+        x = list(prefix)
+        for cell in rows:
+            row = cell[q]
+            j = bisect_right(row, v) - 1
+            v = (v - row[j]) // s[j]
+            x.append(j)
+            q += j
+        yield tuple(x)
 
 
 def sample(d: OccupancyDistribution, rng: random.Random) -> Composition:

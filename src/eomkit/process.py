@@ -21,6 +21,7 @@ import itertools
 import math
 import operator
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from .models import (
     OccupancyDistribution,
     WeightFunction,
     _power_row,
+    _product_sampler,
     checked_masses,
     masses_of,
     normalization_constant,
@@ -139,12 +141,38 @@ def build_process(
 
     ``terminal_law`` is a probability table indexed by total count 0..K.
     Every total with positive probability must be reachable, i.e. have a
-    positive-weight path.
+    positive-weight path.  The joint is the masses of ``_path_scales``.
+    """
+    cells, den, factors = _path_scales(a, horizon, terminal_law)
+    masses: dict[JumpPath, int] = {}
+    for k, factor in factors.items():
+        products = a.weighted_compositions(cells, k)
+        masses.update((path, factor * w) for path, w in products.items() if w)
+    return FiniteProcess.from_masses(a, horizon, den, masses)
+
+
+def sample_paths(
+    a: WeightFunction, horizon: int, terminal_law, rng: random.Random, count: int
+) -> Iterator[JumpPath]:
+    """Draw ``count`` jump paths from ``build_process(a, horizon,
+    terminal_law)``: the rows, and the generator's state after them, of
+    ``sample_exact`` on its joint, after the same checks in the same order.
+    The joint is listed only when that costs no more than the draws (see
+    ``models._product_sampler``)."""
+    cells, _, factors = _path_scales(a, horizon, terminal_law)
+    return _product_sampler(a, cells, factors, rng, count)
+
+
+def _path_scales(a: WeightFunction, horizon: int, terminal_law) -> tuple[int, int, dict]:
+    """(M + 1, den, {k: factor}): the checks of a process for ``a`` and its
+    budget charge, in order, and the integer scale of each total.
 
     A path of total k has probability pi_k * prod_h a(j_h) / C_{M+1}(k)
     = s_k * prod_h L * a(j_h) with s_k = pi_k / (L**(M+1) * C_{M+1}(k)), so
-    the joint is integer masses over the common denominator of the s_k (see
-    ``masses_of``): one Fraction per total, none per path.
+    the joint is the masses factor_k * prod_h L * a(j_h) over den, the
+    common denominator of the s_k (see ``masses_of``): one Fraction per
+    total, none per path.  Only totals with positive probability have a
+    factor, and each factor is positive.
     """
     check_int(horizon, "horizon", 0)
     pi = [Fraction(p) for p in terminal_law]
@@ -166,11 +194,7 @@ def build_process(
             )
         scales[k] = pk / (c * a.scale**cells)
     den, factors = masses_of(scales)
-    masses: dict[JumpPath, int] = {}
-    for k, factor in factors.items():
-        products = a.weighted_compositions(cells, k)
-        masses.update((path, factor * w) for path, w in products.items() if w)
-    return FiniteProcess.from_masses(a, horizon, den, masses)
+    return cells, den, factors
 
 
 def joint_jump_density(p: FiniteProcess, t: int, jumps) -> Fraction:

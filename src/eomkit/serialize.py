@@ -24,7 +24,6 @@ from .models import (
     builtin_weight,
     masses_of,
 )
-from .process import FiniteProcess, build_process
 
 
 #: the largest |exponent| of an exact string such as "1e3": Python's limit on
@@ -135,8 +134,11 @@ def weight_from_spec(spec, x_max: int) -> WeightFunction:
     return WeightFunction(values, kind=kind)
 
 
-def process_from_doc(doc: dict) -> FiniteProcess:
-    """Build a process from {"weight": ..., "horizon": M, "terminal_law": [...]}."""
+def process_spec_from_doc(doc: dict) -> tuple[WeightFunction, int, tuple[Fraction, ...]]:
+    """The (weight, horizon, terminal law) of a process document
+    {"weight": ..., "horizon": M, "terminal_law": [...]}, the arguments of
+    ``process.build_process`` and ``process.sample_paths``, which check
+    them further."""
     try:
         weight_spec = doc["weight"]
         horizon = int_field(doc, "horizon")
@@ -147,8 +149,7 @@ def process_from_doc(doc: dict) -> FiniteProcess:
         ) from None
     pi = _values(terminal, "terminal_law")
     cap = len(pi) - 1
-    a = weight_from_spec(weight_spec, max(cap, 0))
-    return build_process(a, horizon, pi)
+    return weight_from_spec(weight_spec, max(cap, 0)), horizon, pi
 
 
 #: JSON text of the scalars that fill a row; the exact types, so that

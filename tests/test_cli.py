@@ -462,6 +462,41 @@ def test_sample_zero_paths_prints_header_only(tmp_path):
     assert proc.stdout == "x1,x2\n"
 
 
+def test_sample_past_its_draws_builds_no_table(tmp_path, monkeypatch, capsys):
+    # 50,388 compositions and 12,870 paths, 5 draws from each: the rows are
+    # those of the built tables, but no table is listed, weighed or sorted
+    from eomkit import cli, combinat, models, process
+
+    specs = {
+        "model": {"weight": "mb", "n": 8, "r": 12},
+        "process": {"weight": "pc:2", "horizon": 7, "terminal_law": ["1/9"] * 9},
+    }
+
+    def refuse(*args):
+        raise AssertionError("sample built a table")
+
+    builders = ("enumerate_compositions", "weight_model", "build_process", "sample_exact")
+    rows = {}
+    with monkeypatch.context() as patch:
+        for module in (cli, combinat, models, process, serialize):
+            for name in builders:
+                if hasattr(module, name):
+                    patch.setattr(module, name, refuse)
+        for kind, spec in specs.items():
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(spec))
+            assert cli.main(["sample", "--spec", str(path), "--paths", "5", "--seed", "2"]) == 0
+            rows[kind] = capsys.readouterr().out.splitlines()[1:]
+    paths = process.build_process(*serialize.process_spec_from_doc(specs["process"]))
+    tables = {
+        "model": weight_model(serialize.weight_from_spec("mb", 12), 8, 12).table,
+        "process": paths.joint,
+    }
+    for kind, table in tables.items():
+        drawn = models.sample_exact(table, random.Random(2), 5)
+        assert rows[kind] == [",".join(map(str, row)) for row in drawn]
+
+
 def test_model_labels_many_particles_completes():
     # 2**11 label vectors; the multiset permutations must not cost 11!
     proc = run_cli(

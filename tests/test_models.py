@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eomkit import combinat
@@ -27,6 +27,7 @@ from eomkit.models import (
     order_statistics_distribution,
     sample,
     sample_exact,
+    sample_model,
     weight_model,
     weight_model_label_density,
 )
@@ -596,10 +597,67 @@ class CountingRandom(random.Random):
         return super().randrange(*args)
 
 
-def test_sample_exact_draws_as_the_rows_are_read():
-    d = weight_model(builtin_weight("mb", 3), 3, 3)
+@pytest.mark.parametrize(
+    "draw_rows",
+    [
+        lambda a, rng, count: sample_exact(weight_model(a, 6, 3).table, rng, count),
+        lambda a, rng, count: sample_model(a, 6, 3, rng, count),
+    ],
+    ids=["table", "product"],
+)
+@pytest.mark.parametrize("count", [1000, 4])
+def test_draws_are_made_as_the_rows_are_read(draw_rows, count):
+    # 1000 draws read the whole table of 56 compositions; 4 walk past a split
+    a = builtin_weight("mb", 3)
     rng = CountingRandom(5)
-    rows = sample_exact(d.table, rng, 1000)
+    rows = draw_rows(a, rng, count)
     assert rng.calls == 0
-    assert next(rows) == sample(d, random.Random(5))
+    assert next(rows) == sample(weight_model(a, 6, 3), random.Random(5))
     assert rng.calls == 1
+
+
+def stream_or_error(draw_rows, seed):
+    """The rows of ``draw_rows(rng)`` and the generator's state after them,
+    or the type and text of the exception the call raised."""
+    rng = random.Random(seed)
+    try:
+        rows = list(draw_rows(rng))
+    except (ValueError, BudgetExceededError, EmptySupportError) as exc:
+        return type(exc), str(exc)
+    return rows, rng.getstate()
+
+
+def draw_counts(draw, size):
+    """Far below, below, at or above ``size`` entries: the sampler walks past
+    a split of the table or lists the whole of it by how the draws compare
+    with the entries."""
+    below = st.one_of(st.integers(0, size // 4), st.integers(0, size))
+    return draw(st.one_of(below, st.sampled_from([size, size + 1])))
+
+
+@st.composite
+def product_models(draw):
+    """(a, n, r, count): weights with zeros and gaps, half of them multiples
+    of a shared factor, that sometimes stop short of r (the builder refuses
+    those, as it refuses a model of zero mass), with n = 1 included."""
+    n, r = draw(st.integers(1, 8)), draw(st.integers(0, 6))
+    shared = draw(st.sampled_from([1, 1, 2, 6]))
+    values = st.builds(F, st.integers(0, 4).map(shared.__mul__), st.integers(1, 3))
+    length = r + 1 - (r and draw(st.integers(0, 5)) == 0)
+    weights = draw(st.lists(values, min_size=length, max_size=length).filter(any))
+    return WeightFunction(tuple(weights)), n, r, draw_counts(draw, math.comb(n + r - 1, r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_models(), st.integers(0, 2**32))
+@example((builtin_weight("mb", 5), 4, 5, 9), 0)  # mb masses share large factors
+@example((builtin_weight("fd", 3), 2, 3, 1), 0)  # a model of zero mass
+@example((builtin_weight("be", 2), 30_000_000, 2, 1), 0)  # past the budget
+@example((builtin_weight("be", 2), 0, 2, 1), 0)  # no cells
+def test_sample_model_draws_the_stream_of_the_built_table(case, seed):
+    a, n, r, count = case
+    drawn = stream_or_error(lambda rng: sample_model(a, n, r, rng, count), seed)
+    built = stream_or_error(
+        lambda rng: sample_exact(weight_model(a, n, r).table, rng, count), seed
+    )
+    assert drawn == built

@@ -25,6 +25,15 @@ from eomkit.models import WeightFunction, builtin_weight
 WEIGHT_FILE = {"values": ["3/7", "0", "5/2", "1/9", "2", "4/3"]}
 MODEL_SPEC = {"weight": "mb", "n": 4, "r": 5}
 PROCESS_SPEC = {"weight": "pc:2", "horizon": 3, "terminal_law": ["1/6", "1/3", "0", "1/2"]}
+#: specs with far more table entries than the draws pinned below (6,435
+#: and 252 compositions, the second under the gapped weight, and 3,003
+#: paths): their streams are walked past a split of the table, where the
+#: two specs above are drawn from the whole table
+WALK_SPECS = {
+    "walk_model.json": {"weight": "mb", "n": 8, "r": 8},
+    "walk_gapped.json": {"weight": WEIGHT_FILE, "n": 6, "r": 5},
+    "walk_process.json": {"weight": "pc:2", "horizon": 5, "terminal_law": ["1/9"] * 9},
+}
 
 DIGESTS = {
     ("model", "--weight", "mb", "--n", "3", "--r", "4"):
@@ -63,6 +72,12 @@ DIGESTS = {
         "b550cb671aac482b17f73075e5ee11864d3080fb97f8fb219b25ae63354c8b84",
     ("sample", "--spec", "process.json", "--paths", "300", "--seed", "5"):
         "fd1eb8829966467a39633c56f1d2797397b48f5bbfbac2859a709919314301ea",
+    ("sample", "--spec", "walk_model.json", "--paths", "20", "--seed", "3"):
+        "b2f5924b742665bd2c9182ce7c7455be12cf8c434c3077744116a1dba3cf0aa6",
+    ("sample", "--spec", "walk_gapped.json", "--paths", "9", "--seed", "3"):
+        "c6a38137fcf8e7f89f16d017a62bb2d1a62fbabff6f6e85bec7e8c0f3421cce8",
+    ("sample", "--spec", "walk_process.json", "--paths", "25", "--seed", "5"):
+        "762e248dfbfa3eda0f89b561e90f08cf184ed5f6d18d300752ee5bf781797bd4",
     ("verify", "--suite", "classic", "--horizon", "2"):
         "d8e35f7330fad5bf5f1a9593abbe1039ff161bbfa4f631bed1a3907ae86a8185",
     ("verify", "--suite", "eom", "--max-n", "3", "--max-r", "3"):
@@ -86,6 +101,8 @@ def workdir(tmp_path_factory):
     (path / "w.json").write_text(json.dumps(WEIGHT_FILE))
     (path / "model.json").write_text(json.dumps(MODEL_SPEC))
     (path / "process.json").write_text(json.dumps(PROCESS_SPEC))
+    for name, spec in WALK_SPECS.items():
+        (path / name).write_text(json.dumps(spec))
     return path
 
 

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import fraction_oracles as oracle
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_models import draw_counts, stream_or_error
 
 from eomkit import combinat, process, verify
 from eomkit.errors import BudgetExceededError, ConditioningError, EmptySupportError
@@ -19,6 +20,7 @@ from eomkit.models import (
     WeightFunction,
     builtin_weight,
     normalization_constant,
+    sample_exact,
     weight_model,
 )
 from eomkit.process import (
@@ -35,6 +37,7 @@ from eomkit.process import (
     interarrival_event_probability,
     joint_jump_density,
     sample_path,
+    sample_paths,
     structure_function,
     terminal_law,
     transition_probability,
@@ -332,6 +335,41 @@ def test_sample_path_determinism(flat_process):
     second = [sample_path(flat_process, rng_b) for _ in range(40)]
     assert first == second
     assert set(first) <= set(flat_process.joint)
+
+
+@st.composite
+def product_processes(draw):
+    """(a, horizon, law, count): weights with zeros and gaps, half of them
+    multiples of a shared factor, and terminal laws with zeros, horizon 0
+    included.  Some weights stop short of the law's last total, some laws
+    are not laws and some horizons are negative: the builder refuses those,
+    as it refuses a law on a total that no positive-weight path reaches."""
+    horizon = draw(st.integers(0, 4)) - (draw(st.integers(0, 9)) == 0)
+    cap = draw(st.integers(0, 5))
+    shared = draw(st.sampled_from([1, 1, 2, 6]))
+    values = st.builds(F, st.integers(0, 4).map(shared.__mul__), st.integers(1, 3))
+    length = cap + 1 - (cap and draw(st.integers(0, 5)) == 0)
+    weights = draw(st.lists(values, min_size=length, max_size=length).filter(any))
+    raw = draw(st.lists(st.integers(0, 3), min_size=cap + 1, max_size=cap + 1).filter(any))
+    law = [F(v, sum(raw)) for v in raw]
+    if draw(st.integers(0, 9)) == 0:
+        law[0] -= F(1, 4)
+    cells = max(horizon + 1, 1)
+    size = sum(math.comb(cells + k - 1, k) for k, p in enumerate(law) if p)
+    return WeightFunction(tuple(weights)), horizon, law, draw_counts(draw, size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_processes(), st.integers(0, 2**32))
+@example((builtin_weight("mb", 4), 2, [F(1, 5)] * 5, 7), 0)  # masses share factors
+@example((builtin_weight("be", 0), combinat.ENUMERATION_BUDGET, [F(1)], 1), 0)  # budget
+def test_sample_paths_draws_the_stream_of_the_built_joint(case, seed):
+    a, horizon, law, count = case
+    drawn = stream_or_error(lambda rng: sample_paths(a, horizon, law, rng, count), seed)
+    built = stream_or_error(
+        lambda rng: sample_exact(build_process(a, horizon, law).joint, rng, count), seed
+    )
+    assert drawn == built
 
 
 @st.composite

@@ -16,7 +16,7 @@ from eomkit.models import (
     masses_of,
     weight_model,
 )
-from eomkit.process import count_distribution
+from eomkit.process import build_process, count_distribution
 
 F = Fraction
 
@@ -125,9 +125,13 @@ def test_a_value_list_is_cut_to_the_occupancies_read():
             serialize.weight_from_spec(spec, 1)
 
 
+def process_from_doc(doc):
+    return build_process(*serialize.process_spec_from_doc(doc))
+
+
 def test_process_doc():
     doc = {"weight": "be", "horizon": 1, "terminal_law": ["1/3", "1/3", "1/3"]}
-    p = serialize.process_from_doc(doc)
+    p = process_from_doc(doc)
     assert p.horizon == 1
     assert count_distribution(p, 1) == {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}
     table_doc = {
@@ -135,15 +139,19 @@ def test_process_doc():
         "horizon": 0,
         "terminal_law": ["1/2", "1/4", "1/4"],
     }
-    q = serialize.process_from_doc(table_doc)
+    q = process_from_doc(table_doc)
     assert q.joint == {(0,): F(1, 2), (1,): F(1, 4), (2,): F(1, 4)}
     with pytest.raises(ValueError):
-        serialize.process_from_doc({"weight": "be"})
+        serialize.process_spec_from_doc({"weight": "be"})
     with pytest.raises(ValueError):
-        serialize.process_from_doc({"weight": "be", "horizon": 1, "terminal_law": 5})
+        serialize.process_spec_from_doc({"weight": "be", "horizon": 1, "terminal_law": 5})
     for horizon in (1.7, True, "1"):
         with pytest.raises(ValueError, match="field 'horizon' must be an integer"):
-            serialize.process_from_doc(dict(doc, horizon=horizon))
+            serialize.process_spec_from_doc(dict(doc, horizon=horizon))
+    # a negative horizon is an int, so the builder refuses it
+    spec = serialize.process_spec_from_doc(dict(doc, horizon=-1))
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        build_process(*spec)
 
 
 def test_csv_formats():
