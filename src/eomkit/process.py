@@ -141,14 +141,9 @@ def build_process(
 
     ``terminal_law`` is a probability table indexed by total count 0..K.
     Every total with positive probability must be reachable, i.e. have a
-    positive-weight path.  The joint is the masses of ``_path_scales``.
+    positive-weight path.
     """
-    cells, den, factors = _path_scales(a, horizon, terminal_law)
-    masses: dict[JumpPath, int] = {}
-    for k, factor in factors.items():
-        products = a.weighted_compositions(cells, k)
-        masses.update((path, factor * w) for path, w in products.items() if w)
-    return FiniteProcess.from_masses(a, horizon, den, masses)
+    return _joint(a, horizon, _path_scales(a, horizon, terminal_law))
 
 
 def sample_paths(
@@ -157,10 +152,12 @@ def sample_paths(
     """Draw ``count`` jump paths from ``build_process(a, horizon,
     terminal_law)``: the rows, and the generator's state after them, of
     ``sample_exact`` on its joint, after the same checks in the same order.
-    The joint is listed only when that costs no more than the draws (see
+    The joint is built only when that costs no more than walking it (see
     ``models._product_sampler``)."""
-    cells, _, factors = _path_scales(a, horizon, terminal_law)
-    return _product_sampler(a, cells, factors, rng, count)
+    scales = cells, _, factors = _path_scales(a, horizon, terminal_law)
+    return _product_sampler(
+        a, cells, factors, rng, count, lambda: _joint(a, horizon, scales).joint
+    )
 
 
 def _path_scales(a: WeightFunction, horizon: int, terminal_law) -> tuple[int, int, dict]:
@@ -195,6 +192,17 @@ def _path_scales(a: WeightFunction, horizon: int, terminal_law) -> tuple[int, in
         scales[k] = pk / (c * a.scale**cells)
     den, factors = masses_of(scales)
     return cells, den, factors
+
+
+def _joint(a: WeightFunction, horizon: int, scales: tuple[int, int, dict]) -> FiniteProcess:
+    """The process of ``_path_scales``'s (M + 1, den, {k: factor}): the
+    masses factor_k * prod_h L * a(j_h) of its paths over den."""
+    cells, den, factors = scales
+    masses: dict[JumpPath, int] = {}
+    for k, factor in factors.items():
+        products = a.weighted_compositions(cells, k)
+        masses.update((path, factor * w) for path, w in products.items() if w)
+    return FiniteProcess.from_masses(a, horizon, den, masses)
 
 
 def joint_jump_density(p: FiniteProcess, t: int, jumps) -> Fraction:

@@ -497,6 +497,54 @@ def test_sample_past_its_draws_builds_no_table(tmp_path, monkeypatch, capsys):
         assert rows[kind] == [",".join(map(str, row)) for row in drawn]
 
 
+def test_sample_with_draws_past_the_positive_entries_builds_the_table(
+    tmp_path, monkeypatch, capsys
+):
+    # fd leaves 56 of 120 compositions and 64 of 924 paths with positive
+    # mass: 100 draws are fewer than the compositions or the paths but
+    # more than the table's entries, so the table is built, as the table
+    # commands build it, and not walked
+    from eomkit import cli, models, process
+
+    specs = {
+        "model": {"weight": "fd", "n": 8, "r": 3},
+        "process": {"weight": "fd", "horizon": 5, "terminal_law": ["1/7"] * 7},
+    }
+    built = []
+
+    def spy(builder):
+        def build(*args):
+            built.append(builder.__name__)
+            return builder(*args)
+
+        return build
+
+    def refuse(*args):
+        raise AssertionError("sample walked the table")
+
+    rows = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "weight_model", spy(models.weight_model))
+        patch.setattr(process, "_joint", spy(process._joint))
+        patch.setattr(models, "_walk", refuse)
+        for kind, spec in specs.items():
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(spec))
+            argv = ["sample", "--spec", str(path), "--paths", "100", "--seed", "4"]
+            assert cli.main(argv) == 0
+            rows[kind] = capsys.readouterr().out.splitlines()[1:]
+    assert built == ["weight_model", "_joint"]
+    paths = process.build_process(*serialize.process_spec_from_doc(specs["process"]))
+    tables = {
+        "model": weight_model(serialize.weight_from_spec("fd", 3), 8, 3).table,
+        "process": paths.joint,
+    }
+    for kind, table in tables.items():
+        assert len(table) < 100
+        drawn = models.sample_exact(table, random.Random(4), 100)
+        assert rows[kind] == [",".join(map(str, row)) for row in drawn]
+
+
 def test_model_labels_many_particles_completes():
     # 2**11 label vectors; the multiset permutations must not cost 11!
     proc = run_cli(

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from stream_oracles import draw_counts, stream_or_error
 
 from eomkit import combinat
 from eomkit.errors import BudgetExceededError, EmptySupportError, NonExchangeableError
@@ -607,32 +608,13 @@ class CountingRandom(random.Random):
 )
 @pytest.mark.parametrize("count", [1000, 4])
 def test_draws_are_made_as_the_rows_are_read(draw_rows, count):
-    # 1000 draws read the whole table of 56 compositions; 4 walk past a split
+    # 1000 draws read the whole table of 56 compositions; 4 walk it cell by cell
     a = builtin_weight("mb", 3)
     rng = CountingRandom(5)
     rows = draw_rows(a, rng, count)
     assert rng.calls == 0
     assert next(rows) == sample(weight_model(a, 6, 3), random.Random(5))
     assert rng.calls == 1
-
-
-def stream_or_error(draw_rows, seed):
-    """The rows of ``draw_rows(rng)`` and the generator's state after them,
-    or the type and text of the exception the call raised."""
-    rng = random.Random(seed)
-    try:
-        rows = list(draw_rows(rng))
-    except (ValueError, BudgetExceededError, EmptySupportError) as exc:
-        return type(exc), str(exc)
-    return rows, rng.getstate()
-
-
-def draw_counts(draw, size):
-    """Far below, below, at or above ``size`` entries: the sampler walks past
-    a split of the table or lists the whole of it by how the draws compare
-    with the entries."""
-    below = st.one_of(st.integers(0, size // 4), st.integers(0, size))
-    return draw(st.one_of(below, st.sampled_from([size, size + 1])))
 
 
 @st.composite

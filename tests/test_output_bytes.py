@@ -27,8 +27,8 @@ MODEL_SPEC = {"weight": "mb", "n": 4, "r": 5}
 PROCESS_SPEC = {"weight": "pc:2", "horizon": 3, "terminal_law": ["1/6", "1/3", "0", "1/2"]}
 #: specs with far more table entries than the draws pinned below (6,435
 #: and 252 compositions, the second under the gapped weight, and 3,003
-#: paths): their streams are walked past a split of the table, where the
-#: two specs above are drawn from the whole table
+#: paths): their streams are walked cell by cell, where the two specs
+#: above are drawn from the built table
 WALK_SPECS = {
     "walk_model.json": {"weight": "mb", "n": 8, "r": 8},
     "walk_gapped.json": {"weight": WEIGHT_FILE, "n": 6, "r": 5},

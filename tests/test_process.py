@@ -12,7 +12,7 @@ import fraction_oracles as oracle
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_models import draw_counts, stream_or_error
+from stream_oracles import draw_counts, stream_or_error
 
 from eomkit import combinat, process, verify
 from eomkit.errors import BudgetExceededError, ConditioningError, EmptySupportError
