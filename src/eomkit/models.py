@@ -459,6 +459,11 @@ def _model_normalizer(a: WeightFunction, n: int, r: int) -> int:
     """The checks of a product-form model for (n, r), in order, and its
     scaled normalizer, which they leave positive."""
     combinat.check_composition_budget(n, r)
+    return _positive_normalizer(a, n, r)
+
+
+def _positive_normalizer(a: WeightFunction, n: int, r: int) -> int:
+    """The scaled normalizer for (n, r); an empty model when it is zero."""
     c = scaled_normalizer(a, n, r)
     if c == 0:
         raise EmptySupportError(
@@ -563,11 +568,7 @@ def weight_model_label_density(
     """
     if len(y) != r:
         raise ValueError(f"label vector {y} has length {len(y)}, expected {r}")
-    c = scaled_normalizer(a, n, r)
-    if c == 0:
-        raise EmptySupportError(
-            f"weight table has zero total mass over {n} cells and {r} particles"
-        )
+    c = _positive_normalizer(a, n, r)
     x = combinat.tilde_phi(y, n)
     return Fraction(a.scaled_product(x), combinat.multinomial(r, x) * c)
 

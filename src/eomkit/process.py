@@ -297,20 +297,41 @@ def conditional_jumps_given_count(
 
 
 def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
-    """Verify that every reachable count conditional is the product-form model.
+    """Verify that every reachable count conditional is the product-form
+    model; the witness is the first failing (t, k) of ``_conditional_walk``."""
+    return CheckOutcome("jump-conditionals-product-form", _conditional_walk(p)[0])
+
+
+def check_mixed_geometric_form(p: FiniteProcess) -> CheckOutcome:
+    """Verify the factorization density(prefix) = R(total) * prod a(jump);
+    the witness is the first failing (t, prefix) of ``_conditional_walk``."""
+    return CheckOutcome("joint-factorization", _conditional_walk(p)[1])
+
+
+def _conditional_walk(p: FiniteProcess) -> tuple[str | None, str | None]:
+    """First witnesses of the product-form conditionals and of the joint
+    factorization.  Both read the same cases: on the count record of each t
+    (see ``_counts``), with the prefix masses m and the count masses M_t(k)
+    over one denominator, every k with count mass over the weight's memoized
+    ``weighted_compositions(t+1, k)``, whose scaled weights are w.  Each
+    test is decided on its own, so either can fail alone, and the walk
+    stops once both have a witness.
 
     The law of the prefix given N_t = k is the model for (t+1, k) exactly
-    when density(x) * normalizer = P{N_t = k} * prod a(x_j) for every
-    composition x of k.  On the count record of t (see ``_counts``), with
-    the prefix masses m, the count mass M_t(k) over the same denominator
-    and the scaled weight, that is the integer identity
-    m(x) * C'_{t+1}(k) = M_t(k) * prod L * a(x_j), compared in place over
-    the weight's memoized ``weighted_compositions``.  The witness is the
-    first failing (t, k).  A count with mass that no positive-weight prefix
-    reaches has no product-form model, so it fails.
+    when m(x) * C'_{t+1}(k) = M_t(k) * w(x) for every composition x of k.
+    The witness is the first failing (t, k); a count with mass that no
+    positive-weight prefix reaches has no product-form model, so it fails.
+
+    The joint factorizes when every positive-weight prefix of the same
+    length and total has the same ratio of density to weight, and every
+    zero-weight prefix carries zero probability: each ratio is
+    cross-multiplied with that of the first positive-weight prefix,
+    m * w0 = m0 * w.  A total with no mass passes outright (every m is 0),
+    so walking only the totals with count mass loses nothing.  The witness
+    is the first failing (t, prefix).
     """
-    name = "jump-conditionals-product-form"
     a = p.weight
+    by_model = by_form = None
     for t in range(p.horizon + 1):
         _, masses, prefixes, _ = _counts(p, t)
         normalizers = _power_row(a, t + 1)
@@ -318,45 +339,25 @@ def check_weight_model_conditionals(p: FiniteProcess) -> CheckOutcome:
             if not mass:
                 continue
             c = normalizers[k]
-            if c == 0 or any(
-                prefixes.get(x, 0) * c != mass * w
-                for x, w in a.weighted_compositions(t + 1, k).items()
-            ):
-                return CheckOutcome(name, f"(t,k)={(t, k)}")
-    return CheckOutcome(name)
-
-
-def check_mixed_geometric_form(p: FiniteProcess) -> CheckOutcome:
-    """Verify the factorization density(prefix) = R(total) * prod a(jump).
-
-    Every positive-weight prefix of the same length and total must have the
-    same ratio of density to weight, and every zero-weight prefix must carry
-    zero probability.  On the prefix masses m in the count record of t (see
-    ``_counts``) and the scaled weights w, the ratio of each prefix of total
-    k is cross-multiplied with that of the first positive-weight prefix:
-    m * w0 = m0 * w.  A total with no mass passes outright (every m is 0),
-    so only the totals with count mass are walked.  The witness is the
-    first failing (t, prefix).
-    """
-    name = "joint-factorization"
-    a = p.weight
-    for t in range(p.horizon + 1):
-        _, masses, prefixes, _ = _counts(p, t)
-        for k, mass in enumerate(masses):
-            if not mass:
-                continue
+            if by_model is None and c == 0:
+                by_model = f"(t,k)={(t, k)}"
             m0 = w0 = None
-            for prefix, w in a.weighted_compositions(t + 1, k).items():
-                m = prefixes.get(prefix, 0)
-                if w == 0:
-                    ok = m == 0
-                else:
-                    if w0 is None:
-                        m0, w0 = m, w
-                    ok = m * w0 == m0 * w
-                if not ok:
-                    return CheckOutcome(name, f"prefix {(t, prefix)}")
-    return CheckOutcome(name)
+            for x, w in a.weighted_compositions(t + 1, k).items():
+                m = prefixes.get(x, 0)
+                if by_model is None and m * c != mass * w:
+                    by_model = f"(t,k)={(t, k)}"
+                if by_form is None:
+                    if w == 0:
+                        ok = m == 0
+                    else:
+                        if w0 is None:
+                            m0, w0 = m, w
+                        ok = m * w0 == m0 * w
+                    if not ok:
+                        by_form = f"prefix {(t, x)}"
+                if by_model and by_form:
+                    return by_model, by_form
+    return by_model, by_form
 
 
 def _event_probability(p: FiniteProcess, values, gaps: bool) -> Fraction:
@@ -424,9 +425,11 @@ def check_characterizations(p: FiniteProcess) -> list[CheckOutcome]:
     arrival-time probabilities must reproduce that factorization (with the
     arrival route also agreeing with the gap route event by event).  One
     outcome per description, carrying the first discrepancy found.  The two
-    arrival descriptions are decided by one walk, ``_arrival_walk``.
+    arrival descriptions are decided by one walk, ``_arrival_walk``, and
+    the first two by another, ``_conditional_walk``.
     """
-    out = [check_weight_model_conditionals(p), check_mixed_geometric_form(p)]
+    names = ("jump-conditionals-product-form", "joint-factorization")
+    out = list(map(CheckOutcome, names, _conditional_walk(p)))
     if not out[1].passed:
         return out
     names = ("interarrival-product-formula", "arrival-product-formula")

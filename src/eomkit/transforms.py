@@ -59,54 +59,32 @@ def model_label_marginal(d: OccupancyDistribution, index_set) -> LabelDistributi
 def erase_cell(d: OccupancyDistribution) -> OccupancyDistribution:
     """Erase the last cell, replacing its particles uniformly and independently.
 
-    Each particle from the erased cell lands in one of the remaining ``n-1``
-    cells with equal probability, independently of the others: m moved
-    particles land as ``extra`` with probability multinomial(m, extra) /
-    (n-1)**m.  Over the common denominator (n-1)**r that is the integer
-    kernel weight multinomial(m, extra) * (n-1)**(r-m), built once per m.
+    The erased cell's particles leave one at a time, each to one of the
+    remaining ``n-1`` cells with equal probability.  ``levels[m]`` holds the
+    masses of the heads (the first ``n-1`` cells) with m particles left in
+    the last cell; from level r down to 1 each head sends mass // (n-1) to
+    every head with one more particle in one cell, one level down.  Over the
+    denominator times (n-1)**r the division is exact: the starting masses
+    are scaled by (n-1)**r and each move divides once, so a mass at level m
+    is a multiple of (n-1)**m.
     """
     if d.n < 2:
         raise ValueError("erasing the only cell would leave no cells")
     target_cells = d.n - 1
-    # a vector of counts <= r is coded by its digits in base r + 1: a base
-    # plus a kernel entry never exceeds r in any cell, so adding their codes
-    # adds the vectors, and the inner loop adds ints instead of tuples
-    radix = d.r + 1
-    kernels: dict[int, list] = {}
-    out: dict[int, int] = {}
+    scale = target_cells**d.r
+    levels: list[dict[Composition, int]] = [{} for _ in range(d.r + 1)]
     for x, m in d.table.masses.items():
-        moved = x[-1]
-        kernel = kernels.get(moved)
-        if kernel is None:
-            spare = target_cells ** (d.r - moved)
-            kernel = kernels[moved] = [
-                (_code(extra, radix), combinat.multinomial(moved, extra) * spare)
-                for extra in combinat.enumerate_compositions(target_cells, moved)
-            ]
-        base = _code(x[:-1], radix)
-        for extra, w in kernel:
-            key = base + extra
-            out[key] = out.get(key, 0) + m * w
-    masses = {_decode(key, radix, target_cells): m for key, m in out.items()}
+        levels[x[-1]][x[:-1]] = m * scale
+    for moved in range(d.r, 0, -1):
+        below = levels[moved - 1]
+        for head, m in levels.pop().items():
+            share = m // target_cells
+            for h, c in enumerate(head):
+                key = head[:h] + (c + 1,) + head[h + 1 :]
+                below[key] = below.get(key, 0) + share
     return OccupancyDistribution.from_masses(
-        target_cells, d.r, d.table.denominator * target_cells**d.r, masses
+        target_cells, d.r, d.table.denominator * scale, levels[0]
     )
-
-
-def _code(x: Composition, radix: int) -> int:
-    """The vector ``x`` of counts below ``radix`` as one base-``radix`` number."""
-    code = 0
-    for v in x:
-        code = code * radix + v
-    return code
-
-
-def _decode(code: int, radix: int, length: int) -> Composition:
-    """Inverse of ``_code`` for vectors of the given length."""
-    digits = [0] * length
-    for i in range(length - 1, -1, -1):
-        code, digits[i] = divmod(code, radix)
-    return tuple(digits)
 
 
 def partial_sum_conditionals(

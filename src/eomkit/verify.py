@@ -34,12 +34,11 @@ from .models import (
 )
 from .process import (
     FiniteProcess,
+    _conditional_walk,
     _markov_mismatch,
     _structure_mismatch,
     build_process,
     check_characterizations,
-    check_mixed_geometric_form,
-    check_weight_model_conditionals,
     classic_uosp_value,
     conditional_jumps_given_count,
     count_distribution,
@@ -660,9 +659,9 @@ def theorem_suite(seed: int = 0, max_horizon: int = 3) -> SuiteReport:
         if bad is None:
             return None
         mutated += 1
-        ok_cond = check_weight_model_conditionals(bad).passed
-        ok_form = check_mixed_geometric_form(bad).passed
-        return "perturbation went undetected" if ok_cond and ok_form else None
+        if _conditional_walk(bad) == (None, None):
+            return "perturbation went undetected"
+        return None
 
     def characterization(label, outcome):
         return None if outcome.passed else f"{label}: {outcome.witness}"

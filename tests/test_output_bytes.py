@@ -66,6 +66,11 @@ DIGESTS = {
         "8fe202d62e28c07b84f6e0ed28914cf936d356ace58860b7a64b71a3ea49bb06",
     ("transform", "--op", "k2", "--weight", "pc:2", "--n", "4", "--r", "4"):
         "0733ff2c66600a55086c13b5090aa4de9c326d776957d7f6a9de02309e62dcc8",
+    # the erased cell holds up to 12 and 6 particles
+    ("transform", "--op", "k2", "--weight", "be", "--n", "3", "--r", "12"):
+        "9ce122efceb6ea230b0d62ab7bdc9599f529bc7045416cff759ef6d375aa8006",
+    ("transform", "--op", "k2", "--weight", "mb", "--n", "6", "--r", "6"):
+        "9fe58fb1c0a4aa386878a21e72c441d219b1ba7c97dc1eee84f150e24aece988",
     ("transform", "--op", "cond:2,3", "--weight", "@w.json", "--n", "4", "--r", "5"):
         "32c7a3ee5bd825b8a7ab09efb0adac156c362b4dbb17822901de246945400847",
     ("sample", "--spec", "model.json", "--paths", "300", "--seed", "3"):

@@ -2,9 +2,11 @@
 
 import ast
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import fraction_oracles as oracle
 import pytest
 
 from eomkit import combinat
@@ -118,6 +120,30 @@ def test_erase_uniform_three_cells():
     # frozen from summing the redistribution kernel over the uniform model
     out = erase_cell(weight_model(builtin_weight("be", 2), 3, 2))
     assert out.table == {(2, 0): F(7, 24), (1, 1): F(5, 12), (0, 2): F(7, 24)}
+
+
+def test_erase_matches_the_fraction_oracle_on_arbitrary_tables():
+    # past the Hypothesis shapes of test_integer_masses (n <= 4, r <= 5): the
+    # walk divides the masses of level m by n - 1, m times over.  Each shape
+    # gets a table with zeros that is not exchangeable and an exchangeable one
+    rng = random.Random(30)
+    seen_exchangeable = seen_other = 0
+    for n in range(2, 7):
+        for r in range(9):
+            space = combinat.enumerate_compositions(n, r)
+            masses = {x: rng.choice((0, 0, 1, 2, 3, 7, 20)) for x in space}
+            masses[rng.choice(space)] = rng.randint(1, 9)
+            total = sum(masses.values())
+            gapped = OccupancyDistribution(
+                n, r, {x: F(m, total) for x, m in masses.items() if m}
+            )
+            for d in (gapped, random_eom(rng, n, r)):
+                seen_exchangeable += is_exchangeable(d)
+                seen_other += not is_exchangeable(d)
+                image = erase_cell(d).table
+                assert image == oracle.erase_cell(dict(d.table.items()), n), (n, r)
+                assert math.gcd(image.denominator, *image.masses.values()) == 1
+    assert seen_other > 30 and seen_exchangeable > 45
 
 
 def test_transforms_preserve_exchangeability_and_mass():
